@@ -14,7 +14,6 @@ from .streams import (
     EventStream,
     StreamHeader,
     ValidationReport,
-    concat_streams,
     make_events,
     make_triggers,
     validate_stream,
@@ -48,9 +47,7 @@ from .sync import (
 )
 from .frames import (
     DEFAULT_CLIP,
-    EventFrame,
     accumulate,
-    accumulate_frame,
     read_image,
     read_pgm,
     render_gray,
@@ -116,5 +113,3 @@ from .optics import (
 from .synth import SceneSpec, SceneResult, gen_scene, warp_view
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

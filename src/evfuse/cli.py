@@ -64,20 +64,16 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(obj, path: str | None) -> None:
-    """Write a JSON document to stdout or, when given, to ``path``."""
-    text = _dump_json(obj)
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def _write_text(text: str, path: str | None) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _emit(obj, path: str | None) -> None:
+    """Write a JSON document to stdout or, when given, to ``path``."""
+    _write_text(_dump_json(obj), path)
 
 
 def _meta(**inputs) -> dict:
@@ -128,19 +124,15 @@ def _parse_wh(text: str, name: str) -> tuple:
         raise _usage_fail(f"{name} expects 'WIDTHxHEIGHT', got {text!r}") from None
 
 
-def _parse_custom_window(text: str) -> sync.CustomWindow:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise _usage_fail(f"--custom expects 'anchor:pre_us:post_us', got {text!r}")
+def _parse_window_method(method: str, custom: str | None):
+    """The ``--custom ANCHOR:PRE:POST`` window when given, else the ``--method`` preset."""
+    parts = custom.split(":") if custom else None
+    if parts is not None and len(parts) != 3:
+        raise _usage_fail(f"--custom expects 'anchor:pre_us:post_us', got {custom!r}")
     try:
+        if parts is None:
+            return sync.parse_method(method)
         return sync.CustomWindow(parts[0], int(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise _usage_fail(str(exc)) from None
-
-
-def _parse_method(name: str) -> sync.SyncMethod:
-    try:
-        return sync.parse_method(name)
     except ValueError as exc:
         raise _usage_fail(str(exc)) from None
 
@@ -172,28 +164,29 @@ def _read_points_csv(path: str):
     return np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
 
 
-def _load_stream(path: str) -> EventStream:
-    return codec.read_esf(path)
+def _build_windows(stream: EventStream, windows_csv, channel: int, method: str, custom, need_exposures=True):
+    """Event windows for sync/accumulate/pipeline, as ``(exposures, windows)``.
 
-
-def _windows_from_args(stream: EventStream, args) -> list:
-    """Shared window-construction logic for accumulate/pipeline."""
-    if getattr(args, "windows", None):
-        return sync.read_windows_csv(Path(args.windows).read_text(encoding="utf-8"))
-    pairing = sync.triggers_to_exposures(stream.triggers, channel=args.channel)
+    Windows come from ``windows_csv`` when given (exposures are then None).
+    Otherwise the trigger edges on ``channel`` are paired, unpaired edges are
+    reported as warnings, and ``custom`` (if set) or ``method`` builds one
+    window per exposure.
+    """
+    if windows_csv:
+        return None, sync.read_windows_csv(Path(windows_csv).read_text(encoding="utf-8"))
+    pairing = sync.triggers_to_exposures(stream.triggers, channel=channel)
     for a in pairing.anomalies:
         _diag("warning", "unpaired trigger edge", **a.to_json())
-    if not pairing.exposures:
+    if need_exposures and not pairing.exposures:
         raise TooFewExposures("no exposures found on the selected trigger channel")
-    method = _parse_custom_window(args.custom) if getattr(args, "custom", None) else _parse_method(args.method)
-    return sync.windows(pairing.exposures, method)
+    return pairing.exposures, sync.windows(pairing.exposures, _parse_window_method(method, custom))
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_decode(args) -> int:
-    stream = _load_stream(args.esf)
+    stream = codec.read_esf(args.esf)
     _write_text(codec.write_csv(stream), args.csv)
     _diag(
         "info",
@@ -221,7 +214,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_info(args) -> int:
-    stream = _load_stream(args.esf)
+    stream = codec.read_esf(args.esf)
     ev, tr = stream.events, stream.triggers
     times = stream.merged_times()
     doc = {
@@ -239,7 +232,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    stream = _load_stream(args.esf)
+    stream = codec.read_esf(args.esf)
     report = validate_stream(stream)
     _emit(report.to_json(), args.out)
     if not report.ok:
@@ -249,20 +242,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sync(args) -> int:
-    stream = _load_stream(args.esf)
-    pairing = sync.triggers_to_exposures(stream.triggers, channel=args.channel)
-    for a in pairing.anomalies:
-        _diag("warning", "unpaired trigger edge", **a.to_json())
+    stream = codec.read_esf(args.esf)
+    exposures, wins = _build_windows(stream, None, args.channel, args.method, args.custom, need_exposures=False)
     if args.exposures_out:
-        Path(args.exposures_out).write_text(sync.write_exposures_csv(pairing.exposures), encoding="utf-8")
-    method = _parse_custom_window(args.custom) if args.custom else _parse_method(args.method)
-    wins = sync.windows(pairing.exposures, method)
+        Path(args.exposures_out).write_text(sync.write_exposures_csv(exposures), encoding="utf-8")
     counts = sync.window_counts(stream.events, wins)
     _write_text(sync.write_windows_csv(wins), args.out)
     _diag(
         "info",
         "built sync windows",
-        n_exposures=len(pairing.exposures),
+        n_exposures=len(exposures),
         n_windows=len(wins),
         n_events_assigned=int(counts.sum()),
     )
@@ -270,8 +259,8 @@ def cmd_sync(args) -> int:
 
 
 def cmd_accumulate(args) -> int:
-    stream = _load_stream(args.esf)
-    wins = _windows_from_args(stream, args)
+    stream = codec.read_esf(args.esf)
+    _, wins = _build_windows(stream, args.windows, args.channel, args.method, args.custom)
     width, height = stream.header.width, stream.header.height
     out_dir = Path(args.out_dir)
     (out_dir).mkdir(parents=True, exist_ok=True)
@@ -335,25 +324,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    stream = _load_stream(args.esf)
+    stream = codec.read_esf(args.esf)
     report = rate.rate_report(
         stream, encoding=args.encoding, bin_us=args.bin_us, saturation_evps=args.saturation_evps
     )
     if report.saturated:
         _diag("warning", "stream exceeds the saturation rate in some bins", n_bins=len(report.saturated_bins))
     if args.series_out:
-        series = rate.rate_series(stream.events, args.bin_us)
-        lines = ["bin_start_us,count"]
-        lines += [
-            f"{(series.start_bin + i) * series.bin_us},{int(c)}" for i, c in enumerate(series.counts)
-        ]
-        Path(args.series_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.series_out).write_text(rate.rate_series(stream.events, args.bin_us).to_csv(), encoding="utf-8")
     _emit(report.to_json(), args.out)
     return OK
 
 
 def cmd_erc(args) -> int:
-    stream = _load_stream(args.esf)
+    stream = codec.read_esf(args.esf)
     cfg = rate.ErcConfig(cap_evps=args.cap_evps, period_us=args.period_us)
     kept = rate.erc_filter(stream.events, cfg)
     filtered = EventStream(stream.header, kept, stream.triggers)
@@ -440,7 +424,6 @@ def _spec_from_args(args) -> synth.SceneSpec:
         fps=args.fps,
         exposure_us=args.exposure_us,
         dt_us=args.dt_us,
-        seed=args.seed,
     )
     if args.start:
         kwargs["start"] = _parse_pair(args.start, "--start")
@@ -487,7 +470,7 @@ def cmd_synth(args) -> int:
     # Reproducibility: record the generating parameters next to the data.
     spec_doc = {k: getattr(spec, k) for k in (
         "width", "height", "pattern", "pattern_size", "velocity", "duration_s",
-        "background", "foreground", "contrast", "fps", "exposure_us", "dt_us", "seed", "start",
+        "background", "foreground", "contrast", "fps", "exposure_us", "dt_us", "start",
     )}
     spec_doc["velocity"] = list(spec_doc["velocity"])
     if spec_doc["start"] is not None:
@@ -567,7 +550,7 @@ def _resolve_pipeline_options(args) -> dict:
 
 def cmd_pipeline(args) -> int:
     opts = _resolve_pipeline_options(args)
-    stream = _load_stream(args.events)
+    stream = codec.read_esf(args.events)
     width, height = stream.header.width, stream.header.height
 
     if opts["erc_cap_evps"]:
@@ -578,11 +561,7 @@ def cmd_pipeline(args) -> int:
             _diag("warning", "rate controller dropped events", n_dropped=dropped, cap_evps=cfg.cap_evps)
         stream = EventStream(stream.header, kept, stream.triggers)
 
-    # Windows from the trigger channel (or an explicit windows CSV).
-    ns = argparse.Namespace(
-        windows=args.windows, channel=int(opts["channel"]), custom=opts["custom"], method=opts["method"]
-    )
-    wins = _windows_from_args(stream, ns)
+    _, wins = _build_windows(stream, args.windows, int(opts["channel"]), opts["method"], opts["custom"])
     per_window = sync.assign_events(stream.events, wins)
 
     # Homography mapping RGB-frame coordinates into event coordinates.
@@ -786,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--out-dir", required=True)
     p.add_argument("--width", type=int, default=240)
     p.add_argument("--height", type=int, default=180)
-    p.add_argument("--pattern", default="disk", choices=["disk", "rect", "checker"])
+    p.add_argument("--pattern", default="disk", choices=synth.PATTERNS)
     p.add_argument("--pattern-size", type=float, default=40.0)
     p.add_argument("--velocity", default="120,0", metavar="VX,VY", help="pattern velocity in px/s")
     p.add_argument("--duration-s", type=float, default=0.35)
@@ -796,7 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=float, default=20.0)
     p.add_argument("--exposure-us", type=int, default=5000)
     p.add_argument("--dt-us", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", default=None, metavar="X,Y", help="pattern center at t=0 (default: centered sweep)")
     p.add_argument("--homography", default=None, metavar="H.json", help="render a second view through this homography")
     p.add_argument("--translate", default=None, metavar="DX,DY", help="shortcut: second view offset in px")

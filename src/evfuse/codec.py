@@ -142,28 +142,6 @@ def make_header(width: int, height: int) -> bytes:
 # -- decoding ------------------------------------------------------------------
 
 
-def _value_table(values: np.ndarray, init) -> np.ndarray:
-    """Register-value lookup table indexed by 'number of changes seen so far'."""
-    return np.concatenate([[init], values])
-
-
-# Words per decode chunk.  Chunking keeps the vectorized decoder's temporaries
-# inside the cache hierarchy on long recordings; results are identical for any
-# chunk size because the register state is carried across the boundary.
-DECODE_CHUNK_WORDS = 1 << 21
-
-
-@dataclass
-class _Registers:
-    """Decoder state carried across chunk boundaries."""
-
-    time_high: int = 0
-    time_low: int = 0
-    epoch: int = 0
-    y: int = 0
-    y_seen: bool = False
-
-
 def decode_esf(data: bytes) -> EventStream:
     """Decode an ESF-1 byte sequence into an :class:`EventStream`.
 
@@ -187,37 +165,20 @@ def decode_esf(data: bytes) -> EventStream:
         raise TruncatedStream(len(data) - 1, "odd byte count: truncated final word")
 
     header = StreamHeader(width, height)
-    all_words = np.frombuffer(data, dtype="<u2", offset=HEADER_SIZE)
-    if all_words.shape[0] == 0:
+    words = np.frombuffer(data, dtype="<u2", offset=HEADER_SIZE)
+    if words.shape[0] == 0:
         return EventStream(header)
-
-    reg = _Registers()
-    ev_parts, tr_parts, pos_parts = [], [], []
-    items_before = 0
-    chunk = DECODE_CHUNK_WORDS
-    for start in range(0, all_words.shape[0], chunk):
-        words = all_words[start : start + chunk]
-        events, triggers, local_pos = _decode_chunk(words, width, height, reg, start)
-        ev_parts.append(events)
-        tr_parts.append(triggers)
-        pos_parts.append(local_pos + items_before)
-        items_before += events.shape[0] + triggers.shape[0]
-
-    return EventStream(
-        header,
-        np.concatenate(ev_parts) if len(ev_parts) > 1 else ev_parts[0],
-        np.concatenate(tr_parts) if len(tr_parts) > 1 else tr_parts[0],
-        np.concatenate(pos_parts) if len(pos_parts) > 1 else pos_parts[0],
-    )
+    return EventStream(header, *_decode_words(words, width, height))
 
 
-def _decode_chunk(words, width, height, reg: _Registers, word_base: int):
-    """Decode one slice of the word stream, updating ``reg`` in place.
+def _decode_words(words, width, height):
+    """Decode the whole word array in one vectorized pass.
 
-    Returns (events, triggers, trigger positions within this chunk's merged
-    item sequence).  Byte offsets in errors account for ``word_base``.
+    Returns (events, triggers, trigger positions within the merged item
+    sequence).
     """
     n = words.shape[0]
+    count_dtype = np.int32 if n < 1 << 31 else np.int64
     types = (words >> 12).astype(np.uint8)
 
     is_th = types == TYPE_TIME_HIGH
@@ -237,12 +198,12 @@ def _decode_chunk(words, width, height, reg: _Registers, word_base: int):
     # failure path.  A sequential decoder stops at the first problem, so the
     # earliest word index must win across all error kinds.
     all_known = bool((is_th | is_tl | is_y | is_x | is_trig).all())
-    cd_x_too_early = not reg.y_seen and x_idx.shape[0] and int(x_idx[0]) < first_y
+    cd_x_too_early = x_idx.shape[0] and int(x_idx[0]) < first_y
     if (not all_known) or (y_vals_all >= height).any() or (x_vals >= width).any() or cd_x_too_early:
         first_bad = []  # (word index, exception factory)
 
         def _offset(i):
-            return HEADER_SIZE + WORD_SIZE * (word_base + i)
+            return HEADER_SIZE + WORD_SIZE * i
 
         if not all_known:
             known = is_th | is_tl | is_y | is_x | is_trig
@@ -264,33 +225,24 @@ def _decode_chunk(words, width, height, reg: _Registers, word_base: int):
 
     # Timestamp state.  Both TIME word kinds update the same 64-bit register,
     # so build one table of its value after each TIME word; cnt_time[i] then
-    # indexes it (slot 0 = the state inherited from ``reg``).  Within the
-    # TIME-word subsequence the high part forward-fills across low-word
-    # updates and vice versa, and the epoch increments at each strict
-    # TIME_HIGH decrease (24-bit rollover).
+    # indexes it (slot 0 = the all-zero initial state).  Within the TIME-word
+    # subsequence the high part forward-fills across low-word updates and vice
+    # versa, and the epoch increments at each strict TIME_HIGH decrease
+    # (24-bit rollover).
     is_time = is_th | is_tl
     time_idx = np.nonzero(is_time)[0]
     time_is_high = is_th.take(time_idx)
     time_vals = (words.take(time_idx) & 0xFFF).astype(np.uint64)
-    th_vals = time_vals[time_is_high]
-    epochs = np.empty(th_vals.shape[0], dtype=np.uint64)
-    if th_vals.shape[0]:
-        epochs[0] = reg.epoch + (int(th_vals[0]) < reg.time_high)
-        if th_vals.shape[0] > 1:
-            epochs[1:] = epochs[0] + np.cumsum(th_vals[1:] < th_vals[:-1])
-    tl_vals = time_vals[~time_is_high]
-    th_tab = _value_table(th_vals, np.uint64(reg.time_high))
-    ep_tab = _value_table(epochs, np.uint64(reg.epoch))
-    tl_tab = _value_table(tl_vals, np.uint64(reg.time_low))
-    jth = np.cumsum(time_is_high, dtype=np.int32)
-    jtl = np.cumsum(~time_is_high, dtype=np.int32)
-    t_after = (ep_tab[jth] << np.uint64(24)) + (th_tab[jth] << np.uint64(12)) + tl_tab[jtl]
-    t_tab = _value_table(t_after, (np.uint64(reg.epoch) << np.uint64(24))
-                         + (np.uint64(reg.time_high) << np.uint64(12)) + np.uint64(reg.time_low))
+    th_tab = np.insert(time_vals[time_is_high], 0, 0)
+    ep_tab = np.insert(np.cumsum(th_tab[1:] < th_tab[:-1], dtype=np.uint64), 0, 0)
+    tl_tab = np.insert(time_vals[~time_is_high], 0, 0)
+    jth = np.cumsum(time_is_high, dtype=count_dtype)
+    jtl = np.cumsum(~time_is_high, dtype=count_dtype)
+    t_tab = np.insert((ep_tab[jth] << np.uint64(24)) + (th_tab[jth] << np.uint64(12)) + tl_tab[jtl], 0, 0)
 
-    cnt_time = np.cumsum(is_time, dtype=np.int32)
-    cnt_y = np.cumsum(is_y, dtype=np.int32)
-    y_tab = _value_table(y_vals_all.astype(np.uint16), np.uint16(reg.y))
+    cnt_time = np.cumsum(is_time, dtype=count_dtype)
+    cnt_y = np.cumsum(is_y, dtype=count_dtype)
+    y_tab = np.insert(y_vals_all.astype(np.uint16), 0, 0)
 
     polarity = ((x_words >> 11) & 1).astype(np.int8)
     polarity += polarity
@@ -312,17 +264,6 @@ def _decode_chunk(words, width, height, reg: _Registers, word_base: int):
 
     # Merged position of each trigger: events before it plus triggers before it.
     trigger_pos = (np.searchsorted(x_idx, trig_idx) + np.arange(trig_idx.shape[0])).astype(np.int64)
-
-    # Carry the registers forward for the next chunk.
-    if th_vals.shape[0]:
-        reg.time_high = int(th_vals[-1])
-        reg.epoch = int(epochs[-1])
-    if tl_vals.shape[0]:
-        reg.time_low = int(tl_vals[-1])
-    if y_vals_all.shape[0]:
-        reg.y = int(y_vals_all[-1])
-        reg.y_seen = True
-
     return events, triggers, trigger_pos
 
 
@@ -543,16 +484,10 @@ def parse_csv(text: str, width: int, height: int) -> EventStream:
         except (ValueError, KeyError, IndexError):
             raise MalformedLine(line_no, raw) from None
 
-    header = StreamHeader(width, height)
-    events = make_events(*zip(*ev_rows)) if ev_rows else None
-    triggers = make_triggers(*zip(*tr_rows)) if tr_rows else None
+    events = make_events(*zip(*ev_rows)) if ev_rows else make_events([], [], [], [])
+    triggers = make_triggers(*zip(*tr_rows)) if tr_rows else make_triggers([], [], [])
     trigger_pos = np.nonzero(np.asarray(order, dtype=bool))[0].astype(np.int64)
-    stream = EventStream(
-        header,
-        events if events is not None else np.empty(0, dtype=make_events([], [], [], []).dtype),
-        triggers if triggers is not None else np.empty(0, dtype=make_triggers([], [], []).dtype),
-        trigger_pos,
-    )
+    stream = EventStream(StreamHeader(width, height), events, triggers, trigger_pos)
     for i in np.nonzero(stream.events["x"] >= width)[0][:1]:
         raise CoordinateOutOfBounds("x", int(stream.events["x"][i]))
     for i in np.nonzero(stream.events["y"] >= height)[0][:1]:

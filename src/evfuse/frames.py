@@ -15,27 +15,11 @@ black; ``binary`` is plain black/white.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
 ACCUMULATION_MODES = ("count", "polarity", "binary")
 DEFAULT_CLIP = 3
-
-
-@dataclass(frozen=True)
-class EventFrame:
-    """One accumulated window: the integer surface plus its provenance."""
-
-    frame_id: int
-    t0: int
-    t1: int
-    mode: str
-    data: np.ndarray  # (height, height) int32, C-order
-
-    @property
-    def n_nonzero(self) -> int:
-        return int(np.count_nonzero(self.data))
 
 
 def accumulate(events: np.ndarray, width: int, height: int, mode: str = "polarity") -> np.ndarray:
@@ -58,18 +42,6 @@ def accumulate(events: np.ndarray, width: int, height: int, mode: str = "polarit
         cells = np.zeros(n_cells, dtype=np.int32)
         cells[flat] = 1
     return cells.astype(np.int32).reshape(height, width)
-
-
-def accumulate_frame(
-    events: np.ndarray,
-    width: int,
-    height: int,
-    frame_id: int,
-    t0: int,
-    t1: int,
-    mode: str = "polarity",
-) -> EventFrame:
-    return EventFrame(frame_id, int(t0), int(t1), mode, accumulate(events, width, height, mode))
 
 
 def render_gray(data: np.ndarray, mode: str = "polarity", clip: int = DEFAULT_CLIP) -> np.ndarray:

@@ -198,10 +198,10 @@ def rate_report(
     else:
         stats = encode_stats(stream)
         total_bytes = stats.n_bytes  # includes the 16-byte header
-        # attribute each item's words to its time bin
-        item_t = stream.merged_times()
-        bins = (item_t // np.uint64(bin_us)).astype(np.int64) - series.start_bin
-        words = np.bincount(bins, weights=stats.item_words, minlength=series.n_bins)
+        # attribute each item's words to its time bin; encode_stats checked
+        # the merged order, so the first item holds the lowest bin
+        item_bins = stream.merged_times() // np.uint64(bin_us)
+        words = np.bincount((item_bins - item_bins[0]).astype(np.int64), weights=stats.item_words)
         bin_bytes = 2.0 * words
     mean_bps = total_bytes * 1_000_000 / duration
     peak_bps = max(float(bin_bytes.max()) * 1_000_000 / bin_us, mean_bps)

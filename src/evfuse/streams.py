@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sync import triggers_to_exposures
+
 # CD event record: timestamp (microseconds), pixel coordinates, polarity (+1/-1).
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
 
@@ -133,19 +135,6 @@ class EventStream:
     def n_items(self) -> int:
         return self.n_events + self.n_triggers
 
-    def duration_us(self) -> int:
-        """Span from first to last item timestamp (0 for empty streams)."""
-        ts = []
-        if self.n_events:
-            ts.append((int(self.events["t"][0]), int(self.events["t"][-1])))
-        if self.n_triggers:
-            ts.append((int(self.triggers["t"][0]), int(self.triggers["t"][-1])))
-        if not ts:
-            return 0
-        first = min(a for a, _ in ts)
-        last = max(b for _, b in ts)
-        return last - first
-
     # -- merged view ----------------------------------------------------------
 
     def merged_mask(self) -> np.ndarray:
@@ -209,82 +198,49 @@ def validate_stream(stream: EventStream) -> ValidationReport:
     """Check global time order, coordinate bounds, and trigger pairing.
 
     Returns a report of findings; an empty findings list means the stream is
-    structurally sound.  The stream itself is left untouched.
+    structurally sound.  The stream itself is left untouched.  Order and
+    bounds problems are summarised, not listed: one ``monotonicity`` finding
+    and at most one ``bounds`` finding per axis, each holding the first
+    offending indices and stating the total count in its message.  Each edge
+    that :func:`~evfuse.sync.triggers_to_exposures` could not pair gives one
+    ``unpaired_trigger`` finding.
     """
     findings: list[Finding] = []
 
     # Global time order across both item kinds.
     t = stream.merged_times()
-    if t.shape[0] >= 2:
-        bad = np.nonzero(t[1:] < t[:-1])[0]
-        for i in bad:
-            findings.append(
-                Finding(
-                    "monotonicity",
-                    f"item {i + 1} (t={int(t[i + 1])}) precedes item {i} (t={int(t[i])})",
-                    (int(i), int(i + 1)),
-                )
+    bad = np.flatnonzero(t[1:] < t[:-1])
+    if bad.shape[0]:
+        i = int(bad[0])
+        findings.append(
+            Finding(
+                "monotonicity",
+                f"{bad.shape[0]} item(s) precede their predecessor; first: "
+                f"item {i + 1} (t={int(t[i + 1])}) precedes item {i} (t={int(t[i])})",
+                (i, i + 1),
             )
+        )
 
     # Coordinate bounds against the header geometry.
     ev = stream.events
-    if ev.shape[0]:
-        bad_x = np.nonzero(ev["x"] >= stream.header.width)[0]
-        for i in bad_x:
+    for axis, dim, limit in (("x", "width", stream.header.width), ("y", "height", stream.header.height)):
+        bad = np.flatnonzero(ev[axis] >= limit)
+        if bad.shape[0]:
+            i = int(bad[0])
             findings.append(
-                Finding("bounds", f"event {i}: x={int(ev['x'][i])} >= width {stream.header.width}", (int(i),))
-            )
-        bad_y = np.nonzero(ev["y"] >= stream.header.height)[0]
-        for i in bad_y:
-            findings.append(
-                Finding("bounds", f"event {i}: y={int(ev['y'][i])} >= height {stream.header.height}", (int(i),))
+                Finding(
+                    "bounds",
+                    f"{bad.shape[0]} event(s) with {axis} >= {dim} {limit}; first: event {i}: {axis}={int(ev[axis][i])}",
+                    (i,),
+                )
             )
 
     # Trigger pairing per channel: edges should alternate rising -> falling.
     tr = stream.triggers
-    for ch in np.unique(tr["channel"]) if tr.shape[0] else []:
-        idx = np.nonzero(tr["channel"] == ch)[0]
-        pending = -1  # index of an open rising edge
-        for i in idx:
-            if tr["edge"][i] == 1:
-                if pending >= 0:
-                    findings.append(
-                        Finding(
-                            "unpaired_trigger",
-                            f"channel {ch}: rising edge at t={int(tr['t'][pending])} "
-                            f"followed by another rising edge",
-                            (int(pending),),
-                        )
-                    )
-                pending = int(i)
-            else:
-                if pending < 0:
-                    findings.append(
-                        Finding(
-                            "unpaired_trigger",
-                            f"channel {ch}: falling edge at t={int(tr['t'][i])} with no prior rising edge",
-                            (int(i),),
-                        )
-                    )
-                else:
-                    pending = -1
-        if pending >= 0:
+    for ch in np.unique(tr["channel"]).tolist():
+        for a in triggers_to_exposures(tr, ch).anomalies:
             findings.append(
-                Finding(
-                    "unpaired_trigger",
-                    f"channel {ch}: rising edge at t={int(tr['t'][pending])} never closed",
-                    (int(pending),),
-                )
+                Finding("unpaired_trigger", f"channel {ch}: {a.edge} edge at t={a.t}: {a.reason}", (a.index,))
             )
 
     return ValidationReport(findings)
-
-
-def concat_streams(a: EventStream, b: EventStream) -> EventStream:
-    """Concatenate two streams that share a header; b's items follow a's."""
-    if a.header != b.header:
-        raise ValueError("streams have different headers")
-    events = np.concatenate([a.events, b.events])
-    triggers = np.concatenate([a.triggers, b.triggers])
-    trigger_pos = np.concatenate([a.trigger_pos, b.trigger_pos + a.n_items])
-    return EventStream(a.header, events, triggers, trigger_pos)

@@ -26,7 +26,7 @@ floored on output; shared boundaries stay shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -106,12 +106,17 @@ class CustomWindow:
 
 @dataclass(frozen=True)
 class UnpairedEdge:
-    """A trigger edge that could not be paired into an exposure."""
+    """A trigger edge that could not be paired into an exposure.
+
+    ``index`` is the edge's position in the trigger array that was paired; it
+    is not part of the JSON record.
+    """
 
     t: int
     edge: str  # "rising" | "falling"
     channel: int
     reason: str
+    index: int
 
     def to_json(self) -> dict:
         return {"t": self.t, "edge": self.edge, "channel": self.channel, "reason": self.reason}
@@ -130,24 +135,22 @@ def triggers_to_exposures(triggers: np.ndarray, channel: int = 0) -> PairingResu
     one is already open, or a rising edge left open at the end — are reported
     as :class:`UnpairedEdge` findings and pairing continues past them.
     """
-    sel = triggers[triggers["channel"] == channel]
+    idx = np.flatnonzero(triggers["channel"] == channel)
     exposures: list[ExposureInterval] = []
     anomalies: list[UnpairedEdge] = []
-    open_t = None
-    for row in sel:
-        t = int(row["t"])
-        if row["edge"] == 1:
+    open_i = open_t = None  # the open rising edge: trigger index and time
+    for i, t, edge in zip(idx.tolist(), triggers["t"][idx].tolist(), triggers["edge"][idx].tolist()):
+        if edge == 1:
             if open_t is not None:
-                anomalies.append(UnpairedEdge(open_t, "rising", channel, "followed by another rising edge"))
-            open_t = t
+                anomalies.append(UnpairedEdge(open_t, "rising", channel, "followed by another rising edge", open_i))
+            open_i, open_t = i, t
+        elif open_t is None:
+            anomalies.append(UnpairedEdge(t, "falling", channel, "no prior rising edge", i))
         else:
-            if open_t is None:
-                anomalies.append(UnpairedEdge(t, "falling", channel, "no prior rising edge"))
-            else:
-                exposures.append(ExposureInterval(len(exposures), open_t, t))
-                open_t = None
+            exposures.append(ExposureInterval(len(exposures), open_t, t))
+            open_i = open_t = None
     if open_t is not None:
-        anomalies.append(UnpairedEdge(open_t, "rising", channel, "stream ended before falling edge"))
+        anomalies.append(UnpairedEdge(open_t, "rising", channel, "stream ended before falling edge", open_i))
     return PairingResult(exposures, anomalies)
 
 
@@ -259,43 +262,47 @@ def window_counts(events: np.ndarray, window_list) -> np.ndarray:
     return np.array([s.shape[0] for s in assign_events(events, window_list)], dtype=np.int64)
 
 
-# -- exposure CSV ------------------------------------------------------------
+# -- integer-table CSV -----------------------------------------------------
+
+
+def _write_int_csv(header: str, rows) -> str:
+    """One header line, then one line of integer fields per dataclass row."""
+    lines = [header] + [",".join(str(v) for v in astuple(r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _read_int_csv(text: str, header: str, row_type, what: str) -> list:
+    """Parse a table written by :func:`_write_int_csv` into ``row_type`` rows.
+
+    Blank lines, ``#`` comments and header lines are skipped; columns past the
+    header's are ignored.
+    """
+    first_col = header.split(",")[0]
+    n_cols = header.count(",") + 1
+    out = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#") or line.lower().startswith(first_col):
+            continue
+        parts = line.split(",")
+        try:
+            out.append(row_type(*(int(parts[k]) for k in range(n_cols))))
+        except (ValueError, IndexError):
+            raise ValueError(f"{what} CSV line {line_no}: cannot parse {raw!r}") from None
+    return out
 
 
 def write_exposures_csv(exposures) -> str:
-    lines = ["frame_id,start_us,end_us"]
-    lines += [f"{e.frame_id},{e.start},{e.end}" for e in exposures]
-    return "\n".join(lines) + "\n"
+    return _write_int_csv("frame_id,start_us,end_us", exposures)
 
 
 def read_exposures_csv(text: str) -> list:
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.lower().startswith("frame_id"):
-            continue
-        parts = line.split(",")
-        try:
-            out.append(ExposureInterval(int(parts[0]), int(parts[1]), int(parts[2])))
-        except (ValueError, IndexError):
-            raise ValueError(f"exposure CSV line {line_no}: cannot parse {raw!r}") from None
-    return out
+    return _read_int_csv(text, "frame_id,start_us,end_us", ExposureInterval, "exposure")
+
 
 def write_windows_csv(windows) -> str:
-    lines = ["frame_id,t0_us,t1_us"]
-    lines += [f"{w.frame_id},{w.t0},{w.t1}" for w in windows]
-    return "\n".join(lines) + "\n"
+    return _write_int_csv("frame_id,t0_us,t1_us", windows)
 
 
 def read_windows_csv(text: str) -> list:
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.lower().startswith("frame_id"):
-            continue
-        parts = line.split(",")
-        try:
-            out.append(SyncWindow(int(parts[0]), int(parts[1]), int(parts[2])))
-        except (ValueError, IndexError):
-            raise ValueError(f"window CSV line {line_no}: cannot parse {raw!r}") from None
-    return out
+    return _read_int_csv(text, "frame_id,t0_us,t1_us", SyncWindow, "window")

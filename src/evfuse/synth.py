@@ -51,7 +51,6 @@ class SceneSpec:
     fps: float = 20.0
     exposure_us: int = 5000
     dt_us: int = 500
-    seed: int = 0  # reserved for future noise models; generation is deterministic
     start: tuple | None = None
 
     def __post_init__(self):

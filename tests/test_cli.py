@@ -12,6 +12,8 @@ from evfuse import cli
 from evfuse.codec import read_esf
 from evfuse.labels import iou, read_labels_json
 
+GOLDEN_SUMMARY = Path(__file__).with_name("golden_pipeline_summary.json")
+
 SUBCOMMANDS = [
     "decode",
     "encode",
@@ -197,6 +199,12 @@ def test_optics_no_mode_is_usage_error():
     assert run(["optics", "--sensor", "evk4"]) == 1
 
 
+def test_synth_pattern_choices_match_generator(tmp_path):
+    base = ["synth", "--duration-s", "0.1", "-o", str(tmp_path / "out.json")]
+    assert run(base + ["-d", str(tmp_path / "r"), "--pattern", "rectangle"]) == 0
+    assert run(base + ["-d", str(tmp_path / "x"), "--pattern", "rect"]) == 1
+
+
 def test_label_transfer_round_trip(scene, tmp_path, capsys):
     out = tmp_path / "moved.json"
     code = run(
@@ -245,6 +253,8 @@ def test_pipeline_no_meta_is_byte_identical(scene, tmp_path):
     assert run(args + ["-d", str(d1)]) == 0
     assert run(args + ["-d", str(d2)]) == 0
     assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
+    # Same bytes as the committed reference run of this scene.
+    assert (d1 / "summary.json").read_bytes() == GOLDEN_SUMMARY.read_bytes()
 
 
 def test_pipeline_meta_present_by_default(scene, tmp_path):

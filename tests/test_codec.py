@@ -310,22 +310,14 @@ def test_reencode_reproduces_item_sequence():
     assert _stream_items(decode_esf(again)) == _stream_items(s)
 
 
-def test_chunked_decode_matches_whole(monkeypatch):
-    # Force tiny decode chunks; register carry-over must not change anything.
-    import evfuse.codec as codec_mod
-
+def test_multi_rollover_round_trip():
+    # 80 s spans several 24-bit timestamp rollovers.
     rng = np.random.default_rng(21)
     s = _random_stream(rng, n_events=4000, n_triggers=40, t_span=80_000_000)
-    blob = encode_esf(s)
-    whole = decode_esf(blob)
-    monkeypatch.setattr(codec_mod, "DECODE_CHUNK_WORDS", 113)
-    assert decode_esf(blob) == whole == s
+    assert decode_esf(encode_esf(s)) == s
 
 
-def test_chunked_decode_error_offset(monkeypatch):
-    import evfuse.codec as codec_mod
-
-    monkeypatch.setattr(codec_mod, "DECODE_CHUNK_WORDS", 4)
+def test_decode_error_offset_after_many_words():
     words = [build_cd_y(1)] + [build_cd_x(1, 1)] * 9 + [0x3000]
     with pytest.raises(UnknownWordType) as exc:
         decode_esf(make_header(64, 64) + pack_words(words))
@@ -460,3 +452,36 @@ def test_validate_reports_bounds():
     events = make_events([1], [100], [1], [1])
     s = EventStream(StreamHeader(32, 32), events)
     assert [f.kind for f in validate_stream(s).findings] == ["bounds"]
+
+
+def test_validate_unpaired_finding_holds_trigger_index():
+    # Channel 1's second rising edge is trigger 3 of the whole array.
+    triggers = make_triggers([100, 150, 200, 250, 300], [1, 1, 0, 1, 0], [0, 1, 0, 1, 1])
+    s = EventStream(StreamHeader(32, 32), triggers=triggers)
+    findings = validate_stream(s).findings
+    assert [(f.kind, f.indices) for f in findings] == [("unpaired_trigger", (1,))]
+    assert "channel 1: rising edge at t=150" in findings[0].message
+
+
+def test_validate_report_is_bounded_on_shuffled_stream():
+    rng = np.random.default_rng(8)
+    n = 200_000
+    events = make_events(rng.permutation(n), rng.integers(0, 64, n), rng.integers(0, 64, n), rng.choice([-1, 1], n))
+    s = EventStream(StreamHeader(64, 64), events, trigger_pos=np.empty(0, dtype=np.int64))
+    findings = validate_stream(s).findings
+    assert len(findings) <= 3
+    assert [f.kind for f in findings] == ["monotonicity"]
+    t = events["t"].astype(np.int64)
+    n_bad = int(np.count_nonzero(t[1:] < t[:-1]))
+    i = int(np.flatnonzero(t[1:] < t[:-1])[0])
+    assert findings[0].indices == (i, i + 1)
+    assert findings[0].message.startswith(f"{n_bad} item(s)")
+
+
+def test_validate_bounds_one_finding_per_axis():
+    events = make_events(np.arange(6), [1, 40, 50, 1, 60, 1], [99, 1, 1, 70, 1, 1], [1] * 6)
+    s = EventStream(StreamHeader(32, 32), events)
+    findings = validate_stream(s).findings
+    assert [(f.kind, f.indices) for f in findings] == [("bounds", (1,)), ("bounds", (0,))]
+    assert findings[0].message.startswith("3 event(s) with x >= width 32")
+    assert findings[1].message.startswith("2 event(s) with y >= height 32")

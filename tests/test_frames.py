@@ -7,7 +7,6 @@ import pytest
 
 from evfuse.frames import (
     accumulate,
-    accumulate_frame,
     read_pgm,
     render_gray,
     write_pgm,
@@ -56,13 +55,6 @@ def test_accumulate_rejects_unknown_mode():
     events = make_events([1], [0], [0], [1])
     with pytest.raises(ValueError):
         accumulate(events, 4, 4, "sum")
-
-
-def test_accumulate_frame_carries_window():
-    events = make_events([10, 20], [1, 1], [2, 2], [1, -1])
-    f = accumulate_frame(events, 4, 4, frame_id=7, t0=0, t1=100, mode="count")
-    assert (f.frame_id, f.t0, f.t1, f.mode) == (7, 0, 100, "count")
-    assert f.data[2, 1] == 2 and f.n_nonzero == 1
 
 
 def test_render_polarity_midgray_and_extremes():

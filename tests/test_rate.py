@@ -176,6 +176,16 @@ def test_report_esf1_beats_fixed8_on_burst():
     assert esf1.mean_bps < fixed8.mean_bps
 
 
+def test_esf1_report_with_trigger_before_first_event_bin():
+    # A trigger at 0.1 ms sits in an earlier rate bin than every event (5-7 ms).
+    events = _events_at(np.arange(5000, 7001, 100))
+    stream = EventStream(StreamHeader(64, 64), events, make_triggers([100], [1], [0]))
+    rep = rate_report(stream, encoding="esf1", bin_us=1000)
+    assert rep.duration_us == 2000
+    assert rep.mean_bps == encode_stats(stream).n_bytes * 1_000_000 / rep.duration_us
+    assert rep.peak_bps >= rep.mean_bps
+
+
 def test_report_peak_above_mean_property():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -15,11 +15,14 @@ from evfuse.sync import (
     assign_events,
     median_period2,
     parse_method,
+    SyncWindow,
     read_exposures_csv,
+    read_windows_csv,
     triggers_to_exposures,
     window_counts,
     windows,
     write_exposures_csv,
+    write_windows_csv,
 )
 
 TWO = [ExposureInterval(0, 1000, 1500), ExposureInterval(1, 11000, 11500)]
@@ -218,9 +221,16 @@ def test_centered_windows_may_overlap_under_jitter():
 
 
 def test_exposure_csv_roundtrip():
-    text = write_exposures_csv(TWO)
-    assert text.splitlines()[0] == "frame_id,start_us,end_us"
-    assert read_exposures_csv(text) == TWO
+    # Exposures and windows share one integer-table reader and writer.
+    cases = [
+        (write_exposures_csv, read_exposures_csv, TWO, "frame_id,start_us,end_us"),
+        (write_windows_csv, read_windows_csv, [SyncWindow(0, 0, 27500), SyncWindow(3, 27500, 77500)],
+         "frame_id,t0_us,t1_us"),
+    ]
+    for write, read, rows, header in cases:
+        text = write(rows)
+        assert text.splitlines()[0] == header
+        assert read(text) == rows
 
 
 def test_exposure_csv_rejects_garbage():
