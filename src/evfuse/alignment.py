@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import ndimage
 
 
@@ -29,6 +30,10 @@ class ZeroVariance(AlignmentError):
 
 class AllOffsetsUnusable(AlignmentError):
     """Every candidate offset had a constant patch: nothing to align on."""
+
+
+class NonFiniteInput(AlignmentError):
+    """An input image holds a NaN or infinite pixel."""
 
 
 VAR_EPS = 1e-12
@@ -141,6 +146,14 @@ def zncc_score(template: np.ndarray, image: np.ndarray, dx: int = 0, dy: int = 0
     return float((t0 * p0).sum() / math.sqrt(tv * pv))
 
 
+def _require_finite(reference: np.ndarray, target: np.ndarray) -> None:
+    """Raise ``NonFiniteInput`` naming the input that holds a NaN or inf."""
+    for name, img in (("reference", reference), ("target", target)):
+        bad = int(np.count_nonzero(~np.isfinite(img)))
+        if bad:
+            raise NonFiniteInput(f"{name} image has {bad} non-finite pixels")
+
+
 def _subpixel(s_minus: float, s0: float, s_plus: float) -> float:
     """Peak offset of the parabola through three samples, clamped to +/-0.5."""
     denom = s_minus - 2.0 * s0 + s_plus
@@ -148,6 +161,87 @@ def _subpixel(s_minus: float, s0: float, s_plus: float) -> float:
         return 0.0
     delta = 0.5 * (s_minus - s_plus) / denom
     return max(-0.5, min(0.5, delta))
+
+
+def _zncc_map(template: np.ndarray, image: np.ndarray, r: int) -> np.ndarray:
+    """ZNCC of ``template`` at every offset within ``r``: cell ``[dy + r, dx + r]``
+    holds ``zncc_score(template, image, dx, dy)``, NaN where it raises
+    ``ZeroVariance``. Every value is within 2.5e-10 of the exact score; the
+    NaN cells are exactly ``zncc_score``'s.
+
+    Lewis, "Fast Normalized Cross-Correlation" (1995): the numerators of all
+    offsets come from one FFT correlation of the zero-mean template with the
+    region every offset covers, and the patch variances from summed-area
+    tables of that region. The region's mean is subtracted first to limit
+    cancellation. A cell whose rounding bound is too wide to decide whether
+    the patch is constant, or to keep its score within 2.5e-10, is settled by
+    ``zncc_score`` itself. That happens when the patch holds a small share of
+    the region's energy, e.g. when most of it sits in the 2r border strip.
+    """
+    th, tw = template.shape
+    ih, iw = image.shape
+    y0, x0 = (ih - th) // 2 - r, (iw - tw) // 2 - r
+    region = image[y0 : y0 + th + 2 * r, x0 : x0 + tw + 2 * r]
+    size = 2 * r + 1
+    t0 = template - template.mean()
+    tv = float((t0 * t0).sum())  # the same sum zncc_score checks
+    if tv <= VAR_EPS:
+        return np.full((size, size), np.nan)
+
+    g = region - region.mean()
+    # Valid offsets never wrap, so the region's own size is enough padding.
+    shape = tuple(sp_fft.next_fast_len(n, real=True) for n in g.shape)
+    spectrum = sp_fft.rfft2(g, shape) * np.conj(sp_fft.rfft2(t0, shape))
+    num = sp_fft.irfft2(spectrum, shape)[:size, :size]
+
+    def box_sums(a):
+        sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+        sat[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
+        return sat[th:, tw:] - sat[:-th, tw:] - sat[th:, :-tw] + sat[:-th, :-tw]
+
+    n = th * tw
+    sq = g * g
+    pv = box_sums(sq) - box_sums(g) ** 2 / n
+    # Rounding bound on pv, doubled: a summed-area entry errs by at most
+    # (rows + cols) * eps times the sum of its terms' magnitudes; pv takes four
+    # entries of sq and squares four of g, whose magnitude sum is at most
+    # sqrt(g.size * sum(sq)). Patches this close to VAR_EPS are re-scored.
+    eps = np.finfo(np.float64).eps
+    energy = float(sq.sum())
+    tol = 2.0 * (g.shape[0] + g.shape[1]) * eps * energy
+    tol *= 4.0 + 8.0 * math.sqrt(g.size / n)
+    # Rounding bound on a numerator: each of the three FFTs of length N errs by
+    # about 5 * eps * log2(N) relative to its input's 2-norm (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., sec. 24.1), and the
+    # product with the template's spectrum grows that by at most sqrt(n).
+    num_tol = 15.0 * eps * math.log2(shape[0] * shape[1]) * math.sqrt(n * energy * tv)
+    pv_safe = np.maximum(pv, VAR_EPS)
+    scores = num / np.sqrt(tv * pv_safe)
+    # A pv error of tol / 2 moves a score by at most |score| * tol / (2 pv),
+    # and a numerator error by num_tol / sqrt(tv * pv); both doubled.
+    err = np.abs(scores) * tol / pv_safe + 2.0 * num_tol / np.sqrt(tv * pv_safe)
+    _rescore(scores, template, image, np.argwhere((pv <= VAR_EPS + tol) | (err > 2.5e-10)))
+    return scores
+
+
+def _rescore(scores: np.ndarray, template: np.ndarray, image: np.ndarray, cells) -> None:
+    """Overwrite ``scores`` at ``cells`` ((iy, ix) rows) with exact ``zncc_score``
+    values, NaN where the patch is constant."""
+    r = scores.shape[0] // 2
+    for iy, ix in cells:
+        try:
+            scores[iy, ix] = zncc_score(template, image, int(ix) - r, int(iy) - r)
+        except ZeroVariance:
+            scores[iy, ix] = np.nan
+
+
+def check_search(search_radius: int, margin: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= search_radius <= margin``: every
+    searched offset must keep the template inside the target."""
+    if search_radius < 0:
+        raise ValueError(f"search_radius must be >= 0, got {search_radius}")
+    if margin < search_radius:
+        raise ValueError(f"margin must be >= search_radius, got {margin} < {search_radius}")
 
 
 def match_deviation(
@@ -164,16 +258,21 @@ def match_deviation(
     ``search_radius``. Both inputs are blurred first so that binary edge maps
     gain correlation basin width. Returns the best offset, its score, and the
     Euclidean deviation in pixels.
+
+    The score map comes from ``_zncc_map``; the peak, every offset tied with
+    it, and the peak's four neighbours are re-scored by ``zncc_score``, so the
+    reported score, the tie-break and the subpixel refinement use the exact
+    values of a ``zncc_score`` sweep.
     """
     ref = np.asarray(reference, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
     if ref.shape != tgt.shape:
         raise ValueError("reference and target must have the same shape")
-    if margin < search_radius:
-        raise ValueError("margin must be >= search_radius")
+    check_search(search_radius, margin)
     h, w = ref.shape
     if h <= 2 * margin or w <= 2 * margin:
         raise ValueError(f"image {w}x{h} too small for margin {margin}")
+    _require_finite(ref, tgt)
 
     if smooth_sigma > 0:
         ref = gaussian_blur(ref, smooth_sigma)
@@ -182,30 +281,30 @@ def match_deviation(
 
     r = search_radius
     size = 2 * r + 1
-    scores = np.full((size, size), np.nan)
-    for iy, dy in enumerate(range(-r, r + 1)):
-        for ix, dx in enumerate(range(-r, r + 1)):
-            try:
-                scores[iy, ix] = zncc_score(template, tgt, dx, dy)
-            except ZeroVariance:
-                continue
+    scores = _zncc_map(template, tgt, r)
     if np.isnan(scores).all():
         raise AllOffsetsUnusable("every candidate patch was constant")
+    # The map is within 2.5e-10 of the exact scores and zncc_score rounds far
+    # less than that, so every offset whose zncc_score can reach the peak's
+    # lies within 1e-9 of the map's peak.
+    _rescore(scores, template, tgt, np.argwhere(scores >= np.nanmax(scores) - 1e-9))
 
-    filled = np.where(np.isnan(scores), -np.inf, scores)
-    best = filled.max()
-    ties = np.argwhere(filled == best)
+    best = np.nanmax(scores)
+    ties = np.argwhere(scores == best)
     # deterministic tie-break: smallest |offset|, then lexicographic (dy, dx)
     offsets = ties - r
     order = np.lexsort((offsets[:, 1], offsets[:, 0], (offsets**2).sum(axis=1)))
     iy, ix = ties[order[0]]
     dy, dx = int(iy) - r, int(ix) - r
 
+    neighbours = [(y, x) for y, x in ((iy - 1, ix), (iy + 1, ix), (iy, ix - 1), (iy, ix + 1))
+                  if 0 <= y < size and 0 <= x < size]
+    _rescore(scores, template, tgt, neighbours)
     sub_x, sub_y = 0.0, 0.0
-    if 0 < ix < size - 1 and np.isfinite(filled[iy, ix - 1]) and np.isfinite(filled[iy, ix + 1]):
-        sub_x = _subpixel(filled[iy, ix - 1], filled[iy, ix], filled[iy, ix + 1])
-    if 0 < iy < size - 1 and np.isfinite(filled[iy - 1, ix]) and np.isfinite(filled[iy + 1, ix]):
-        sub_y = _subpixel(filled[iy - 1, ix], filled[iy, ix], filled[iy + 1, ix])
+    if 0 < ix < size - 1 and np.isfinite(scores[iy, ix - 1]) and np.isfinite(scores[iy, ix + 1]):
+        sub_x = _subpixel(scores[iy, ix - 1], scores[iy, ix], scores[iy, ix + 1])
+    if 0 < iy < size - 1 and np.isfinite(scores[iy - 1, ix]) and np.isfinite(scores[iy + 1, ix]):
+        sub_y = _subpixel(scores[iy - 1, ix], scores[iy, ix], scores[iy + 1, ix])
 
     fx, fy = dx + sub_x, dy + sub_y
     return ZnccResult(dx=fx, dy=fy, score=float(best), deviation=math.hypot(fx, fy))
@@ -222,6 +321,7 @@ def edge_deviation(
     smooth_sigma: float = 1.0,
 ) -> ZnccResult:
     """Edge-domain alignment check: Canny both inputs, then correlate."""
+    _require_finite(reference, target)
     ea = canny(reference, canny_sigma, low_frac, high_frac).astype(np.float64)
     eb = canny(target, canny_sigma, low_frac, high_frac).astype(np.float64)
     return match_deviation(ea, eb, search_radius, margin, smooth_sigma)
@@ -246,6 +346,7 @@ def event_frame_deviation(
     activity directly, and both are smoothed so slightly different edge
     geometry still correlates by mass.
     """
+    _require_finite(event_activity, rgb_image)
     activity = np.abs(np.asarray(event_activity, dtype=np.float64))
     edges = canny(rgb_image, canny_sigma, low_frac, high_frac).astype(np.float64)
     return match_deviation(activity, edges, search_radius, margin, smooth_sigma)

@@ -306,7 +306,16 @@ def cmd_calibrate(args) -> int:
     return OK
 
 
+def _check_search(radius: int, margin: int) -> None:
+    """Reject a search radius/margin pair before any input is read."""
+    try:
+        alignment.check_search(radius, margin)
+    except ValueError as exc:
+        raise _usage_fail(str(exc)) from None
+
+
 def cmd_verify(args) -> int:
+    _check_search(args.radius, args.margin)
     ref = frames.read_image(args.reference).astype(np.float64)
     tgt = frames.read_image(args.target).astype(np.float64)
     if args.mode == "edges":
@@ -550,6 +559,7 @@ def _resolve_pipeline_options(args) -> dict:
 
 def cmd_pipeline(args) -> int:
     opts = _resolve_pipeline_options(args)
+    _check_search(int(opts["radius"]), int(opts["margin"]))
     stream = codec.read_esf(args.events)
     width, height = stream.header.width, stream.header.height
 

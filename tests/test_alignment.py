@@ -8,14 +8,20 @@ center after separable blurring.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from evfuse import cli, frames
 from evfuse.alignment import (
     AllOffsetsUnusable,
+    NonFiniteInput,
     ZeroVariance,
+    ZnccResult,
+    _subpixel,
+    _zncc_map,
     canny,
     edge_deviation,
     event_frame_deviation,
@@ -42,6 +48,48 @@ def _texture(rng, h=160, w=200):
     """Smooth random texture with plenty of edges."""
     img = rng.uniform(0, 255, size=(h, w))
     return gaussian_blur(img, 2.0)
+
+
+def _brute_map(template, image, r):
+    """The score map as one ``zncc_score`` call per offset (the reference)."""
+    size = 2 * r + 1
+    scores = np.full((size, size), np.nan)
+    for iy, dy in enumerate(range(-r, r + 1)):
+        for ix, dx in enumerate(range(-r, r + 1)):
+            try:
+                scores[iy, ix] = zncc_score(template, image, dx, dy)
+            except ZeroVariance:
+                continue
+    return scores
+
+
+def _brute_match(reference, target, search_radius=16, margin=32, smooth_sigma=1.0):
+    """``match_deviation`` as a full ``zncc_score`` sweep (the reference)."""
+    ref = np.asarray(reference, dtype=np.float64)
+    tgt = np.asarray(target, dtype=np.float64)
+    h, w = ref.shape
+    if smooth_sigma > 0:
+        ref = gaussian_blur(ref, smooth_sigma)
+        tgt = gaussian_blur(tgt, smooth_sigma)
+    r = search_radius
+    size = 2 * r + 1
+    scores = _brute_map(ref[margin : h - margin, margin : w - margin], tgt, r)
+    if np.isnan(scores).all():
+        raise AllOffsetsUnusable("every candidate patch was constant")
+    filled = np.where(np.isnan(scores), -np.inf, scores)
+    best = filled.max()
+    ties = np.argwhere(filled == best)
+    offsets = ties - r
+    order = np.lexsort((offsets[:, 1], offsets[:, 0], (offsets**2).sum(axis=1)))
+    iy, ix = ties[order[0]]
+    dy, dx = int(iy) - r, int(ix) - r
+    sub_x, sub_y = 0.0, 0.0
+    if 0 < ix < size - 1 and np.isfinite(filled[iy, ix - 1]) and np.isfinite(filled[iy, ix + 1]):
+        sub_x = _subpixel(filled[iy, ix - 1], filled[iy, ix], filled[iy, ix + 1])
+    if 0 < iy < size - 1 and np.isfinite(filled[iy - 1, ix]) and np.isfinite(filled[iy + 1, ix]):
+        sub_y = _subpixel(filled[iy - 1, ix], filled[iy, ix], filled[iy + 1, ix])
+    fx, fy = dx + sub_x, dy + sub_y
+    return ZnccResult(dx=fx, dy=fy, score=float(best), deviation=math.hypot(fx, fy))
 
 
 # -- blur ---------------------------------------------------------------------------
@@ -204,6 +252,10 @@ def test_match_all_constant_raises():
     flat = np.zeros((100, 100))
     with pytest.raises(AllOffsetsUnusable):
         match_deviation(flat, flat)
+    # a textured reference against a constant target: every patch is constant
+    rng = np.random.default_rng(10)
+    with pytest.raises(AllOffsetsUnusable):
+        match_deviation(_texture(rng, 60, 60), np.full((60, 60), 5.0), search_radius=4, margin=8)
 
 
 def test_match_validates_geometry():
@@ -214,6 +266,8 @@ def test_match_validates_geometry():
         match_deviation(img, np.zeros((41, 40)))
     with pytest.raises(ValueError):
         match_deviation(img, img, search_radius=16, margin=32)  # too small
+    with pytest.raises(ValueError, match="search_radius"):
+        match_deviation(img, img, search_radius=-1, margin=4)
 
 
 def test_event_frame_deviation_band_vs_disk():
@@ -241,3 +295,130 @@ def test_edge_deviation_on_shifted_scene():
     res = edge_deviation(a, b, search_radius=8, margin=16)
     assert round(res.dx) == 4 and round(res.dy) == 0
     assert res.deviation == pytest.approx(4.0, abs=0.6)
+
+
+# -- FFT score map against the brute-force sweep -----------------------------------
+
+
+def _map_case(kind, h, w, r, margin, seed):
+    """(template, target) pairs for the score-map comparison."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        ref = rng.uniform(0, 255, size=(h, w))
+        tgt = rng.uniform(0, 255, size=(h, w))
+    elif kind == "texture":
+        base = _texture(rng, h + 8, w + 8)
+        ref, tgt = base[4 : 4 + h, 4 : 4 + w], base[2 : 2 + h, 7 : 7 + w]
+    elif kind == "edges":  # blurred Canny maps, as edge_deviation correlates them
+        base = _texture(rng, h + 8, w + 8)
+        ref = gaussian_blur(canny(base[4 : 4 + h, 4 : 4 + w]).astype(float), 1.0)
+        tgt = gaussian_blur(canny(base[1 : 1 + h, 6 : 6 + w]).astype(float), 1.0)
+    elif kind == "constant":  # most of the target is one value, so part of the map is NaN
+        ref = _texture(rng, h, w)
+        tgt = ref.copy()
+        tgt[:, : w - margin - r // 2] = 77.3
+    else:  # "border": loud noise around the template, so the region's energy
+        # sits in the 2r border strip and the summed-area variances round badly
+        ref = _texture(rng, h, w)
+        tgt = 1e4 * rng.uniform(0, 255, size=(h, w))
+        tgt[margin : h - margin, margin : w - margin] = ref[margin : h - margin, margin : w - margin]
+    return ref[margin : h - margin, margin : w - margin], tgt
+
+
+@pytest.mark.parametrize("kind", ["random", "texture", "edges", "constant", "border"])
+@pytest.mark.parametrize(
+    "h, w, r, margin",
+    [(61, 84, 6, 9), (72, 51, 5, 8), (45, 45, 0, 3), (64, 90, 7, 7), (57, 66, 3, 10)],
+)
+def test_zncc_map_matches_brute_force(kind, h, w, r, margin):
+    template, target = _map_case(kind, h, w, r, margin, seed=h * w + r)
+    fast = _zncc_map(template, target, r)
+    slow = _brute_map(template, target, r)
+    assert np.array_equal(np.isnan(fast), np.isnan(slow))
+    if kind == "constant" and r > 1:
+        assert np.isnan(slow).any() and not np.isnan(slow).all()
+    ok = ~np.isnan(slow)
+    assert np.abs(fast[ok] - slow[ok]).max(initial=0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_match_equals_brute_force(seed):
+    rng = np.random.default_rng(100 + seed)
+    h, w = [(70, 96), (83, 64), (90, 90)][seed % 3]
+    r, margin, sigma = [(6, 10, 1.0), (4, 4, 0.0), (8, 12, 2.0)][seed % 3]
+    base = _texture(rng, h + 20, w + 20)
+    dx, dy = (int(v) for v in rng.integers(-r - 1, r + 2, size=2))
+    ref = base[10 : 10 + h, 10 : 10 + w]
+    tgt = base[10 + dy : 10 + dy + h, 10 + dx : 10 + dx + w]
+    if seed >= 3:
+        ref, tgt = canny(ref).astype(float), canny(tgt).astype(float)
+    expected = _brute_match(ref, tgt, r, margin, sigma)
+    assert repr(match_deviation(ref, tgt, r, margin, sigma)) == repr(expected)
+
+
+def test_match_exact_tie_breaks_like_brute_force():
+    # The target holds the reference's blob twice, mirrored about its center:
+    # offsets -15 and +15 see identical patches, so their scores tie exactly
+    # and the tie-break (smallest |offset|, then (dy, dx)) picks dx = -15.
+    ys, xs = np.mgrid[0:80, 0:100].astype(float)
+
+    def blob(cx):
+        return (np.hypot(xs - cx, ys - 40) <= 4).astype(float)
+
+    ref, tgt = blob(50), blob(35) + blob(65)
+    expected = _brute_match(ref, tgt, 16, 30, 1.0)
+    assert expected.dx == -15.0 and expected.score == 1.0
+    assert repr(match_deviation(ref, tgt, 16, 30, 1.0)) == repr(expected)
+
+
+def test_match_subpixel_sign_of_zero_like_brute_force():
+    # Content symmetric in y: the peak's two y neighbours differ only by
+    # rounding, so dy is a signed zero-ish value that rounds to -0.0, as in
+    # the golden pipeline summary. Only exact neighbour scores reproduce it.
+    rng = np.random.default_rng(0)
+    base = gaussian_blur(rng.uniform(0, 255, size=(80, 130)), 2.0)
+    base = base + base[::-1]
+    ref, tgt = base[:, 10:110], base[:, 7:107]
+    expected = _brute_match(ref, tgt, 8, 16, 0.0)
+    assert str(round(expected.dy, 3)) == "-0.0"
+    assert repr(match_deviation(ref, tgt, 8, 16, 0.0)) == repr(expected)
+
+
+@pytest.mark.parametrize("which, bad", [("target", np.nan), ("reference", np.inf)])
+def test_match_rejects_non_finite_pixels(which, bad):
+    rng = np.random.default_rng(11)
+    base = _texture(rng, 120, 160)
+    ref, tgt = base.copy(), _shift(base, 3, 0)
+    (tgt if which == "target" else ref)[60, 80] = bad
+    for check in (match_deviation, edge_deviation, event_frame_deviation):
+        with pytest.raises(NonFiniteInput, match=which):
+            check(ref, tgt, search_radius=8, margin=16)
+
+
+def _run_cli(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("mode", ["edges", "intensity", "activity"])
+def test_verify_cli_matches_brute_force(mode, tmp_path):
+    rng = np.random.default_rng(12)
+    base = _texture(rng, 110, 150)
+    ref = np.clip(base[5:105, 5:145], 0, 255).astype(np.uint8)
+    tgt = np.clip(255.0 - base[3:103, 9:149], 0, 255).astype(np.uint8)
+    frames.write_pgm(str(tmp_path / "ref.pgm"), ref)
+    frames.write_pgm(str(tmp_path / "tgt.pgm"), tgt)
+    out = tmp_path / "res.json"
+    argv = ["verify", str(tmp_path / "ref.pgm"), str(tmp_path / "tgt.pgm"), "--mode", mode,
+            "--radius", "8", "--margin", "16", "-o", str(out)]
+    assert _run_cli(argv) == 0
+    ref_f, tgt_f = ref.astype(np.float64), tgt.astype(np.float64)
+    if mode == "edges":
+        expected = _brute_match(canny(ref_f).astype(float), canny(tgt_f).astype(float), 8, 16, 1.0)
+    elif mode == "intensity":
+        expected = _brute_match(ref_f, tgt_f, 8, 16, 1.0)
+    else:
+        expected = _brute_match(np.abs(ref_f), canny(tgt_f).astype(float), 8, 16, 1.0)
+    assert out.read_text() == json.dumps(expected.to_json(), indent=2, sort_keys=True) + "\n"

@@ -335,6 +335,43 @@ def test_pipeline_unknown_config_key_is_usage_error(scene, tmp_path):
     assert code == 1
 
 
+BAD_SEARCH_FLAGS = [["--radius", "-1"], ["--radius", "40"], ["--margin", "10"]]
+
+
+def _last_diag(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("flags", BAD_SEARCH_FLAGS)
+def test_pipeline_bad_search_window_is_usage_error(scene, tmp_path, capsys, flags):
+    out_dir = tmp_path / "o"
+    args = ["pipeline", "--events", str(scene / "a" / "events.esf"),
+            "--frames-dir", str(scene / "b" / "frames"), "-d", str(out_dir)]
+    assert run(args + flags) == 1
+    assert _last_diag(capsys)["kind"] == "usage"
+    assert not out_dir.exists()  # rejected before any frame work
+
+
+@pytest.mark.parametrize("config", [{"radius": -1}, {"radius": 20, "margin": 10}])
+def test_pipeline_bad_search_window_in_config_is_usage_error(scene, tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "o"
+    args = ["pipeline", "--events", str(scene / "a" / "events.esf"),
+            "--frames-dir", str(scene / "b" / "frames"), "--config", str(cfg), "-d", str(out_dir)]
+    assert run(args) == 1
+    assert _last_diag(capsys)["kind"] == "usage"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags", BAD_SEARCH_FLAGS)
+def test_verify_bad_search_window_is_usage_error(scene, capsys, flags):
+    ref = str(scene / "a" / "frames" / "frame_3.pgm")
+    tgt = str(scene / "b" / "frames" / "frame_3.pgm")
+    assert run(["verify", ref, tgt] + flags) == 1
+    assert _last_diag(capsys)["kind"] == "usage"
+
+
 def test_diagnostics_are_single_line_json(scene, capsys, tmp_path):
     assert run(["decode", str(scene / "a" / "events.esf"), "--csv", str(tmp_path / "x.csv")]) == 0
     for line in capsys.readouterr().err.strip().splitlines():
