@@ -189,8 +189,24 @@ def _zncc_map(template: np.ndarray, image: np.ndarray, r: int) -> np.ndarray:
         return np.full((size, size), np.nan)
 
     g = region - region.mean()
+    n = th * tw
+    sq = g * g
+    eps = np.finfo(np.float64).eps
+    energy = float(sq.sum())
+    # A constant target needs no scoring. A patch's sum of squares about its
+    # own mean is at most its sum about the region's float mean m, so at most
+    # S = sum((region - m)**2), and energy underestimates S by a relative
+    # (g.size + 4) * eps at most (g, sq and the sum round). zncc_score's pv
+    # exceeds its patch's exact sum by n times its float mean's squared error,
+    # which is at most (n * eps * max|region|)**2, and then rounds by a
+    # relative (n + 3) * eps. If that bound is <= VAR_EPS, every offset raises
+    # ZeroVariance.
+    largest = float(np.abs(region).max())
+    if (energy * (1.0 + (g.size + 4) * eps) + n * (n * eps * largest) ** 2) * (1.0 + (n + 3) * eps) <= VAR_EPS:
+        return np.full((size, size), np.nan)
+
     # Valid offsets never wrap, so the region's own size is enough padding.
-    shape = tuple(sp_fft.next_fast_len(n, real=True) for n in g.shape)
+    shape = tuple(sp_fft.next_fast_len(k, real=True) for k in g.shape)
     spectrum = sp_fft.rfft2(g, shape) * np.conj(sp_fft.rfft2(t0, shape))
     num = sp_fft.irfft2(spectrum, shape)[:size, :size]
 
@@ -199,15 +215,11 @@ def _zncc_map(template: np.ndarray, image: np.ndarray, r: int) -> np.ndarray:
         sat[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
         return sat[th:, tw:] - sat[:-th, tw:] - sat[th:, :-tw] + sat[:-th, :-tw]
 
-    n = th * tw
-    sq = g * g
     pv = box_sums(sq) - box_sums(g) ** 2 / n
     # Rounding bound on pv, doubled: a summed-area entry errs by at most
     # (rows + cols) * eps times the sum of its terms' magnitudes; pv takes four
     # entries of sq and squares four of g, whose magnitude sum is at most
     # sqrt(g.size * sum(sq)). Patches this close to VAR_EPS are re-scored.
-    eps = np.finfo(np.float64).eps
-    energy = float(sq.sum())
     tol = 2.0 * (g.shape[0] + g.shape[1]) * eps * energy
     tol *= 4.0 + 8.0 * math.sqrt(g.size / n)
     # Rounding bound on a numerator: each of the three FFTs of length N errs by

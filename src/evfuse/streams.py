@@ -61,9 +61,9 @@ class StreamHeader:
     version: int = 1
 
     def __post_init__(self):
-        if not (0 < self.width <= MAX_SENSOR_DIM and 0 < self.height <= MAX_SENSOR_DIM):
-            raise CoordinateOutOfBounds("width" if not (0 < self.width <= MAX_SENSOR_DIM) else "height",
-                                        self.width if not (0 < self.width <= MAX_SENSOR_DIM) else self.height)
+        for axis, value in (("width", self.width), ("height", self.height)):
+            if not (0 < value <= MAX_SENSOR_DIM):
+                raise CoordinateOutOfBounds(axis, value)
 
 
 def make_events(t, x, y, p) -> np.ndarray:

@@ -248,13 +248,9 @@ def assign_events(events: np.ndarray, window_list) -> list:
     ``t0 <= t < t1``.  Windows may overlap, in which case events appear in
     every window that covers them.
     """
-    t = events["t"]
-    out = []
-    for w in window_list:
-        i0 = int(np.searchsorted(t, np.uint64(max(w.t0, 0)), side="left"))
-        i1 = int(np.searchsorted(t, np.uint64(max(w.t1, 0)), side="left"))
-        out.append(events[i0:i1])
-    return out
+    t = np.ascontiguousarray(events["t"])
+    bounds = np.array([(max(w.t0, 0), max(w.t1, 0)) for w in window_list], dtype=np.uint64).reshape(-1, 2)
+    return [events[i0:i1] for i0, i1 in np.searchsorted(t, bounds, side="left").tolist()]
 
 
 def window_counts(events: np.ndarray, window_list) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from evfuse import cli, frames
+from evfuse import alignment, cli, frames
 from evfuse.alignment import (
     AllOffsetsUnusable,
     NonFiniteInput,
@@ -256,6 +256,54 @@ def test_match_all_constant_raises():
     rng = np.random.default_rng(10)
     with pytest.raises(AllOffsetsUnusable):
         match_deviation(_texture(rng, 60, 60), np.full((60, 60), 5.0), search_radius=4, margin=8)
+
+
+@pytest.mark.parametrize("value", [0.0, 5.0, 128.0, 0.1])
+def test_match_constant_target_makes_no_zncc_calls(monkeypatch, value):
+    # a textured reference against a blank frame: no offset is usable, which
+    # the region's energy proves without scoring any of the 33 x 33 offsets
+    ref = _texture(np.random.default_rng(10), 180, 240)
+    tgt = np.full((180, 240), value)
+    with pytest.raises(AllOffsetsUnusable) as want:
+        _brute_match(ref, tgt)
+    calls = []
+    monkeypatch.setattr(alignment, "zncc_score", lambda *args: calls.append(args) or zncc_score(*args))
+    with pytest.raises(AllOffsetsUnusable) as got:
+        match_deviation(ref, tgt)
+    assert calls == []
+    assert str(got.value) == str(want.value)
+
+
+def _outcome(fn, *args):
+    """``repr`` of the result, or the ``AllOffsetsUnusable`` message."""
+    try:
+        return repr(fn(*args))
+    except AllOffsetsUnusable as exc:
+        return f"AllOffsetsUnusable({exc})"
+
+
+@pytest.mark.parametrize("bump2", [0.5e-12, 1.0e-12, 1.02e-12, 2e-12, 1e-10])
+@pytest.mark.parametrize("where", [(4, 4), (30, 30)])
+def test_match_near_constant_target_like_brute_force(bump2, where):
+    # One pixel of a constant target raised by sqrt(bump2), so every patch
+    # holding it has a sum of squares of bump2 * (1 - 1/n): just below or just
+    # above VAR_EPS. (4, 4) is the region's corner, inside one patch only.
+    ref = _texture(np.random.default_rng(11), 60, 60)
+    tgt = np.full((60, 60), 5.0)
+    tgt[where] += math.sqrt(bump2)
+    args = (ref, tgt, 4, 8, 0.0)
+    assert _outcome(match_deviation, *args) == _outcome(_brute_match, *args)
+
+
+@pytest.mark.parametrize("value", [123456789.123, 1e12 / 3])
+def test_match_large_constant_target_like_brute_force(value):
+    # The float means of a large constant differ from patch to patch, so some
+    # patches' pv is rounding noise above VAR_EPS even where the region's
+    # energy is below it: the bound's mean-error term keeps these scored.
+    ref = _texture(np.random.default_rng(12), 60, 60)
+    tgt = np.full((60, 60), value)
+    args = (ref, tgt, 4, 8, 0.0)
+    assert _outcome(match_deviation, *args) == _outcome(_brute_match, *args)
 
 
 def test_match_validates_geometry():

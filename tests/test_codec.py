@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evfuse.codec import (
     HEADER_SIZE,
+    TYPE_CD_X,
+    TYPE_EXT_TRIGGER,
+    TYPE_TIME_HIGH,
+    TYPE_TIME_LOW,
     BadMagic,
     CdXBeforeCdY,
     MalformedLine,
@@ -113,6 +117,76 @@ def _random_stream(rng, n_events=200, n_triggers=8, width=640, height=480, t_spa
     return EventStream(StreamHeader(width, height), events, triggers)
 
 
+def _ref_rollover_words(cur_v, d, v_tgt):
+    """TIME_HIGH words that advance the epoch ``d`` times (the reference)."""
+    ws = []
+    for _ in range(d):
+        if cur_v == 0:
+            ws.append(build_time_high(1))
+            cur_v = 1
+        ws.append(build_time_high(0))
+        cur_v = 0
+    if v_tgt != cur_v:
+        ws.append(build_time_high(v_tgt))
+    return ws
+
+
+def _ref_encode_words(stream):
+    """Words and per-item word counts from explicit per-register arrays and
+    offset scatters (the reference encoder; input checks left out)."""
+    ev, tr = stream.events, stream.triggers
+    n = stream.n_items
+    if n == 0:
+        return np.empty(0, dtype="<u2"), np.empty(0, dtype=np.int64)
+
+    is_trig = stream.merged_mask()
+    t = stream.merged_times()
+
+    payload = np.empty(n, dtype=np.uint16)
+    payload[~is_trig] = (TYPE_CD_X << 12) | (ev["p"] > 0).astype(np.uint16) << 11 | ev["x"].astype(np.uint16)
+    payload[is_trig] = (
+        (TYPE_EXT_TRIGGER << 12) | (tr["channel"].astype(np.uint16) << 8) | (tr["edge"].astype(np.uint16) & 1)
+    )
+
+    e = (t >> np.uint64(24)).astype(np.int64)
+    v = ((t >> np.uint64(12)) & np.uint64(0xFFF)).astype(np.int64)
+    tl = (t & np.uint64(0xFFF)).astype(np.int64)
+    e_prev = np.concatenate([[0], e[:-1]])
+    v_prev = np.concatenate([[0], v[:-1]])
+    tl_prev = np.concatenate([[0], tl[:-1]])
+    d_epoch = e - e_prev
+
+    n_th = np.zeros(n, dtype=np.int64)
+    simple = (d_epoch == 0) & (v != v_prev)
+    n_th[simple] = 1
+    rollover_words = {}
+    for i in np.nonzero(d_epoch > 0)[0]:
+        ws = _ref_rollover_words(int(v_prev[i]), int(d_epoch[i]), int(v[i]))
+        rollover_words[int(i)] = ws
+        n_th[i] = len(ws)
+
+    tl_emit = tl != tl_prev
+
+    y_emit = np.zeros(n, dtype=bool)
+    ev_positions = np.nonzero(~is_trig)[0]
+    if ev_positions.shape[0]:
+        ey = ev["y"].astype(np.int64)
+        y_emit[ev_positions] = np.concatenate([[True], ey[1:] != ey[:-1]])
+
+    counts = n_th + tl_emit + y_emit + 1
+    offsets = np.cumsum(counts) - counts
+    out = np.zeros(int(counts.sum()), dtype="<u2")
+    out[offsets[simple]] = (TYPE_TIME_HIGH << 12) | v[simple].astype(np.uint16)
+    for i, ws in rollover_words.items():
+        out[offsets[i] : offsets[i] + len(ws)] = ws
+    out[(offsets + n_th)[tl_emit]] = (TYPE_TIME_LOW << 12) | tl[tl_emit].astype(np.uint16)
+    y_all = np.zeros(n, dtype=np.int64)
+    y_all[ev_positions] = ev["y"]
+    out[(offsets + n_th + tl_emit)[y_emit]] = y_all[y_emit].astype(np.uint16)
+    out[offsets + counts - 1] = payload
+    return out, counts
+
+
 # -- hand-built word sequences (values worked out from the state-machine rules) --
 
 
@@ -210,6 +284,22 @@ def test_bad_version():
     blob[4] = 7
     with pytest.raises(BadMagic):
         decode_esf(bytes(blob))
+
+
+
+@pytest.mark.parametrize(
+    "width, height, axis, value, offset",
+    [(0, 64, "width", 0, 6), (2049, 0, "width", 2049, 6), (64, 0, "height", 0, 8), (2048, 2049, "height", 2049, 8)],
+)
+def test_sensor_size_limits(width, height, axis, value, offset):
+    # the header decoder and StreamHeader apply one rule; width is checked first
+    with pytest.raises(CoordinateOutOfBounds) as exc:
+        decode_esf(make_header(width, height))
+    assert (exc.value.axis, exc.value.value, exc.value.offset) == (axis, value, offset)
+    with pytest.raises(CoordinateOutOfBounds) as exc:
+        StreamHeader(width, height)
+    assert (exc.value.axis, exc.value.value, exc.value.offset) == (axis, value, None)
+    assert decode_esf(make_header(2048, 2048)).header == StreamHeader(2048, 2048)
 
 
 def test_truncated_header():
@@ -324,6 +414,50 @@ def test_decode_error_offset_after_many_words():
     assert exc.value.offset == HEADER_SIZE + 2 * 10
 
 
+# Timestamps built from (epoch, TIME_HIGH, TIME_LOW) parts drawn from small
+# value sets, so sorted draws hold ties, zero and nonzero registers, and 1-3
+# epoch gaps from and onto zero and nonzero TIME_HIGH values.
+_time_parts = st.tuples(
+    st.integers(min_value=0, max_value=6),
+    st.one_of(st.sampled_from([0, 1, 0xFFF]), st.integers(min_value=0, max_value=0xFFF)),
+    st.one_of(st.sampled_from([0, 1, 0xFFF]), st.integers(min_value=0, max_value=0xFFF)),
+)
+_oracle_item = st.tuples(
+    _time_parts,
+    st.booleans(),  # trigger?
+    st.integers(min_value=0, max_value=63),  # x
+    st.integers(min_value=0, max_value=3),  # y, few rows so rows repeat
+    st.integers(min_value=0, max_value=15),  # polarity bit / edge, channel
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_oracle_item, max_size=40), st.sampled_from(["mixed", "events", "triggers"]))
+@example([((0, 0, 0), False, 1, 2, 1)], "mixed")  # one event at the start state
+@example([((0, 3, 5), True, 0, 0, 7)], "mixed")  # one trigger, nonzero TIME_HIGH/TIME_LOW
+# epoch gaps from a zero TIME_HIGH onto zero and onto nonzero values
+@example([((1, 0, 0), False, 1, 1, 0), ((3, 0, 9), False, 1, 1, 0), ((5, 7, 0), True, 0, 0, 2)], "mixed")
+# epoch gaps from a nonzero TIME_HIGH onto nonzero and onto zero values, with a tie
+@example([((0, 5, 0), False, 1, 1, 0), ((3, 5, 0), True, 0, 0, 0), ((3, 5, 0), False, 2, 1, 1),
+          ((4, 0, 0), False, 2, 1, 1)], "mixed")
+def test_encoder_matches_reference_encoder(items, kinds):
+    items = sorted(items, key=lambda it: it[0])
+    t = [(e << 24) | (th << 12) | tl for (e, th, tl), *_ in items]
+    is_trig = np.array([{"mixed": it[1], "events": False, "triggers": True}[kinds] for it in items], dtype=bool)
+    ev = [(ti, it) for ti, it, trig in zip(t, items, is_trig) if not trig]
+    tr = [(ti, it) for ti, it, trig in zip(t, items, is_trig) if trig]
+    events = make_events([ti for ti, _ in ev], [it[2] for _, it in ev], [it[3] for _, it in ev],
+                         [1 if it[4] & 1 else -1 for _, it in ev])
+    triggers = make_triggers([ti for ti, _ in tr], [it[4] & 1 for _, it in tr], [it[4] for _, it in tr])
+    s = EventStream(StreamHeader(64, 4), events, triggers, trigger_pos=np.flatnonzero(is_trig))
+
+    ref_words, ref_counts = _ref_encode_words(s)
+    stats = encode_stats(s)
+    assert list(np.frombuffer(encode_esf(s), dtype="<u2", offset=HEADER_SIZE)) == list(ref_words)
+    assert list(stats.item_words) == list(ref_counts)
+    assert stats.n_words == ref_words.shape[0]
+
+
 def test_encode_rejects_unsorted_items():
     events = make_events([10, 5], [1, 1], [1, 1], [1, 1])
     with pytest.raises(UnsortedInput):
@@ -331,9 +465,21 @@ def test_encode_rejects_unsorted_items():
 
 
 def test_encode_rejects_out_of_bounds():
-    events = make_events([1], [40], [1], [1])
-    with pytest.raises(CoordinateOutOfBounds):
-        encode_esf(EventStream(StreamHeader(32, 32), events))
+    header = StreamHeader(32, 24)
+    cases = [
+        ("x", 40, EventStream(header, make_events([1, 2], [3, 40], [1, 30], [1, 1]))),
+        ("y", 30, EventStream(header, make_events([1, 2], [3, 4], [1, 30], [1, 1]))),
+        ("channel", 16, EventStream(header, triggers=make_triggers([1], [1], [16]))),
+    ]
+    for axis, value, stream in cases:
+        for encode in (encode_esf, encode_stats):
+            with pytest.raises(CoordinateOutOfBounds) as exc:
+                encode(stream)
+            assert (exc.value.axis, exc.value.value) == (axis, value)
+    for axis, value, text in (("x", 40, "cd,1,40,30,+1\n"), ("y", 30, "cd,1,3,30,+1\n")):
+        with pytest.raises(CoordinateOutOfBounds) as exc:
+            parse_csv(text, 32, 24)
+        assert (exc.value.axis, exc.value.value) == (axis, value)
 
 
 @settings(max_examples=300, deadline=None)

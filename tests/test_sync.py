@@ -169,6 +169,10 @@ def test_assign_events_matches_brute_force():
         for method in (SyncMethod.EXPOSURE, SyncMethod.FRAME_LEADING, SyncMethod.CENTERED, SyncMethod.MIDPOINT):
             ws = windows(exps, method)
             assert list(window_counts(events, ws)) == _brute_counts(events, ws)
+        # windows read from CSV may start or end before t = 0
+        ws = [SyncWindow(0, -500, int(t[3]) + 1), SyncWindow(1, -900, -10), SyncWindow(2, int(t[7]), int(t[9]))]
+        assert list(window_counts(events, ws)) == _brute_counts(events, ws)
+    assert assign_events(events, []) == []
 
 
 def test_partition_property_m2_m4():
