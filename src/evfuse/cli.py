@@ -11,13 +11,16 @@ Conventions shared by every subcommand:
   version, creation time, input paths) from reports that carry one.
 
 The ``pipeline`` subcommand accepts ``--config FILE`` with a JSON object of
-option defaults (keys match the long flag names with ``-`` replaced by
-``_``); explicit command-line flags always win over config values.
+its "config options" (keys match the long flag names with ``-`` replaced by
+``_``). The values become flags parsed before the command line's own, so
+they are checked exactly like flags (``null`` keeps the default) and
+explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as _dt
 import json
 import sys
@@ -103,17 +106,19 @@ def _usage_fail(message: str) -> "SystemExit":
 # -- small input parsers -----------------------------------------------------
 
 
-def _parse_pair(text: str, name: str) -> tuple:
+def _pair(text: str) -> tuple:
+    """argparse type for ``X,Y``: two floats."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise _usage_fail(f"{name} expects 'X,Y', got {text!r}")
     try:
+        if len(parts) != 2:
+            raise ValueError
         return float(parts[0]), float(parts[1])
     except ValueError:
-        raise _usage_fail(f"{name} expects numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects 'X,Y' numbers, got {text!r}") from None
 
 
-def _parse_wh(text: str, name: str) -> tuple:
+def _wh(text: str) -> tuple:
+    """argparse type for ``WIDTHxHEIGHT``: two positive ints."""
     parts = text.lower().split("x")
     try:
         w, h = int(parts[0]), int(parts[1])
@@ -121,7 +126,7 @@ def _parse_wh(text: str, name: str) -> tuple:
             raise ValueError
         return w, h
     except (ValueError, IndexError):
-        raise _usage_fail(f"{name} expects 'WIDTHxHEIGHT', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects 'WIDTHxHEIGHT', got {text!r}") from None
 
 
 def _parse_window_method(method: str, custom: str | None):
@@ -375,10 +380,7 @@ def cmd_optics(args) -> int:
         except KeyError:
             raise _usage_fail(f"unknown sensor preset {args.sensor!r}") from None
     elif args.pitch_um:
-        if args.size:
-            w, h = _parse_wh(args.size, "--size")
-        else:
-            w, h = 1, 1  # extent math needs only the pitch
+        w, h = args.size or (1, 1)  # extent math needs only the pitch
         sensor = optics.SensorSpec(w, h, args.pitch_um)
 
     if args.object_m is not None:
@@ -419,26 +421,6 @@ def cmd_optics(args) -> int:
     raise _usage_fail("choose a mode: --object-m …, --fov, --crop, or --list")
 
 
-def _spec_from_args(args) -> synth.SceneSpec:
-    kwargs = dict(
-        width=args.width,
-        height=args.height,
-        pattern=args.pattern,
-        pattern_size=args.pattern_size,
-        velocity=_parse_pair(args.velocity, "--velocity"),
-        duration_s=args.duration_s,
-        background=args.background,
-        foreground=args.foreground,
-        contrast=args.contrast,
-        fps=args.fps,
-        exposure_us=args.exposure_us,
-        dt_us=args.dt_us,
-    )
-    if args.start:
-        kwargs["start"] = _parse_pair(args.start, "--start")
-    return synth.SceneSpec(**kwargs)
-
-
 def _write_scene(out_dir: Path, result: synth.SceneResult) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     n_bytes = codec.write_esf(str(out_dir / "events.esf"), result.stream)
@@ -460,7 +442,7 @@ def _write_scene(out_dir: Path, result: synth.SceneResult) -> dict:
 
 
 def cmd_synth(args) -> int:
-    spec = _spec_from_args(args)
+    spec = synth.SceneSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(synth.SceneSpec)})
     result = synth.gen_scene(spec)
     summary = {"scene": _write_scene(Path(args.out_dir), result)}
 
@@ -468,7 +450,7 @@ def cmd_synth(args) -> int:
     if args.homography:
         h = geometry.load_homography(args.homography)
     elif args.translate:
-        dx, dy = _parse_pair(args.translate, "--translate")
+        dx, dy = args.translate
         h = np.array([[1.0, 0.0, dx], [0.0, 1.0, dy], [0.0, 0.0, 1.0]])
     if h is not None:
         if not args.warped_dir:
@@ -477,14 +459,7 @@ def cmd_synth(args) -> int:
         summary["warped"] = _write_scene(Path(args.warped_dir), warped)
 
     # Reproducibility: record the generating parameters next to the data.
-    spec_doc = {k: getattr(spec, k) for k in (
-        "width", "height", "pattern", "pattern_size", "velocity", "duration_s",
-        "background", "foreground", "contrast", "fps", "exposure_us", "dt_us", "start",
-    )}
-    spec_doc["velocity"] = list(spec_doc["velocity"])
-    if spec_doc["start"] is not None:
-        spec_doc["start"] = list(spec_doc["start"])
-    Path(args.out_dir, "scene.json").write_text(_dump_json(spec_doc), encoding="utf-8")
+    Path(args.out_dir, "scene.json").write_text(_dump_json(dataclasses.asdict(spec)), encoding="utf-8")
 
     _emit(summary, args.out)
     return OK
@@ -497,8 +472,7 @@ def cmd_label_transfer(args) -> int:
         h = np.linalg.inv(h)
     out_boxes = labels.transfer_boxes(h, boxes)
     if args.clip:
-        w, hgt = _parse_wh(args.clip, "--clip")
-        clipped = [labels.clip_box(b, w, hgt) for b in out_boxes]
+        clipped = [labels.clip_box(b, *args.clip) for b in out_boxes]
         dropped = sum(1 for b in clipped if b is None)
         out_boxes = [b for b in clipped if b is not None]
         if dropped:
@@ -510,101 +484,81 @@ def cmd_label_transfer(args) -> int:
 
 # -- pipeline ----------------------------------------------------------------
 
-_PIPELINE_DEFAULTS = {
-    "frames_dir": None,
-    "labels": None,
-    "homography": None,
-    "points": None,
-    "invert_homography": False,
-    "method": "m3",
-    "channel": 0,
-    "custom": None,
-    "mode": "polarity",
-    "clip": frames.DEFAULT_CLIP,
-    "erc_cap_evps": None,
-    "erc_period_us": rate.DEFAULT_ERC_PERIOD_US,
-    "encoding": "esf1",
-    "bin_us": rate.DEFAULT_BIN_US,
-    "radius": 16,
-    "margin": 32,
-    "smooth_sigma": 2.0,
-    "threshold_px": 2.0,
-    "seed": 0,
-    "jobs": 1,
-}
+def _config_argv(args, argv: list) -> list:
+    """``argv`` with the ``--config`` object spliced in as flags right after
+    the subcommand name.
 
-
-def _resolve_pipeline_options(args) -> dict:
-    """Merge defaults < config file < explicit flags (flags win)."""
-    config = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(config) - set(_PIPELINE_DEFAULTS))
-        if unknown:
-            raise _usage_fail(f"unknown config keys: {', '.join(unknown)}")
-    opts = {}
-    for key, default in _PIPELINE_DEFAULTS.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            opts[key] = flag
-        elif key in config:
-            opts[key] = config[key]
-        else:
-            opts[key] = default
-    return opts
+    argparse then checks config values exactly like flags, and explicit flags
+    win because argparse keeps the last occurrence. ``null`` keeps the
+    default; ``true``/``false`` are accepted only by on/off switches.
+    """
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(config) - set(args.config_options))
+    if unknown:
+        raise _usage_fail(f"unknown config keys: {', '.join(unknown)}")
+    flags = []
+    for key, value in config.items():
+        action = args.config_options[key]
+        switch = action.nargs == 0  # an on/off flag such as --invert-homography
+        if value is None or (switch and value is False):
+            continue  # the default
+        if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            kind = "true or false" if switch else "a string or a number"
+            raise _usage_fail(f"config key {key!r} expects {kind}, got {json.dumps(value)}")
+        flag = action.option_strings[-1]
+        flags.append(flag if switch else f"{flag}={value}")
+    i = argv.index(args.command) + 1
+    return argv[:i] + flags + argv[i:]
 
 
 def cmd_pipeline(args) -> int:
-    opts = _resolve_pipeline_options(args)
-    _check_search(int(opts["radius"]), int(opts["margin"]))
+    _check_search(args.radius, args.margin)
     stream = codec.read_esf(args.events)
     width, height = stream.header.width, stream.header.height
 
-    if opts["erc_cap_evps"]:
-        cfg = rate.ErcConfig(cap_evps=int(opts["erc_cap_evps"]), period_us=int(opts["erc_period_us"]))
+    if args.erc_cap_evps:
+        cfg = rate.ErcConfig(cap_evps=args.erc_cap_evps, period_us=args.erc_period_us)
         kept = rate.erc_filter(stream.events, cfg)
         dropped = int(stream.events.shape[0] - kept.shape[0])
         if dropped:
             _diag("warning", "rate controller dropped events", n_dropped=dropped, cap_evps=cfg.cap_evps)
         stream = EventStream(stream.header, kept, stream.triggers)
 
-    _, wins = _build_windows(stream, args.windows, int(opts["channel"]), opts["method"], opts["custom"])
+    _, wins = _build_windows(stream, args.windows, args.channel, args.method, args.custom)
     per_window = sync.assign_events(stream.events, wins)
 
     # Homography mapping RGB-frame coordinates into event coordinates.
     h = None
     calibration = None
-    if opts["homography"]:
-        h = geometry.load_homography(str(opts["homography"]))
-        if opts["invert_homography"]:
+    if args.homography:
+        h = geometry.load_homography(args.homography)
+        if args.invert_homography:
             h = np.linalg.inv(h)
-    elif opts["points"]:
-        src, dst = _read_points_csv(str(opts["points"]))
-        h, mask = geometry.estimate_homography_ransac(
-            src, dst, threshold_px=float(opts["threshold_px"]), seed=int(opts["seed"])
-        )
+    elif args.points:
+        src, dst = _read_points_csv(args.points)
+        h, mask = geometry.estimate_homography_ransac(src, dst, threshold_px=args.threshold_px, seed=args.seed)
         calibration = geometry.reprojection_stats(h, src, dst, mask).to_json()
 
     rgb_boxes = {}
-    if opts["labels"]:
+    if args.labels:
         if h is None:
             raise _usage_fail("--labels needs a homography (--homography or --points)")
-        for box in labels.read_labels_json(str(opts["labels"])):
+        for box in labels.read_labels_json(args.labels):
             rgb_boxes.setdefault(box.frame_id, []).append(box)
 
     out_dir = Path(args.out_dir)
     frame_dir = out_dir / "frames"
     frame_dir.mkdir(parents=True, exist_ok=True)
-    frames_dir = Path(str(opts["frames_dir"])) if opts["frames_dir"] else None
+    frames_dir = Path(args.frames_dir) if args.frames_dir else None
 
     def _one(pair):
         w, sub = pair
         activity = frames.accumulate(sub, width, height, "count")
-        render_acc = activity if opts["mode"] == "count" else frames.accumulate(sub, width, height, opts["mode"])
-        image = frames.render_gray(render_acc, opts["mode"], int(opts["clip"]))
+        render_acc = activity if args.mode == "count" else frames.accumulate(sub, width, height, args.mode)
+        image = frames.render_gray(render_acc, args.mode, args.clip)
         frames.write_pgm(str(frame_dir / f"frame_{w.frame_id}.pgm"), image)
 
         entry = {
@@ -627,9 +581,9 @@ def cmd_pipeline(args) -> int:
                 res = alignment.event_frame_deviation(
                     activity,
                     target,
-                    search_radius=int(opts["radius"]),
-                    margin=int(opts["margin"]),
-                    smooth_sigma=float(opts["smooth_sigma"]),
+                    search_radius=args.radius,
+                    margin=args.margin,
+                    smooth_sigma=args.smooth_sigma,
                 )
                 entry["deviation_px"] = round(res.deviation, 3)
                 entry["offset"] = {"dx": round(res.dx, 3), "dy": round(res.dy, 3), "score": round(res.score, 4)}
@@ -642,7 +596,7 @@ def cmd_pipeline(args) -> int:
                 entry["labels_out"].append(moved.to_json())
         return entry
 
-    jobs = max(1, int(opts["jobs"]))
+    jobs = max(1, args.jobs)
     work = list(zip(wins, per_window))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -656,7 +610,7 @@ def cmd_pipeline(args) -> int:
 
     summary = {
         "frames": entries,
-        "rate": rate.rate_report(stream, encoding=str(opts["encoding"]), bin_us=int(opts["bin_us"])).to_json(),
+        "rate": rate.rate_report(stream, encoding=args.encoding, bin_us=args.bin_us).to_json(),
     }
     if calibration is not None:
         summary["calibration"] = calibration
@@ -664,7 +618,7 @@ def cmd_pipeline(args) -> int:
     if deviations:
         summary["deviation_median_px"] = round(float(np.median(deviations)), 3)
     if not args.no_meta:
-        summary["meta"] = _meta(events=args.events, frames_dir=opts["frames_dir"], labels=opts["labels"])
+        summary["meta"] = _meta(events=args.events, frames_dir=args.frames_dir, labels=args.labels)
 
     text = _dump_json(summary)
     (out_dir / "summary.json").write_text(text, encoding="utf-8")
@@ -761,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("optics", cmd_optics, "lens/sensor resolvability math")
     p.add_argument("--sensor", default=None, help="sensor preset name (see --list)")
     p.add_argument("--pitch-um", type=float, default=None, help="pixel pitch for a custom sensor")
-    p.add_argument("--size", default=None, metavar="WxH", help="custom sensor resolution (for --fov)")
+    p.add_argument("--size", type=_wh, default=None, metavar="WxH", help="custom sensor resolution (for --fov)")
     p.add_argument("--object-m", type=float, default=None, help="object size in meters (extent mode)")
     p.add_argument("--distance-m", type=float, default=None)
     p.add_argument("--focal-mm", type=float, default=None)
@@ -773,21 +727,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("synth", cmd_synth, "generate a synthetic scene (events, frames, labels)")
     p.add_argument("-d", "--out-dir", required=True)
-    p.add_argument("--width", type=int, default=240)
-    p.add_argument("--height", type=int, default=180)
-    p.add_argument("--pattern", default="disk", choices=synth.PATTERNS)
-    p.add_argument("--pattern-size", type=float, default=40.0)
-    p.add_argument("--velocity", default="120,0", metavar="VX,VY", help="pattern velocity in px/s")
-    p.add_argument("--duration-s", type=float, default=0.35)
-    p.add_argument("--background", type=float, default=40.0)
-    p.add_argument("--foreground", type=float, default=200.0)
-    p.add_argument("--contrast", type=float, default=0.25)
-    p.add_argument("--fps", type=float, default=20.0)
-    p.add_argument("--exposure-us", type=int, default=5000)
-    p.add_argument("--dt-us", type=int, default=500)
-    p.add_argument("--start", default=None, metavar="X,Y", help="pattern center at t=0 (default: centered sweep)")
+    for f in dataclasses.fields(synth.SceneSpec):  # one flag per scene parameter
+        pair = f.default is None or isinstance(f.default, tuple)
+        p.add_argument("--" + f.name.replace("_", "-"), type=_pair if pair else type(f.default), default=f.default,
+                       choices=synth.PATTERNS if f.name == "pattern" else None, metavar="X,Y" if pair else None,
+                       help=f"SceneSpec.{f.name} (default: %(default)s)")
     p.add_argument("--homography", default=None, metavar="H.json", help="render a second view through this homography")
-    p.add_argument("--translate", default=None, metavar="DX,DY", help="shortcut: second view offset in px")
+    p.add_argument("--translate", type=_pair, default=None, metavar="DX,DY", help="shortcut: second view offset in px")
     p.add_argument("--warped-dir", default=None, help="output directory for the second view")
     p.add_argument("-o", "--out", default=None)
 
@@ -795,44 +741,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, metavar="JSON")
     p.add_argument("--homography", required=True, metavar="H.json")
     p.add_argument("--invert", action="store_true", help="apply the inverse mapping")
-    p.add_argument("--clip", default=None, metavar="WxH", help="clip boxes to this canvas, dropping outsiders")
+    p.add_argument("--clip", type=_wh, default=None, metavar="WxH", help="clip boxes to this canvas, drop outsiders")
     p.add_argument("-o", "--out", required=True, help="output labels JSON")
 
     p = add("pipeline", cmd_pipeline, "events + frames -> windows, renders, labels, checks, rate")
     p.add_argument("--events", required=True, metavar="ESF")
     p.add_argument("-d", "--out-dir", required=True)
-    p.add_argument("--config", default=None, metavar="JSON", help="option defaults; explicit flags win")
+    p.add_argument("--config", default=None, metavar="JSON",
+                   help="JSON object of the options below, checked like flags; explicit flags win")
     p.add_argument("--windows", default=None, metavar="CSV", help="explicit windows instead of trigger pairing")
-    p.add_argument("--frames-dir", default=None, help="directory of RGB frame_<id>.pgm images")
-    p.add_argument("--labels", default=None, metavar="JSON", help="RGB-side boxes to transfer")
-    p.add_argument("--homography", default=None, metavar="H.json", help="maps RGB coords to event coords")
-    p.add_argument("--invert-homography", action="store_const", const=True, default=None,
-                   help="the file stores event->RGB; invert it")
-    p.add_argument("--points", default=None, metavar="CSV", help="estimate the homography from correspondences")
-    p.add_argument("--method", default=None, help="sync method (default m3)")
-    p.add_argument("--custom", default=None, metavar="ANCHOR:PRE:POST")
-    p.add_argument("--channel", type=int, default=None)
-    p.add_argument("--mode", default=None, choices=["count", "polarity", "binary"])
-    p.add_argument("--clip", type=int, default=None)
-    p.add_argument("--erc-cap-evps", type=int, default=None, help="pre-filter through the rate controller")
-    p.add_argument("--erc-period-us", type=int, default=None)
-    p.add_argument("--encoding", default=None, choices=["esf1", "fixed8"])
-    p.add_argument("--bin-us", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--margin", type=int, default=None)
-    p.add_argument("--smooth-sigma", type=float, default=None)
-    p.add_argument("--threshold-px", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="frame worker threads (default 1)")
     p.add_argument("--no-meta", action="store_true", help="omit the provenance block for byte-identical output")
+    o = p.add_argument_group("config options", "also --config keys: the flag name without '--', '-' as '_'")
+    config_options = {}
+
+    def opt(*flags, **kwargs):
+        action = o.add_argument(*flags, **kwargs)
+        config_options[action.dest] = action
+
+    opt("--frames-dir", default=None, help="directory of RGB frame_<id>.pgm images")
+    opt("--labels", default=None, metavar="JSON", help="RGB-side boxes to transfer")
+    opt("--homography", default=None, metavar="H.json", help="maps RGB coords to event coords")
+    opt("--invert-homography", action="store_true", help="the file stores event->RGB; invert it")
+    opt("--points", default=None, metavar="CSV", help="estimate the homography from correspondences")
+    opt("--method", default="m3", help="sync method (default: %(default)s)")
+    opt("--custom", default=None, metavar="ANCHOR:PRE:POST")
+    opt("--channel", type=int, default=0, help="trigger channel (default: %(default)s)")
+    opt("--mode", default="polarity", choices=["count", "polarity", "binary"], help="(default: %(default)s)")
+    opt("--clip", type=int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
+    opt("--erc-cap-evps", type=int, default=None, help="pre-filter through the rate controller")
+    opt("--erc-period-us", type=int, default=rate.DEFAULT_ERC_PERIOD_US, help="ERC period (default: %(default)s)")
+    opt("--encoding", default="esf1", choices=["esf1", "fixed8"], help="bandwidth encoding (default: %(default)s)")
+    opt("--bin-us", type=int, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
+    opt("--radius", type=int, default=16, help="integer search radius in px (default: %(default)s)")
+    opt("--margin", type=int, default=32, help="template inset from the border (default: %(default)s)")
+    opt("--smooth-sigma", type=float, default=2.0, help="blur before matching (default: %(default)s)")
+    opt("--threshold-px", type=float, default=2.0, help="RANSAC inlier threshold (default: %(default)s)")
+    opt("--seed", type=int, default=0, help="RANSAC seed (default: %(default)s)")
+    opt("--jobs", type=int, default=1, help="frame worker threads (default: %(default)s)")
+    p.set_defaults(config_options=config_options)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            args = parser.parse_args(_config_argv(args, argv))
         return args.func(args)
     except SystemExit:
         raise

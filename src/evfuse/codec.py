@@ -407,21 +407,18 @@ def write_csv(stream: EventStream) -> str:
     Events become ``cd,<t>,<x>,<y>,<p>`` with polarity written ``+1``/``-1``;
     triggers become ``trig,<t>,<r|f>,<channel>``.
     """
-    mask = stream.merged_mask()
     ev, tr = stream.events, stream.triggers
-    lines = []
-    ei = ti = 0
-    for is_trig in mask:
-        if is_trig:
-            r = tr[ti]
-            ti += 1
-            lines.append(f"trig,{int(r['t'])},{'r' if r['edge'] else 'f'},{int(r['channel'])}")
-        else:
-            r = ev[ei]
-            ei += 1
-            p = "+1" if r["p"] > 0 else "-1"
-            lines.append(f"cd,{int(r['t'])},{int(r['x'])},{int(r['y'])},{p}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    mask = stream.merged_mask()
+    lines = np.empty(mask.shape[0], dtype=object)
+    lines[~mask] = [
+        f"cd,{t},{x},{y},{'+1' if p else '-1'}"
+        for t, x, y, p in zip(ev["t"].tolist(), ev["x"].tolist(), ev["y"].tolist(), (ev["p"] > 0).tolist())
+    ]
+    lines[mask] = [
+        f"trig,{t},{'r' if e else 'f'},{c}"
+        for t, e, c in zip(tr["t"].tolist(), tr["edge"].tolist(), tr["channel"].tolist())
+    ]
+    return "\n".join(lines.tolist()) + ("\n" if mask.shape[0] else "")
 
 
 def parse_csv(text: str, width: int, height: int) -> EventStream:

@@ -98,28 +98,23 @@ def erc_filter(events: np.ndarray, cfg: ErcConfig = ErcConfig()) -> np.ndarray:
     indices ``round(i*n/B)`` for ``i = 0..B-1`` — deterministic, evenly
     spread, and order-preserving. Applying the filter twice changes nothing.
     """
-    t = events["t"]
-    n_total = t.shape[0]
+    pid = events["t"] // np.uint64(cfg.period_us)
+    # runs of equal period id: their starts and lengths
+    new_run = np.ones(pid.shape[0], dtype=bool)
+    new_run[1:] = pid[1:] != pid[:-1]
+    starts = np.flatnonzero(new_run)
+    lengths = np.diff(np.append(starts, pid.shape[0]))
     budget = cfg.budget
-    if n_total == 0:
-        return events[:0].copy()
-    period = np.uint64(cfg.period_us)
-    pid = t // period
-    # boundaries of runs of equal period id
-    starts = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
-    ends = np.r_[starts[1:], n_total]
-    keep_chunks = []
-    for s, e in zip(starts, ends):
-        n = int(e - s)
-        if n <= budget:
-            keep_chunks.append(np.arange(s, e))
-        elif budget > 0:
-            i = np.arange(budget, dtype=np.int64)
-            keep_chunks.append(s + (2 * i * n + budget) // (2 * budget))
-        # budget == 0: the whole period is dropped
-    if not keep_chunks:
-        return events[:0].copy()
-    return events[np.concatenate(keep_chunks)]
+    keep = np.repeat(lengths <= budget, lengths)
+    # Each over-budget run keeps `budget` indices (none when budget == 0), so
+    # these temporaries never exceed the event count. With budget == 0 they are
+    # empty, and NumPy divides empty arrays by zero without complaint.
+    over = lengths > budget
+    s = np.repeat(starts[over], budget)
+    n = np.repeat(lengths[over], budget)
+    i = np.arange(s.shape[0], dtype=np.int64) % budget
+    keep[s + (2 * i * n + budget) // (2 * budget)] = True
+    return events[keep]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import pytest
 from evfuse import cli
 from evfuse.codec import read_esf
 from evfuse.labels import iou, read_labels_json
+from evfuse.synth import SceneSpec
 
 GOLDEN_SUMMARY = Path(__file__).with_name("golden_pipeline_summary.json")
 
@@ -370,6 +371,51 @@ def test_verify_bad_search_window_is_usage_error(scene, capsys, flags):
     tgt = str(scene / "b" / "frames" / "frame_3.pgm")
     assert run(["verify", ref, tgt] + flags) == 1
     assert _last_diag(capsys)["kind"] == "usage"
+
+
+def _pipeline_with_config(scene, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "o"
+    args = ["pipeline", "--events", str(scene / "a" / "events.esf"), "--frames-dir", str(scene / "b" / "frames"),
+            "--config", str(cfg), "-d", str(out_dir), "--no-meta"]
+    return run(args), out_dir
+
+
+@pytest.mark.parametrize("config", [{"radius": None}, {"method": None}])
+def test_pipeline_config_null_keeps_default(scene, tmp_path, config):
+    code, out_dir = _pipeline_with_config(scene, tmp_path, config)
+    assert code == 0
+    assert (out_dir / "summary.json").read_bytes() == GOLDEN_SUMMARY.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"radius": True}, {"radius": 16.9}, {"mode": "bogus"}, {"encoding": "raw"}, {"invert_homography": "no"}],
+)
+def test_pipeline_config_value_checked_like_flag(scene, tmp_path, capsys, config):
+    code, out_dir = _pipeline_with_config(scene, tmp_path, config)
+    assert code == 1
+    assert _last_diag(capsys)["kind"] == "usage"
+    assert not (out_dir / "summary.json").exists() and not (out_dir / "frames").exists()
+
+
+def test_pipeline_config_not_an_object_is_data_error(scene, tmp_path, capsys):
+    code, out_dir = _pipeline_with_config(scene, tmp_path, [{"radius": 8}])
+    assert code == 2
+    assert _last_diag(capsys)["kind"] == "ValueError"
+    assert not out_dir.exists()
+
+
+def test_synth_scene_json_round_trips_and_bad_velocity_is_usage_error(tmp_path):
+    out_dir = tmp_path / "s"
+    base = ["synth", "--duration-s", "0.1", "-o", str(tmp_path / "out.json")]
+    assert run(base + ["-d", str(out_dir), "--pattern", "checker", "--velocity", "10,-20", "--start", "30,40"]) == 0
+    doc = json.loads((out_dir / "scene.json").read_text())
+    loaded = SceneSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    assert loaded == SceneSpec(pattern="checker", velocity=(10.0, -20.0), duration_s=0.1, start=(30.0, 40.0))
+    assert run(base + ["-d", str(tmp_path / "bad"), "--velocity", "10"]) == 1
+    assert not (tmp_path / "bad").exists()
 
 
 def test_diagnostics_are_single_line_json(scene, capsys, tmp_path):

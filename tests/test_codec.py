@@ -545,6 +545,40 @@ def test_csv_roundtrip():
     assert write_csv(parse_csv(text, 64, 64)) == text
 
 
+def _ref_write_csv(stream):
+    """Per-item loop reference for ``write_csv``."""
+    lines = []
+    for item in _stream_items(stream):
+        if item[0] == "cd":
+            _, t, x, y, p = item
+            lines.append(f"cd,{t},{x},{y},{'+1' if p > 0 else '-1'}")
+        else:
+            _, t, edge, channel = item
+            lines.append(f"trig,{t},{'r' if edge else 'f'},{channel}")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_write_csv_matches_reference_loop():
+    rng = np.random.default_rng(17)
+    ties = EventStream(
+        StreamHeader(32, 32),
+        make_events([100, 100, 100], [1, 2, 3], [3, 3, 4], [1, -1, 1]),
+        make_triggers([100, 100], [1, 0], [0, 5]),
+        trigger_pos=[0, 2],
+    )
+    streams = [
+        ties,
+        _random_stream(rng, n_events=0, n_triggers=6),  # trigger-only
+        _random_stream(rng, n_events=50, n_triggers=0),  # event-only
+        _random_stream(rng, n_events=0, n_triggers=0),  # empty
+    ]
+    streams += [_random_stream(rng, int(rng.integers(0, 300)), int(rng.integers(0, 20)), t_span=500) for _ in range(50)]
+    for s in streams:
+        assert write_csv(s) == _ref_write_csv(s)
+    assert write_csv(streams[3]) == ""
+    assert write_csv(ties).splitlines()[:3] == ["trig,100,r,0", "cd,100,1,3,+1", "trig,100,f,5"]
+
+
 def test_csv_tolerates_header_and_comments():
     text = "kind,t,x,y,p\n# comment\n\ncd,1,2,3,+1\n"
     s = parse_csv(text, 16, 16)

@@ -123,6 +123,50 @@ def test_erc_brute_force_per_period_cap():
         assert (np.diff(out["t"].astype(np.int64)) >= 0).all()
 
 
+def _ref_erc_filter(events, cfg):
+    """Per-run loop reference for ``erc_filter``: one Python pass over each
+    run of equal period id, in input order."""
+    t = events["t"]
+    n_total = t.shape[0]
+    budget = cfg.budget
+    if n_total == 0:
+        return events[:0].copy()
+    pid = t // np.uint64(cfg.period_us)
+    starts = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
+    ends = np.r_[starts[1:], n_total]
+    keep_chunks = []
+    for s, e in zip(starts, ends):
+        n = int(e - s)
+        if n <= budget:
+            keep_chunks.append(np.arange(s, e))
+        elif budget > 0:
+            i = np.arange(budget, dtype=np.int64)
+            keep_chunks.append(s + (2 * i * n + budget) // (2 * budget))
+    if not keep_chunks:
+        return events[:0].copy()
+    return events[np.concatenate(keep_chunks)]
+
+
+def test_erc_matches_reference_loop():
+    rng = np.random.default_rng(11)
+    cases = [
+        (np.zeros(0, dtype=np.uint64), ErcConfig(1_000_000, 1000)),  # empty input
+        (np.full(50, 7, dtype=np.uint64), ErcConfig(3_000, 1000)),  # one period, budget 3
+        (np.arange(40, dtype=np.uint64), ErcConfig(999, 1000)),  # budget 0 drops everything
+    ]
+    for k in range(300):
+        t = rng.integers(0, int(rng.integers(1, 30_000)), size=int(rng.integers(0, 2000))).astype(np.uint64)
+        if k % 5:
+            t = np.sort(t)  # every fifth case keeps its shuffled times
+        period_us, budget = int(rng.integers(1, 3000)), int(rng.integers(0, 60))
+        cases.append((t, ErcConfig(budget * 1_000_000 // period_us + 1, period_us)))  # .budget == budget
+    for t, cfg in cases:
+        events = _events_at(t, seed=int(t.shape[0]))
+        out = erc_filter(events, cfg)
+        assert out.dtype == events.dtype
+        assert np.array_equal(out, _ref_erc_filter(events, cfg))
+
+
 def test_erc_idempotent():
     rng = np.random.default_rng(3)
     t = np.sort(rng.integers(0, 20_000, size=3000).astype(np.uint64))
