@@ -327,15 +327,12 @@ def edge_deviation(
     target: np.ndarray,
     search_radius: int = 16,
     margin: int = 32,
-    canny_sigma: float = 1.4,
-    low_frac: float = 0.1,
-    high_frac: float = 0.3,
     smooth_sigma: float = 1.0,
 ) -> ZnccResult:
     """Edge-domain alignment check: Canny both inputs, then correlate."""
     _require_finite(reference, target)
-    ea = canny(reference, canny_sigma, low_frac, high_frac).astype(np.float64)
-    eb = canny(target, canny_sigma, low_frac, high_frac).astype(np.float64)
+    ea = canny(reference).astype(np.float64)
+    eb = canny(target).astype(np.float64)
     return match_deviation(ea, eb, search_radius, margin, smooth_sigma)
 
 
@@ -344,9 +341,6 @@ def event_frame_deviation(
     rgb_image: np.ndarray,
     search_radius: int = 16,
     margin: int = 32,
-    canny_sigma: float = 1.4,
-    low_frac: float = 0.1,
-    high_frac: float = 0.3,
     smooth_sigma: float = 2.0,
 ) -> ZnccResult:
     """Alignment between an accumulated event frame and an RGB frame.
@@ -360,5 +354,5 @@ def event_frame_deviation(
     """
     _require_finite(event_activity, rgb_image)
     activity = np.abs(np.asarray(event_activity, dtype=np.float64))
-    edges = canny(rgb_image, canny_sigma, low_frac, high_frac).astype(np.float64)
+    edges = canny(rgb_image).astype(np.float64)
     return match_deviation(activity, edges, search_radius, margin, smooth_sigma)

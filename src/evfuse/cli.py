@@ -3,6 +3,9 @@
 Conventions shared by every subcommand:
 
 * exit status is 0 on success, 1 for usage errors, 2 for data/format errors;
+* option values (sync methods, custom windows, counts, rates and bin widths
+  that must be positive) are checked by the parser, before any input is
+  read, so a bad value is always a usage error;
 * results go to stdout (or to files named by ``-o``/``--out-dir``);
 * diagnostics are single-line JSON records on stderr, e.g.
   ``{"level": "warning", "msg": "..."}`` — never free-form prose;
@@ -129,17 +132,34 @@ def _wh(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expects 'WIDTHxHEIGHT', got {text!r}") from None
 
 
-def _parse_window_method(method: str, custom: str | None):
-    """The ``--custom ANCHOR:PRE:POST`` window when given, else the ``--method`` preset."""
-    parts = custom.split(":") if custom else None
-    if parts is not None and len(parts) != 3:
-        raise _usage_fail(f"--custom expects 'anchor:pre_us:post_us', got {custom!r}")
+def _positive_int(text: str) -> int:
+    """argparse type for a count, rate or width that must be at least 1."""
     try:
-        if parts is None:
-            return sync.parse_method(method)
+        value = int(text)
+        if value <= 0:
+            raise ValueError
+        return value
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}") from None
+
+
+def _method(text: str):
+    """argparse type for ``--method``: a :class:`sync.SyncMethod` preset."""
+    try:
+        return sync.parse_method(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _custom(text: str):
+    """argparse type for ``--custom ANCHOR:PRE:POST``: a :class:`sync.CustomWindow`."""
+    parts = text.split(":")
+    try:
+        if len(parts) != 3:
+            raise ValueError(f"expects 'anchor:pre_us:post_us', got {text!r}")
         return sync.CustomWindow(parts[0], int(parts[1]), int(parts[2]))
     except ValueError as exc:
-        raise _usage_fail(str(exc)) from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_points_csv(path: str):
@@ -169,13 +189,13 @@ def _read_points_csv(path: str):
     return np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
 
 
-def _build_windows(stream: EventStream, windows_csv, channel: int, method: str, custom, need_exposures=True):
+def _build_windows(stream: EventStream, windows_csv, channel: int, method, need_exposures=True):
     """Event windows for sync/accumulate/pipeline, as ``(exposures, windows)``.
 
     Windows come from ``windows_csv`` when given (exposures are then None).
     Otherwise the trigger edges on ``channel`` are paired, unpaired edges are
-    reported as warnings, and ``custom`` (if set) or ``method`` builds one
-    window per exposure.
+    reported as warnings, and ``method`` (a preset or a custom window) builds
+    one window per exposure.
     """
     if windows_csv:
         return None, sync.read_windows_csv(Path(windows_csv).read_text(encoding="utf-8"))
@@ -184,7 +204,7 @@ def _build_windows(stream: EventStream, windows_csv, channel: int, method: str, 
         _diag("warning", "unpaired trigger edge", **a.to_json())
     if need_exposures and not pairing.exposures:
         raise TooFewExposures("no exposures found on the selected trigger channel")
-    return pairing.exposures, sync.windows(pairing.exposures, _parse_window_method(method, custom))
+    return pairing.exposures, sync.windows(pairing.exposures, method)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -248,7 +268,7 @@ def cmd_validate(args) -> int:
 
 def cmd_sync(args) -> int:
     stream = codec.read_esf(args.esf)
-    exposures, wins = _build_windows(stream, None, args.channel, args.method, args.custom, need_exposures=False)
+    exposures, wins = _build_windows(stream, None, args.channel, args.custom or args.method, need_exposures=False)
     if args.exposures_out:
         Path(args.exposures_out).write_text(sync.write_exposures_csv(exposures), encoding="utf-8")
     counts = sync.window_counts(stream.events, wins)
@@ -265,7 +285,7 @@ def cmd_sync(args) -> int:
 
 def cmd_accumulate(args) -> int:
     stream = codec.read_esf(args.esf)
-    _, wins = _build_windows(stream, args.windows, args.channel, args.method, args.custom)
+    _, wins = _build_windows(stream, args.windows, args.channel, args.custom or args.method)
     width, height = stream.header.width, stream.header.height
     out_dir = Path(args.out_dir)
     (out_dir).mkdir(parents=True, exist_ok=True)
@@ -527,7 +547,7 @@ def cmd_pipeline(args) -> int:
             _diag("warning", "rate controller dropped events", n_dropped=dropped, cap_evps=cfg.cap_evps)
         stream = EventStream(stream.header, kept, stream.triggers)
 
-    _, wins = _build_windows(stream, args.windows, args.channel, args.method, args.custom)
+    _, wins = _build_windows(stream, args.windows, args.channel, args.custom or args.method)
     per_window = sync.assign_events(stream.events, wins)
 
     # Homography mapping RGB-frame coordinates into event coordinates.
@@ -596,10 +616,9 @@ def cmd_pipeline(args) -> int:
                 entry["labels_out"].append(moved.to_json())
         return entry
 
-    jobs = max(1, args.jobs)
     work = list(zip(wins, per_window))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             entries = list(pool.map(_one, work))  # map() preserves frame order
     else:
         entries = [_one(p) for p in work]
@@ -659,8 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sync", cmd_sync, "pair trigger edges into exposures and build event windows")
     p.add_argument("esf")
-    p.add_argument("--method", default="m3", help="m1|m2|m3|m4 or exposure|frame_leading|centered|midpoint")
-    p.add_argument("--custom", default=None, metavar="ANCHOR:PRE:POST", help="custom window, e.g. midpoint:5000:5000")
+    p.add_argument("--method", type=_method, default="m3", help="m1|m2|m3|m4 or exposure|frame_leading|centered|midpoint")
+    p.add_argument("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST",
+                   help="custom window, e.g. midpoint:5000:5000")
     p.add_argument("--channel", type=int, default=0, help="trigger channel (default 0)")
     p.add_argument("--exposures-out", default=None, metavar="CSV", help="also write the exposure table")
     p.add_argument("-o", "--out", default=None, help="windows CSV output (default: stdout)")
@@ -668,11 +688,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("accumulate", cmd_accumulate, "accumulate events into per-frame images")
     p.add_argument("esf")
     p.add_argument("--windows", default=None, metavar="CSV", help="window CSV (frame_id,t0_us,t1_us)")
-    p.add_argument("--method", default="m3", help="sync method when --windows is not given")
-    p.add_argument("--custom", default=None, metavar="ANCHOR:PRE:POST")
+    p.add_argument("--method", type=_method, default="m3", help="sync method when --windows is not given")
+    p.add_argument("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST")
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--mode", default="polarity", choices=["count", "polarity", "binary"])
-    p.add_argument("--clip", type=int, default=frames.DEFAULT_CLIP, help="full-scale event count for rendering")
+    p.add_argument("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count for rendering")
     p.add_argument("--format", default="pgm", choices=["pgm", "png"])
     p.add_argument("-d", "--out-dir", required=True, help="directory for frame_<id> images")
     p.add_argument("-o", "--out", default=None, help="summary JSON (default: stdout)")
@@ -701,15 +721,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("rate", cmd_rate, "report event rate and bandwidth under an encoding")
     p.add_argument("esf")
     p.add_argument("--encoding", default="esf1", choices=["esf1", "fixed8"])
-    p.add_argument("--bin-us", type=int, default=rate.DEFAULT_BIN_US)
+    p.add_argument("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US)
     p.add_argument("--saturation-evps", type=float, default=rate.DEFAULT_SATURATION_EVPS)
     p.add_argument("--series-out", default=None, metavar="CSV", help="per-bin counts (bin_start_us,count)")
     p.add_argument("-o", "--out", default=None)
 
     p = add("erc", cmd_erc, "simulate the event-rate controller and write the thinned stream")
     p.add_argument("esf")
-    p.add_argument("--cap-evps", type=int, default=rate.DEFAULT_ERC_CAP_EVPS)
-    p.add_argument("--period-us", type=int, default=rate.DEFAULT_ERC_PERIOD_US)
+    p.add_argument("--cap-evps", type=_positive_int, default=rate.DEFAULT_ERC_CAP_EVPS)
+    p.add_argument("--period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US)
     p.add_argument("-o", "--out", required=True, help="output .esf path")
 
     p = add("optics", cmd_optics, "lens/sensor resolvability math")
@@ -763,21 +783,21 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--homography", default=None, metavar="H.json", help="maps RGB coords to event coords")
     opt("--invert-homography", action="store_true", help="the file stores event->RGB; invert it")
     opt("--points", default=None, metavar="CSV", help="estimate the homography from correspondences")
-    opt("--method", default="m3", help="sync method (default: %(default)s)")
-    opt("--custom", default=None, metavar="ANCHOR:PRE:POST")
+    opt("--method", type=_method, default="m3", help="sync method (default: %(default)s)")
+    opt("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST")
     opt("--channel", type=int, default=0, help="trigger channel (default: %(default)s)")
     opt("--mode", default="polarity", choices=["count", "polarity", "binary"], help="(default: %(default)s)")
-    opt("--clip", type=int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
-    opt("--erc-cap-evps", type=int, default=None, help="pre-filter through the rate controller")
-    opt("--erc-period-us", type=int, default=rate.DEFAULT_ERC_PERIOD_US, help="ERC period (default: %(default)s)")
+    opt("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
+    opt("--erc-cap-evps", type=_positive_int, default=None, help="pre-filter through the rate controller")
+    opt("--erc-period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US, help="ERC period (default: %(default)s)")
     opt("--encoding", default="esf1", choices=["esf1", "fixed8"], help="bandwidth encoding (default: %(default)s)")
-    opt("--bin-us", type=int, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
+    opt("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
     opt("--radius", type=int, default=16, help="integer search radius in px (default: %(default)s)")
     opt("--margin", type=int, default=32, help="template inset from the border (default: %(default)s)")
     opt("--smooth-sigma", type=float, default=2.0, help="blur before matching (default: %(default)s)")
     opt("--threshold-px", type=float, default=2.0, help="RANSAC inlier threshold (default: %(default)s)")
     opt("--seed", type=int, default=0, help="RANSAC seed (default: %(default)s)")
-    opt("--jobs", type=int, default=1, help="frame worker threads (default: %(default)s)")
+    opt("--jobs", type=_positive_int, default=1, help="frame worker threads (default: %(default)s)")
     p.set_defaults(config_options=config_options)
 
     return parser

@@ -201,34 +201,25 @@ def _decode_words(words, width, height):
     x_vals = x_words & 0x7FF
     first_y = int(y_idx[0]) if y_idx.shape[0] else n
 
-    # Screen for malformed words cheaply; locate exact offsets only on the
-    # failure path.  A sequential decoder stops at the first problem, so the
-    # earliest word index must win across all error kinds.
+    # Screen for malformed words cheaply.  Only on failure is a per-word
+    # ``bad`` mask built: its argmax is the word a sequential decoder stops at,
+    # and that word alone picks the error (a column out of range wins over an
+    # unset row).
     all_known = bool((is_th | is_tl | is_y | is_x | is_trig).all())
     cd_x_too_early = x_idx.shape[0] and int(x_idx[0]) < first_y
     if (not all_known) or (y_vals_all >= height).any() or (x_vals >= width).any() or cd_x_too_early:
-        first_bad = []  # (word index, exception factory)
-
-        def _offset(i):
-            return HEADER_SIZE + WORD_SIZE * i
-
-        if not all_known:
-            known = is_th | is_tl | is_y | is_x | is_trig
-            i = int(np.argmin(known))
-            first_bad.append((i, lambda i=i: UnknownWordType(int(types[i]), _offset(i))))
-        oob = y_idx[y_vals_all >= height]
-        if oob.shape[0]:
-            i = int(oob[0])
-            first_bad.append((i, lambda i=i: CoordinateOutOfBounds("y", int(words[i] & 0xFFF), _offset(i))))
-        oob = x_idx[x_vals >= width]
-        if oob.shape[0]:
-            i = int(oob[0])
-            first_bad.append((i, lambda i=i: CoordinateOutOfBounds("x", int(words[i] & 0x7FF), _offset(i))))
-        if cd_x_too_early:
-            i = int(x_idx[0])
-            first_bad.append((i, lambda i=i: CdXBeforeCdY(_offset(i))))
-        first_bad.sort(key=lambda pair: pair[0])
-        raise first_bad[0][1]()
+        bad = ~(is_th | is_tl | is_y | is_x | is_trig)
+        bad |= is_y & ((words & 0xFFF) >= height)
+        bad |= is_x & ((words & 0x7FF) >= width)
+        bad[:first_y] |= is_x[:first_y]
+        i = int(np.argmax(bad))
+        word = int(words[i])
+        kind, offset = word >> 12, HEADER_SIZE + WORD_SIZE * i
+        if kind == TYPE_CD_Y:
+            raise CoordinateOutOfBounds("y", word & 0xFFF, offset)
+        if kind == TYPE_CD_X and word & 0x7FF >= width:
+            raise CoordinateOutOfBounds("x", word & 0x7FF, offset)
+        raise CdXBeforeCdY(offset) if kind == TYPE_CD_X else UnknownWordType(kind, offset)
 
     # Timestamp state.  Both TIME word kinds update the same 64-bit register,
     # so build one table of its value after each TIME word; cnt_time[i] then

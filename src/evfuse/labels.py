@@ -89,6 +89,11 @@ def write_labels_json(path: str, boxes) -> None:
 
 
 def read_labels_json(path: str) -> list:
+    """Read a JSON list of box objects; anything else is a ``ValueError``
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return [BoundingBox.from_json(obj) for obj in data]
+    try:
+        return [BoundingBox.from_json(obj) for obj in data]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"labels file {path!r} must hold a JSON list of box objects ({exc!r})") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import encode_stats
-from .streams import EventStream, StreamHeader, make_triggers
+from .streams import EventStream
 
 DEFAULT_ERC_CAP_EVPS = 100_000_000  # explicit rate-controller cap
 DEFAULT_ERC_PERIOD_US = 1000
@@ -64,7 +64,7 @@ def rate_series(events: np.ndarray, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
     """Histogram event timestamps into fixed bins anchored at t = 0."""
     if bin_us <= 0:
         raise ValueError("bin width must be positive")
-    t = np.asarray(events["t"] if events.dtype.fields else events, dtype=np.uint64)
+    t = events["t"]
     if t.shape[0] == 0:
         return RateSeries(bin_us, 0, np.zeros(0, dtype=np.int64))
     bins = t // np.uint64(bin_us)
@@ -149,17 +149,8 @@ class RateReport:
         }
 
 
-def _as_stream(events_or_stream) -> EventStream:
-    if isinstance(events_or_stream, EventStream):
-        return events_or_stream
-    events = events_or_stream
-    width = int(events["x"].max()) + 1 if events.shape[0] else 1
-    height = int(events["y"].max()) + 1 if events.shape[0] else 1
-    return EventStream(StreamHeader(width, height), events, make_triggers([], [], []))
-
-
 def rate_report(
-    events_or_stream,
+    stream: EventStream,
     encoding: str = "esf1",
     bin_us: int = DEFAULT_BIN_US,
     saturation_evps: float = DEFAULT_SATURATION_EVPS,
@@ -174,7 +165,6 @@ def rate_report(
     """
     if encoding not in ("esf1", "fixed8"):
         raise ValueError(f"unknown encoding: {encoding!r}")
-    stream = _as_stream(events_or_stream)
     events = stream.events
     n = events.shape[0]
     if n < 2:

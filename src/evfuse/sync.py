@@ -171,15 +171,7 @@ def median_period2(exposures) -> int:
     if not diffs:
         raise TooFewExposures("need at least 2 exposures to estimate the frame period")
     k = len(diffs)
-    if k % 2:
-        return 2 * diffs[k // 2]
-    return diffs[k // 2 - 1] + diffs[k // 2]
-
-
-def _clamp_window(frame_id: int, t0: int, t1: int) -> SyncWindow:
-    t0 = max(0, t0)
-    t1 = max(t0, t1)
-    return SyncWindow(frame_id, t0, t1)
+    return diffs[(k - 1) // 2] + diffs[k // 2]  # the two middle values; one value twice when k is odd
 
 
 def windows(exposures, method) -> list:
@@ -193,51 +185,32 @@ def windows(exposures, method) -> list:
     _check_exposures(exposures)
     if not exposures:
         return []
+    out = []
+    for e, (q0, q1) in zip(exposures, _bounds4(exposures, method)):
+        t0 = max(0, q0 // 4)
+        out.append(SyncWindow(e.frame_id, t0, max(t0, q1 // 4)))
+    return out
 
+
+def _bounds4(exposures, method) -> list:
+    """Each exposure's window bounds ``(lower, upper)`` in quarter microseconds."""
     if isinstance(method, CustomWindow):
-        out = []
-        for e in exposures:
-            if method.anchor == "start":
-                a4 = 4 * e.start
-            elif method.anchor == "end":
-                a4 = 4 * e.end
-            else:
-                a4 = 2 * e.midpoint2()
-            out.append(_clamp_window(e.frame_id, (a4 - 4 * method.pre_us) // 4, (a4 + 4 * method.post_us) // 4))
-        return out
-
+        anchors4 = [2 * e.midpoint2() if method.anchor == "midpoint" else 4 * getattr(e, method.anchor) for e in exposures]
+        return [(a - 4 * method.pre_us, a + 4 * method.post_us) for a in anchors4]
     if method is SyncMethod.EXPOSURE:
-        return [_clamp_window(e.frame_id, e.start, e.end) for e in exposures]
+        return [(4 * e.start, 4 * e.end) for e in exposures]
 
-    p2 = median_period2(exposures)  # raises TooFewExposures when needed
-
+    p2 = median_period2(exposures)  # half a period in quarters; raises TooFewExposures when needed
     if method is SyncMethod.FRAME_LEADING:
-        out = []
-        for e, nxt in zip(exposures, exposures[1:]):
-            out.append(_clamp_window(e.frame_id, e.start, nxt.start))
-        last = exposures[-1]
-        out.append(_clamp_window(last.frame_id, last.start, (2 * last.start + p2) // 2))
-        return out
-
+        starts4 = [4 * e.start for e in exposures]
+        return list(zip(starts4, starts4[1:] + [starts4[-1] + 2 * p2]))
+    mids4 = [2 * e.midpoint2() for e in exposures]
     if method is SyncMethod.CENTERED:
-        out = []
-        for e in exposures:
-            m2 = e.midpoint2()
-            out.append(_clamp_window(e.frame_id, (2 * m2 - p2) // 4, (2 * m2 + p2) // 4))
-        return out
-
+        return [(m - p2, m + p2) for m in mids4]
     if method is SyncMethod.MIDPOINT:
-        # Shared boundaries in quarter-microsecond units keep this an exact
-        # partition no matter how the division rounds.
-        mids2 = [e.midpoint2() for e in exposures]
-        bounds4 = [2 * mids2[0] - p2]
-        bounds4 += [m2a + m2b for m2a, m2b in zip(mids2, mids2[1:])]
-        bounds4.append(2 * mids2[-1] + p2)
-        return [
-            _clamp_window(e.frame_id, b0 // 4, b1 // 4)
-            for e, b0, b1 in zip(exposures, bounds4, bounds4[1:])
-        ]
-
+        # Neighbours share one exact boundary, so flooring keeps a partition.
+        cuts4 = [mids4[0] - p2] + [(a + b) // 2 for a, b in zip(mids4, mids4[1:])] + [mids4[-1] + p2]
+        return list(zip(cuts4, cuts4[1:]))
     raise ValueError(f"unknown sync method {method!r}")
 
 
@@ -271,20 +244,26 @@ def _read_int_csv(text: str, header: str, row_type, what: str) -> list:
     """Parse a table written by :func:`_write_int_csv` into ``row_type`` rows.
 
     Blank lines, ``#`` comments and header lines are skipped; columns past the
-    header's are ignored.
+    header's are ignored.  The first column is a ``frame_id``, which names a
+    frame's outputs, so a repeated one is rejected.
     """
     first_col = header.split(",")[0]
     n_cols = header.count(",") + 1
     out = []
+    line_of = {}  # frame_id -> the line that holds it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.lower().startswith(first_col):
             continue
         parts = line.split(",")
         try:
-            out.append(row_type(*(int(parts[k]) for k in range(n_cols))))
+            row = row_type(*(int(parts[k]) for k in range(n_cols)))
         except (ValueError, IndexError):
             raise ValueError(f"{what} CSV line {line_no}: cannot parse {raw!r}") from None
+        first = line_of.setdefault(row.frame_id, line_no)
+        if first != line_no:
+            raise ValueError(f"{what} CSV line {line_no}: frame_id {row.frame_id} repeats line {first}")
+        out.append(row)
     return out
 
 

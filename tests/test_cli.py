@@ -423,3 +423,67 @@ def test_diagnostics_are_single_line_json(scene, capsys, tmp_path):
     for line in capsys.readouterr().err.strip().splitlines():
         rec = json.loads(line)  # every stderr line must parse alone
         assert "level" in rec and "msg" in rec
+
+
+# Each bad option value (last in each argv) must be a usage error before any
+# input is read: the events path does not exist, so reading it would exit 2.
+BAD_OPTION_ARGV = [
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--method", "m9"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--custom", "start:1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--custom", "center:1:1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--jobs", "0"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--bin-us", "0"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--erc-cap-evps", "0"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--erc-period-us", "-1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--clip", "0"],
+    ["sync", "{missing}", "-o", "{out}", "--custom", "start:-5:5"],
+    ["accumulate", "{missing}", "-d", "{out}", "--method", "m9"],
+    ["accumulate", "{missing}", "-d", "{out}", "--clip", "0"],
+    ["rate", "{missing}", "-o", "{out}", "--bin-us", "0"],
+    ["erc", "{missing}", "-o", "{out}", "--cap-evps", "0"],
+    ["erc", "{missing}", "-o", "{out}", "--period-us", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_OPTION_ARGV, ids=lambda argv: " ".join(argv[0:1] + argv[-2:]))
+def test_bad_option_value_is_usage_error_before_input_is_read(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([a.format(missing=tmp_path / "missing.esf", out=out) for a in argv]) == 1
+    assert _last_diag(capsys)["kind"] == "usage"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"method": "m9"}, {"custom": "start:1"}, {"jobs": 0}, {"bin_us": 0}, {"erc_cap_evps": 0},
+     {"erc_period_us": 0}, {"clip": -3}],
+)
+def test_bad_config_value_is_usage_error_before_input_is_read(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(["pipeline", "--events", str(tmp_path / "missing.esf"), "--config", str(cfg), "-d", str(out)]) == 1
+    assert _last_diag(capsys)["kind"] == "usage"
+    assert not out.exists()
+
+
+def test_label_transfer_rejects_labels_that_are_not_a_list(scene, tmp_path, capsys):
+    bad = tmp_path / "labels.json"
+    bad.write_text(json.dumps({"a": 1}))
+    out = tmp_path / "moved.json"
+    argv = ["label-transfer", "--labels", str(bad), "--homography", str(scene / "b" / "homography.json"), "-o", str(out)]
+    assert run(argv) == 2
+    rec = _last_diag(capsys)
+    assert rec["kind"] == "ValueError" and str(bad) in rec["msg"]
+    assert not out.exists()
+
+
+def test_pipeline_rejects_windows_csv_with_repeated_frame_id(scene, tmp_path, capsys):
+    windows_csv = tmp_path / "windows.csv"
+    windows_csv.write_text("frame_id,t0_us,t1_us\n0,0,50000\n1,50000,100000\n# again\n0,100000,150000\n")
+    out_dir = tmp_path / "o"
+    argv = ["pipeline", "--events", str(scene / "a" / "events.esf"), "--windows", str(windows_csv), "-d", str(out_dir)]
+    assert run(argv) == 2
+    rec = _last_diag(capsys)
+    assert rec["kind"] == "ValueError" and "line 5" in rec["msg"] and "line 2" in rec["msg"]
+    assert not out_dir.exists()

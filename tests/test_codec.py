@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from evfuse.codec import (
     HEADER_SIZE,
     TYPE_CD_X,
+    TYPE_CD_Y,
     TYPE_EXT_TRIGGER,
     TYPE_TIME_HIGH,
     TYPE_TIME_LOW,
@@ -48,7 +49,8 @@ class ReferenceDecoder:
     """Sequential golden model of the word-stream state machine.
 
     Kept deliberately dumb: one word at a time, explicit registers.  The
-    vectorized decoder must agree with it on every well-formed stream.
+    vectorized decoder must agree with it on every stream: the same items, or
+    the same typed error at the same byte offset.
     """
 
     def __init__(self, width, height):
@@ -59,10 +61,13 @@ class ReferenceDecoder:
         self.epoch = 0
         self.y = None
         self.items = []  # ("cd", t, x, y, p) or ("trig", t, edge, channel)
+        self.offset = HEADER_SIZE  # byte offset of the next word
 
     def step(self, word):
         kind = word >> 12
         payload = word & 0xFFF
+        offset = self.offset
+        self.offset += 2
         if kind == 0x8:
             if payload < self.time_high:
                 self.epoch += 1
@@ -70,18 +75,21 @@ class ReferenceDecoder:
         elif kind == 0x6:
             self.time_low = payload
         elif kind == 0x0:
-            assert payload < self.height
+            if payload >= self.height:
+                raise CoordinateOutOfBounds("y", payload, offset)
             self.y = payload
         elif kind == 0x2:
-            assert self.y is not None
             x = word & 0x7FF
-            assert x < self.width
+            if x >= self.width:
+                raise CoordinateOutOfBounds("x", x, offset)
+            if self.y is None:
+                raise CdXBeforeCdY(offset)
             p = 1 if (word >> 11) & 1 else -1
             self.items.append(("cd", self.t(), x, self.y, p))
         elif kind == 0xA:
             self.items.append(("trig", self.t(), word & 1, (word >> 8) & 0xF))
         else:
-            raise AssertionError("unknown word in reference input")
+            raise UnknownWordType(kind, offset)
 
     def t(self):
         return self.epoch * 2**24 + self.time_high * 2**12 + self.time_low
@@ -363,6 +371,42 @@ def test_vectorized_decoder_matches_reference_model():
         for w in words:
             ref.step(int(w))
         assert _stream_items(decode_esf(blob)) == ref.items
+
+
+def _decode_outcome(decode, data):
+    try:
+        return decode(data)
+    except StreamError as err:
+        return type(err), err.offset, str(err)
+
+
+def _reference_decode(data):
+    ref = ReferenceDecoder(*np.frombuffer(data, dtype="<u2", count=2, offset=6).tolist())
+    for w in np.frombuffer(data, dtype="<u2", offset=HEADER_SIZE).tolist():
+        ref.step(w)
+    return ref.items
+
+
+def test_decoder_matches_reference_model_on_random_words():
+    # Every word kind plus unknown nibbles.  Payloads mostly stay under a
+    # per-array cap below 96, so they land on both sides of sensor sizes
+    # 1..89: errors of every kind compete for the earliest offset, and about
+    # one array in ten decodes to events.
+    rng = np.random.default_rng(99)
+    nibbles = np.array([TYPE_TIME_HIGH, TYPE_TIME_LOW, TYPE_CD_Y, TYPE_CD_X, TYPE_EXT_TRIGGER, 0x1, 0x7, 0xF])
+    weights = np.array([10, 10, 25, 37, 15, 1, 1, 1]) / 100
+    kinds = set()
+    for _ in range(10_000):
+        n = int(rng.integers(0, 40))
+        words = nibbles[rng.choice(8, size=n, p=weights)] << 12
+        words |= np.where(rng.random(n) < 0.98, rng.integers(0, rng.integers(1, 96), n), rng.integers(0, 0x1000, n))
+        is_x = words >> 12 == TYPE_CD_X
+        words[is_x] |= rng.integers(0, 2, int(is_x.sum())) << 11  # polarity
+        data = make_header(*(int(v) for v in rng.integers(1, 90, 2))) + pack_words(words)
+        got = _decode_outcome(lambda d: _stream_items(decode_esf(d)), data)
+        assert got == _decode_outcome(_reference_decode, data), words.tolist()
+        kinds.add(got[0] if isinstance(got, tuple) else "items")
+    assert kinds == {"items", UnknownWordType, CoordinateOutOfBounds, CdXBeforeCdY}
 
 
 def test_roundtrip_random_streams():

@@ -200,7 +200,7 @@ def test_erc_rejects_bad_config():
 def test_report_fixed8_identity():
     # 10^6 events over exactly 1 s -> mean bandwidth exactly 8 MB/s.
     t = np.arange(1_000_000, dtype=np.uint64)
-    rep = rate_report(_events_at(t), encoding="fixed8")
+    rep = rate_report(_stream(_events_at(t)), encoding="fixed8")
     assert rep.duration_us == 999_999
     assert rep.mean_bps == 8 * 1_000_000 * 1_000_000 / 999_999
     assert rep.mean_evps == 1_000_000 * 1_000_000 / 999_999
@@ -236,7 +236,7 @@ def test_report_peak_above_mean_property():
         n = int(rng.integers(2, 3000))
         t = np.sort(rng.integers(0, 500_000, size=n).astype(np.uint64))
         for enc in ("esf1", "fixed8"):
-            rep = rate_report(_events_at(t, seed=int(rng.integers(1 << 30))), encoding=enc)
+            rep = rate_report(_stream(_events_at(t, seed=int(rng.integers(1 << 30)))), encoding=enc)
             assert rep.peak_evps >= rep.mean_evps
             assert rep.peak_bps >= rep.mean_bps
 
@@ -244,7 +244,7 @@ def test_report_peak_above_mean_property():
 def test_report_saturation_flagging():
     # 200k events inside one 1 ms bin = 200 MEv/s, far above the 115 MEv/s limit.
     t = np.concatenate([np.zeros(200_000), [2_000_000]]).astype(np.uint64)
-    rep = rate_report(_events_at(t), encoding="fixed8", bin_us=1000)
+    rep = rate_report(_stream(_events_at(t)), encoding="fixed8", bin_us=1000)
     assert rep.saturated
     assert rep.saturated_bins[0]["index"] == 0
     assert rep.saturated_bins[0]["rate_evps"] == 200_000 * 1e6 / 1000
@@ -255,22 +255,22 @@ def test_report_saturation_flagging():
 def test_report_saturation_threshold_boundary():
     # exactly at threshold counts as saturated (>=)
     t = np.concatenate([np.zeros(115_000), [1_000_000]]).astype(np.uint64)
-    rep = rate_report(_events_at(t), encoding="fixed8", bin_us=1000)
+    rep = rate_report(_stream(_events_at(t)), encoding="fixed8", bin_us=1000)
     assert any(b["index"] == 0 for b in rep.saturated_bins)
 
 
 def test_report_rejects_tiny_stream():
     with pytest.raises(TooFewEvents):
-        rate_report(_events_at([5]), encoding="fixed8")
+        rate_report(_stream(_events_at([5])), encoding="fixed8")
 
 
 def test_report_rejects_unknown_encoding():
     with pytest.raises(ValueError):
-        rate_report(_events_at([1, 2]), encoding="raw")
+        rate_report(_stream(_events_at([1, 2])), encoding="raw")
 
 
 def test_report_json_keys():
-    rep = rate_report(_events_at([0, 10, 20, 1000]), encoding="esf1")
+    rep = rate_report(_stream(_events_at([0, 10, 20, 1000])), encoding="esf1")
     js = rep.to_json()
     assert {"mean_evps", "peak_evps", "mean_Bps", "peak_Bps", "saturated_bins"} <= set(js)
 

@@ -12,6 +12,7 @@ from evfuse.sync import (
     ExposureInterval,
     SyncMethod,
     TooFewExposures,
+    _check_exposures,
     assign_events,
     median_period2,
     parse_method,
@@ -45,6 +46,44 @@ def _random_schedule(rng, n_frames=None):
         starts.append(t)
         t += period + int(rng.integers(-jitter, jitter + 1))
     return [ExposureInterval(i, s, s + exposure) for i, s in enumerate(starts)]
+
+
+def _ref_windows(exposures, method):
+    """``windows`` as one floor-and-clamp per method and bound (the reference)."""
+    exposures = list(exposures)
+    _check_exposures(exposures)
+    if not exposures:
+        return []
+
+    def clamp(frame_id, t0, t1):
+        t0 = max(0, t0)
+        return SyncWindow(frame_id, t0, max(t0, t1))
+
+    if isinstance(method, CustomWindow):
+        out = []
+        for e in exposures:
+            if method.anchor == "start":
+                a4 = 4 * e.start
+            elif method.anchor == "end":
+                a4 = 4 * e.end
+            else:
+                a4 = 2 * e.midpoint2()
+            out.append(clamp(e.frame_id, (a4 - 4 * method.pre_us) // 4, (a4 + 4 * method.post_us) // 4))
+        return out
+    if method is SyncMethod.EXPOSURE:
+        return [clamp(e.frame_id, e.start, e.end) for e in exposures]
+    p2 = median_period2(exposures)
+    if method is SyncMethod.FRAME_LEADING:
+        out = [clamp(e.frame_id, e.start, nxt.start) for e, nxt in zip(exposures, exposures[1:])]
+        last = exposures[-1]
+        return out + [clamp(last.frame_id, last.start, (2 * last.start + p2) // 2)]
+    if method is SyncMethod.CENTERED:
+        return [clamp(e.frame_id, (2 * e.midpoint2() - p2) // 4, (2 * e.midpoint2() + p2) // 4) for e in exposures]
+    if method is SyncMethod.MIDPOINT:
+        mids2 = [e.midpoint2() for e in exposures]
+        bounds4 = [2 * mids2[0] - p2] + [a + b for a, b in zip(mids2, mids2[1:])] + [2 * mids2[-1] + p2]
+        return [clamp(e.frame_id, b0 // 4, b1 // 4) for e, b0, b1 in zip(exposures, bounds4, bounds4[1:])]
+    raise ValueError(f"unknown sync method {method!r}")
 
 
 # -- trigger pairing -----------------------------------------------------------
@@ -150,6 +189,35 @@ def test_windows_reject_overlapping_exposures():
         windows([ExposureInterval(0, 0, 100), ExposureInterval(1, 50, 150)], SyncMethod.EXPOSURE)
 
 
+def _windows_outcome(fn, exposures, method):
+    try:
+        return fn(exposures, method)
+    except (TooFewExposures, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_windows_match_reference_on_random_schedules():
+    # Odd lengths and gaps put midpoints and medians on the quarter lattice;
+    # starts near 0 and pre/post up to 40 ms make the clamp at 0 fire.  The
+    # bare string pins the error order: too few exposures before unknown method.
+    rng = np.random.default_rng(2024)
+    methods = list(SyncMethod) + [CustomWindow(a, 0, 0) for a in ("start", "midpoint", "end")] + ["m3"]
+    clamped = 0  # first windows whose lower bound was clamped at 0
+    for _ in range(2_000):
+        n = int(rng.integers(1, 12))
+        lengths = rng.integers(0, 3, n) * rng.integers(0, 20_001, n)  # a third of exposures are zero-length
+        gaps = rng.integers(0, 30_001, n)
+        ends = np.cumsum(gaps + lengths) + int(rng.integers(0, 2)) * int(rng.integers(0, 50_000))
+        exposures = [ExposureInterval(i, int(e - d), int(e)) for i, (e, d) in enumerate(zip(ends, lengths))]
+        for method in methods:
+            if isinstance(method, CustomWindow):
+                method = CustomWindow(method.anchor, *(int(v) for v in rng.integers(0, 40_001, 2)))
+            got = _windows_outcome(windows, exposures, method)
+            assert got == _windows_outcome(_ref_windows, exposures, method), (exposures, method)
+            clamped += isinstance(got, list) and got[0].t0 == 0 < exposures[0].start
+    assert clamped > 1_000
+
+
 def test_parse_method_aliases():
     assert parse_method("m2") is SyncMethod.FRAME_LEADING
     assert parse_method("Centered") is SyncMethod.CENTERED
@@ -240,3 +308,10 @@ def test_exposure_csv_roundtrip():
 def test_exposure_csv_rejects_garbage():
     with pytest.raises(ValueError):
         read_exposures_csv("frame_id,start_us,end_us\n0,abc,10\n")
+
+
+@pytest.mark.parametrize("read, header", [(read_exposures_csv, "frame_id,start_us,end_us"),
+                                          (read_windows_csv, "frame_id,t0_us,t1_us")])
+def test_int_csv_rejects_repeated_frame_id(read, header):
+    with pytest.raises(ValueError, match="line 4: frame_id 3 repeats line 2"):
+        read(f"{header}\n3,0,10\n4,10,20\n3,20,30\n")
