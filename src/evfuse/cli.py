@@ -143,6 +143,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}") from None
 
 
+def _channel(text: str) -> int:
+    """argparse type for ``--channel``: a 4-bit trigger channel."""
+    try:
+        value = int(text)
+        if not 0 <= value <= 0xF:
+            raise ValueError
+        return value
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a trigger channel 0-15, got {text!r}") from None
+
+
 def _method(text: str):
     """argparse type for ``--method``: a :class:`sync.SyncMethod` preset."""
     try:
@@ -681,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", type=_method, default="m3", help="m1|m2|m3|m4 or exposure|frame_leading|centered|midpoint")
     p.add_argument("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST",
                    help="custom window, e.g. midpoint:5000:5000")
-    p.add_argument("--channel", type=int, default=0, help="trigger channel (default 0)")
+    p.add_argument("--channel", type=_channel, default=0, help="trigger channel 0-15 (default 0)")
     p.add_argument("--exposures-out", default=None, metavar="CSV", help="also write the exposure table")
     p.add_argument("-o", "--out", default=None, help="windows CSV output (default: stdout)")
 
@@ -690,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", default=None, metavar="CSV", help="window CSV (frame_id,t0_us,t1_us)")
     p.add_argument("--method", type=_method, default="m3", help="sync method when --windows is not given")
     p.add_argument("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST")
-    p.add_argument("--channel", type=int, default=0)
+    p.add_argument("--channel", type=_channel, default=0)
     p.add_argument("--mode", default="polarity", choices=["count", "polarity", "binary"])
     p.add_argument("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count for rendering")
     p.add_argument("--format", default="pgm", choices=["pgm", "png"])
@@ -785,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--points", default=None, metavar="CSV", help="estimate the homography from correspondences")
     opt("--method", type=_method, default="m3", help="sync method (default: %(default)s)")
     opt("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST")
-    opt("--channel", type=int, default=0, help="trigger channel (default: %(default)s)")
+    opt("--channel", type=_channel, default=0, help="trigger channel 0-15 (default: %(default)s)")
     opt("--mode", default="polarity", choices=["count", "polarity", "binary"], help="(default: %(default)s)")
     opt("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
     opt("--erc-cap-evps", type=_positive_int, default=None, help="pre-filter through the rate controller")

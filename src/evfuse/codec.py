@@ -29,13 +29,13 @@ any CD_Y is an error.
 
 The encoder emits state words only when the corresponding register changes,
 so the byte count (16 + 2 * words) is the honest wire footprint used by the
-rate-budget module.  It builds one table with a row per item and four word
-slots in wire order (TIME_HIGH, TIME_LOW, CD_Y, payload), plus a same-shape
-mask of the slots each item forces.  Epoch rollovers, the one case that needs
-a variable number of TIME_HIGH words, carry a separate short run of words.
-``encode_esf`` gathers the masked slots in row-major order and inserts the
-runs; ``encode_stats`` only counts the mask's rows and the run lengths, so it
-never builds the word array.
+rate-budget module.  One forced-word mask, built from the merged timestamps
+and the event rows alone, says which of four words in wire order (TIME_HIGH,
+TIME_LOW, CD_Y, payload) each item forces; epoch rollovers, the one case that
+needs a variable number of TIME_HIGH words, carry a separate short run of
+words.  ``encode_esf`` gathers the masked slots of a per-item word table in
+row-major order and inserts the runs; ``encode_stats`` counts the mask's rows
+and the run lengths, so counting never builds a word or a slot.
 """
 
 from __future__ import annotations
@@ -314,76 +314,76 @@ def _check_coordinates(stream: EventStream) -> None:
             raise CoordinateOutOfBounds(axis, int(values[bad[0]]))
 
 
-def _slot_table(stream: EventStream) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Per-item word slots of the merged item sequence, in wire order.
+def _merge_items(stream: EventStream, per_event: np.ndarray, per_trigger) -> np.ndarray:
+    """Per-event and per-trigger values (or one for all triggers) as one array in merged item order."""
+    return np.insert(per_event, stream.trigger_pos - np.arange(stream.n_triggers), per_trigger)
 
-    Returns ``(slots, emit, rows, runs)``.  ``slots`` is an ``(n_items, 4)``
-    table of the TIME_HIGH, TIME_LOW, CD_Y and payload words each item would
-    carry, and ``emit[i, k]`` says whether item ``i`` forces word ``k``: a
-    register word is forced when it differs from the decoder's register after
-    the previous item (all-zero registers, row unset, before the first).  An
-    epoch rollover is the one variable-length case: its item's TIME_HIGH slot
-    is not emitted and ``runs[j]`` holds the TIME_HIGH words that item
-    ``rows[j]`` forces instead.
+
+def _forced_words(stream: EventStream) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+    """Which words each merged item forces, from the timestamps and event rows alone.
+
+    Returns ``(high, low, emit, rows, runs)``: each item's ``t >> 12`` (epoch
+    and TIME_HIGH, uint64) and TIME_LOW (uint16), and ``emit[i, k]``, whether
+    item ``i`` forces word ``k`` of TIME_HIGH, TIME_LOW, CD_Y and payload.  A
+    register word is forced where it differs from the decoder's register after
+    the previous item (all-zero registers, row unset, before the first); the
+    payload always is.  An epoch rollover is the one variable-length case: its
+    item's TIME_HIGH slot is not emitted and ``runs[j]`` holds the TIME_HIGH
+    words that item ``rows[j]`` forces instead.
     """
     _check_coordinates(stream)
-    ev, tr = stream.events, stream.triggers
-    is_ev = ~stream.merged_mask()
-    t = stream.merged_times()
-    drop = np.nonzero(t[1:] < t[:-1])[0]
+    high = stream.merged_times()
+    drop = np.nonzero(high[1:] < high[:-1])[0]
     if drop.shape[0]:
         raise UnsortedInput(int(drop[0] + 1))
 
-    # A uint16 column keeps the low 16 bits of what it is given, so shifting
-    # ``t`` in place fills both timestamp slots and leaves each item's epoch.
-    slots = np.zeros((t.shape[0], 4), dtype="<u2")
-    time_high, time_low, cd_y, payload = slots.T  # column views
-    time_low[:] = t
-    t >>= np.uint64(12)
-    time_high[:] = t
-    epoch = t
-    epoch >>= np.uint64(12)
-    rows = np.flatnonzero(np.concatenate((epoch[:1] != 0, epoch[1:] != epoch[:-1])))
-    runs = []
-    for i in rows.tolist():
-        v_prev, e_prev = (int(time_high[i - 1]) & 0xFFF, int(epoch[i - 1])) if i else (0, 0)
-        runs.append(_rollover_words(v_prev, int(epoch[i]) - e_prev, int(time_high[i]) & 0xFFF))
-    del t, epoch  # 8 B per item, freed before the emit mask is built
-    start = np.array([TYPE_TIME_HIGH << 12, TYPE_TIME_LOW << 12], dtype="<u2")  # all-zero registers
-    slots[:, :2] &= 0xFFF
-    slots[:, :2] |= start
-    cd_y[is_ev] = ev["y"]  # CD_Y nibble is 0x0
-    payload[is_ev] = (TYPE_CD_X << 12) | (ev["p"] > 0).astype(np.uint16) << 11 | ev["x"]
-    payload[~is_ev] = (TYPE_EXT_TRIGGER << 12) | tr["channel"].astype(np.uint16) << 8 | tr["edge"] & 1
-
-    emit = np.ones(slots.shape, dtype=bool)
-    emit[:1, :2] = slots[:1, :2] != start
-    np.not_equal(slots[1:, :2], slots[:-1, :2], out=emit[1:, :2])
-    # Only events use the row register; the first one always sets it.
-    y = ev["y"]
-    emit_y = emit[:, 2]
-    emit_y[:] = False
-    emit_y[is_ev] = np.concatenate(([True], y[1:] != y[:-1]))[: y.shape[0]]
-
+    emit = np.ones((high.shape[0], 4), dtype=bool)
+    y = stream.events["y"]  # only events use the row register; the first one always sets it
+    emit[:, 2] = _merge_items(stream, np.concatenate(([True], y[1:] != y[:-1]))[: y.shape[0]], False)
+    low = high.astype(np.uint16)
+    low &= 0xFFF
+    high >>= np.uint64(12)
+    for k, register in enumerate((high, low)):
+        emit[:1, k] = register[:1] != 0
+        np.not_equal(register[1:], register[:-1], out=emit[1:, k])
+    # The epoch (high >> 12) changes only where ``high`` does, so rollovers are
+    # looked for among those rows alone: at most one per 4,096 µs of stream.
+    changed = np.flatnonzero(emit[:, 0])
+    prev = np.where(changed > 0, high[changed - 1], 0)
+    rolls = (high[changed] >> np.uint64(12)) != (prev >> np.uint64(12))
+    rows = changed[rolls]
+    runs = [_rollover_words(p & 0xFFF, (c >> 12) - (p >> 12), c & 0xFFF)
+            for p, c in zip(prev[rolls].tolist(), high[rows].tolist())]
     emit[rows, 0] = False  # a rollover item carries its run instead
-    return slots, emit, rows, runs
+    return high, low, emit, rows, runs
 
 
 def encode_esf(stream: EventStream) -> bytes:
     """Encode a stream to ESF-1 bytes; state words are emitted minimally."""
-    slots, emit, rows, runs = _slot_table(stream)
+    high, low, emit, rows, runs = _forced_words(stream)
+    # The slot table reuses ``high``'s memory: each item's little-endian u64 holds its four u16 word slots.
+    slots = high.astype("<u8", copy=False).view("<u2").reshape(-1, 4)
+    slots[:, 0] &= 0xFFF
+    slots[:, 0] |= TYPE_TIME_HIGH << 12
+    np.bitwise_or(low, TYPE_TIME_LOW << 12, out=slots[:, 1])
+    del low
+    ev, tr = stream.events, stream.triggers
+    slots[:, 2] = _merge_items(stream, ev["y"], 0)  # CD_Y nibble is 0x0
+    slots[:, 3] = _merge_items(stream, (TYPE_CD_X << 12) | (ev["p"] > 0).astype(np.uint16) << 11 | ev["x"],
+                               (TYPE_EXT_TRIGGER << 12) | tr["channel"].astype(np.uint16) << 8 | tr["edge"] & 1)
+    # each rollover run goes before its item's first slot word
+    cuts = np.concatenate(([0], rows))
+    starts = np.cumsum([np.count_nonzero(emit[a:b]) for a, b in zip(cuts[:-1], cuts[1:])], dtype=np.int64)
     words = slots[emit]  # row-major: each item's words in wire order
+    del high, slots, emit  # 12 B per item, freed before the runs go in and the bytes are joined
     if runs:
-        # each rollover run goes before its item's first slot word
-        cuts = np.concatenate(([0], rows))
-        starts = np.cumsum([np.count_nonzero(emit[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
         words = np.insert(words, np.repeat(starts, [len(r) for r in runs]), np.concatenate(runs))
     return b"".join((make_header(stream.header.width, stream.header.height), words))  # no extra tobytes() copy
 
 
 def encode_stats(stream: EventStream) -> EncodeStats:
-    """Word/byte accounting for the encoded form, counted from the slot table."""
-    _, emit, rows, runs = _slot_table(stream)
+    """Word/byte accounting for the encoded form, counted from the forced-word mask."""
+    _, _, emit, rows, runs = _forced_words(stream)  # the timestamps are dropped here
     item_words = np.einsum("ij->i", emit.view(np.uint8)).astype(np.int64)  # row sums, 3x faster than sum()
     item_words[rows] += np.array([len(r) for r in runs], dtype=np.int64)
     return EncodeStats(item_words=item_words, n_words=int(item_words.sum()))

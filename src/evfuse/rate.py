@@ -183,11 +183,11 @@ def rate_report(
     else:
         stats = encode_stats(stream)
         total_bytes = stats.n_bytes  # includes the 16-byte header
-        # attribute each item's words to its time bin; encode_stats checked
-        # the merged order, so the first item holds the lowest bin
-        item_bins = stream.merged_times() // np.uint64(bin_us)
-        words = np.bincount((item_bins - item_bins[0]).astype(np.int64), weights=stats.item_words)
-        bin_bytes = 2.0 * words
+        # words per bin: the running word count cut at each bin's end (encode_stats checked the order)
+        t_items = stream.merged_times()
+        first, last = int(t_items[0]) // bin_us, int(t_items[-1]) // bin_us
+        ends = np.searchsorted(t_items, np.arange(first + 1, last + 2, dtype=np.uint64) * np.uint64(bin_us))
+        bin_bytes = 2 * np.diff(np.cumsum(stats.item_words, out=stats.item_words)[ends - 1], prepend=0)
     mean_bps = total_bytes * 1_000_000 / duration
     peak_bps = max(float(bin_bytes.max()) * 1_000_000 / bin_us, mean_bps)
 

@@ -120,6 +120,9 @@ class EventStream:
             self.trigger_pos = np.asarray(self.trigger_pos, dtype=np.int64)
             if self.trigger_pos.shape[0] != self.triggers.shape[0]:
                 raise ValueError("trigger_pos length must match triggers")
+            pos = self.trigger_pos
+            if pos.shape[0] and not (pos[0] >= 0 and pos[-1] < self.n_items and (pos[1:] > pos[:-1]).all()):
+                raise ValueError("trigger_pos must be increasing positions within the merged item sequence")
 
     # -- basic introspection ------------------------------------------------
 

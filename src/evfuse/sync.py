@@ -245,10 +245,10 @@ def _read_int_csv(text: str, header: str, row_type, what: str) -> list:
 
     Blank lines, ``#`` comments and header lines are skipped; columns past the
     header's are ignored.  The first column is a ``frame_id``, which names a
-    frame's outputs, so a repeated one is rejected.
+    frame's outputs, so a repeated one is rejected.  The other two bound a
+    time interval in µs, so ``0 <= lower <= upper`` must hold.
     """
-    first_col = header.split(",")[0]
-    n_cols = header.count(",") + 1
+    first_col, lower, upper = header.split(",")
     out = []
     line_of = {}  # frame_id -> the line that holds it
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -257,9 +257,12 @@ def _read_int_csv(text: str, header: str, row_type, what: str) -> list:
             continue
         parts = line.split(",")
         try:
-            row = row_type(*(int(parts[k]) for k in range(n_cols)))
+            values = [int(parts[k]) for k in range(3)]
         except (ValueError, IndexError):
             raise ValueError(f"{what} CSV line {line_no}: cannot parse {raw!r}") from None
+        if not 0 <= values[1] <= values[2]:
+            raise ValueError(f"{what} CSV line {line_no}: needs 0 <= {lower} <= {upper}, got {raw!r}")
+        row = row_type(*values)
         first = line_of.setdefault(row.frame_id, line_no)
         if first != line_no:
             raise ValueError(f"{what} CSV line {line_no}: frame_id {row.frame_id} repeats line {first}")

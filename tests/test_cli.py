@@ -436,6 +436,10 @@ BAD_OPTION_ARGV = [
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--erc-cap-evps", "0"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--erc-period-us", "-1"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--clip", "0"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--channel", "16"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--channel", "-1"],
+    ["sync", "{missing}", "-o", "{out}", "--channel", "16"],
+    ["accumulate", "{missing}", "-d", "{out}", "--channel", "16"],
     ["sync", "{missing}", "-o", "{out}", "--custom", "start:-5:5"],
     ["accumulate", "{missing}", "-d", "{out}", "--method", "m9"],
     ["accumulate", "{missing}", "-d", "{out}", "--clip", "0"],
@@ -456,7 +460,7 @@ def test_bad_option_value_is_usage_error_before_input_is_read(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "config",
     [{"method": "m9"}, {"custom": "start:1"}, {"jobs": 0}, {"bin_us": 0}, {"erc_cap_evps": 0},
-     {"erc_period_us": 0}, {"clip": -3}],
+     {"erc_period_us": 0}, {"clip": -3}, {"channel": 16}],
 )
 def test_bad_config_value_is_usage_error_before_input_is_read(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
@@ -486,4 +490,17 @@ def test_pipeline_rejects_windows_csv_with_repeated_frame_id(scene, tmp_path, ca
     assert run(argv) == 2
     rec = _last_diag(capsys)
     assert rec["kind"] == "ValueError" and "line 5" in rec["msg"] and "line 2" in rec["msg"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("rows, line, bad", [("0,-5000,20000\n1,20000,60000", 2, "0,-5000,20000"),
+                                             ("0,0,20000\n1,90000,60000", 3, "1,90000,60000")])
+def test_pipeline_rejects_windows_csv_with_bad_bounds(scene, tmp_path, capsys, rows, line, bad):
+    windows_csv = tmp_path / "windows.csv"
+    windows_csv.write_text(f"frame_id,t0_us,t1_us\n{rows}\n")
+    out_dir = tmp_path / "o"
+    argv = ["pipeline", "--events", str(scene / "a" / "events.esf"), "--windows", str(windows_csv), "-d", str(out_dir)]
+    assert run(argv) == 2
+    rec = _last_diag(capsys)
+    assert rec["kind"] == "ValueError" and f"line {line}" in rec["msg"] and bad in rec["msg"]
     assert not out_dir.exists()

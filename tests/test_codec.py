@@ -195,6 +195,50 @@ def _ref_encode_words(stream):
     return out, counts
 
 
+def _ref_slot_encode(stream):
+    """Bytes and per-item word counts from a filled ``(n_items, 4)`` slot table
+    whose emit mask is computed from the slot values themselves, with a
+    full-length epoch array for the rollovers (the reference slot-table
+    encoder; input checks left out)."""
+    ev, tr = stream.events, stream.triggers
+    is_ev = ~stream.merged_mask()
+    t = stream.merged_times()
+    slots = np.zeros((t.shape[0], 4), dtype="<u2")
+    time_high, time_low, cd_y, payload = slots.T
+    time_low[:] = t
+    t >>= np.uint64(12)
+    time_high[:] = t
+    epoch = t >> np.uint64(12)
+    rows = np.flatnonzero(np.concatenate((epoch[:1] != 0, epoch[1:] != epoch[:-1])))
+    runs = []
+    for i in rows.tolist():
+        v_prev, e_prev = (int(time_high[i - 1]) & 0xFFF, int(epoch[i - 1])) if i else (0, 0)
+        runs.append(_ref_rollover_words(v_prev, int(epoch[i]) - e_prev, int(time_high[i]) & 0xFFF))
+    start = np.array([TYPE_TIME_HIGH << 12, TYPE_TIME_LOW << 12], dtype="<u2")
+    slots[:, :2] &= 0xFFF
+    slots[:, :2] |= start
+    cd_y[is_ev] = ev["y"]
+    payload[is_ev] = (TYPE_CD_X << 12) | (ev["p"] > 0).astype(np.uint16) << 11 | ev["x"]
+    payload[~is_ev] = (TYPE_EXT_TRIGGER << 12) | tr["channel"].astype(np.uint16) << 8 | tr["edge"] & 1
+
+    emit = np.ones(slots.shape, dtype=bool)
+    emit[:1, :2] = slots[:1, :2] != start
+    np.not_equal(slots[1:, :2], slots[:-1, :2], out=emit[1:, :2])
+    y = ev["y"]
+    emit[:, 2] = False
+    emit[is_ev, 2] = np.concatenate(([True], y[1:] != y[:-1]))[: y.shape[0]]
+    emit[rows, 0] = False
+
+    words = slots[emit]
+    if runs:
+        cuts = np.concatenate(([0], rows))
+        starts = np.cumsum([np.count_nonzero(emit[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
+        words = np.insert(words, np.repeat(starts, [len(r) for r in runs]), np.concatenate(runs))
+    item_words = emit.sum(axis=1).astype(np.int64)
+    item_words[rows] += np.array([len(r) for r in runs], dtype=np.int64)
+    return make_header(stream.header.width, stream.header.height) + words.tobytes(), item_words
+
+
 # -- hand-built word sequences (values worked out from the state-machine rules) --
 
 
@@ -502,10 +546,52 @@ def test_encoder_matches_reference_encoder(items, kinds):
     assert stats.n_words == ref_words.shape[0]
 
 
+def _stream_at_scale(rng, n, kinds, t0=0):
+    """``n`` items with ties, small steps and 1-3-epoch jumps; ``kinds`` is
+    "mixed" (about 5 % triggers, the first item a trigger), "events" or
+    "triggers"."""
+    steps = rng.choice(np.array([0, 0, 1, 3, 700, 4095, 4096, 9000], dtype=np.uint64), size=n)
+    jumps = rng.choice(n, 12, replace=False)
+    steps[jumps] = (rng.integers(1, 4, 12) << 24) + rng.integers(0, 1 << 24, 12)
+    steps[jumps[:2]] = 1 << 24  # a gap of exactly one epoch keeps TIME_HIGH
+    t = np.uint64(t0) + np.cumsum(steps, dtype=np.uint64)
+    is_trig = {"mixed": rng.random(n) < 0.05, "events": np.zeros(n, bool), "triggers": np.ones(n, bool)}[kinds]
+    is_trig[0] |= kinds == "mixed"
+    n_ev, n_tr = int((~is_trig).sum()), int(is_trig.sum())
+    events = make_events(t[~is_trig], rng.integers(0, 1280, n_ev), rng.integers(0, 3, n_ev), rng.choice([-1, 1], n_ev))
+    triggers = make_triggers(t[is_trig], rng.integers(0, 2, n_tr), rng.integers(0, 16, n_tr))
+    return EventStream(StreamHeader(1280, 720), events, triggers, trigger_pos=np.flatnonzero(is_trig))
+
+
+@pytest.mark.parametrize("kinds, t0", [("mixed", 0), ("mixed", 1 << 24), ("events", 5), ("triggers", 3 << 24)])
+def test_encoder_matches_slot_table_reference_at_scale(kinds, t0):
+    s = _stream_at_scale(np.random.default_rng(2023), 200_000, kinds, t0)
+    t, is_trig = s.merged_times(), s.merged_mask()
+    epochs = np.diff(t >> np.uint64(24))
+    assert np.count_nonzero(epochs) >= 3 and epochs.max() >= 2  # rollovers, some across several epochs
+    assert bool(is_trig[0]) == (kinds != "events")  # trigger-first
+    tied = np.diff(t) == 0
+    assert tied.sum() > 10_000
+    assert kinds != "mixed" or (tied & (is_trig[1:] != is_trig[:-1])).sum() > 1_000  # triggers tied with events
+    ref_bytes, ref_counts = _ref_slot_encode(s)
+    assert encode_esf(s) == ref_bytes
+    stats = encode_stats(s)
+    assert np.array_equal(stats.item_words, ref_counts)
+    assert stats.n_bytes == len(ref_bytes)
+
+
 def test_encode_rejects_unsorted_items():
     events = make_events([10, 5], [1, 1], [1, 1], [1, 1])
     with pytest.raises(UnsortedInput):
         encode_esf(EventStream(StreamHeader(32, 32), events, trigger_pos=np.empty(0, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("trigger_pos", [[1, 0], [0, 0], [-1, 1], [1, 3]])
+def test_stream_rejects_trigger_positions_outside_the_merged_order(trigger_pos):
+    # Two triggers among one event: positions must be increasing and within 0-2.
+    with pytest.raises(ValueError, match="trigger_pos must be increasing"):
+        EventStream(StreamHeader(8, 8), make_events([5], [1], [1], [1]), make_triggers([5, 5], [1, 0], [0, 0]),
+                    trigger_pos=trigger_pos)
 
 
 def test_encode_rejects_out_of_bounds():

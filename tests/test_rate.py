@@ -16,6 +16,7 @@ from evfuse.rate import (
     rate_series,
 )
 from evfuse.streams import EventStream, StreamHeader, make_events, make_triggers
+from test_codec import _ref_encode_words
 
 
 def _events_at(times, width=64, height=64, seed=0):
@@ -228,6 +229,36 @@ def test_esf1_report_with_trigger_before_first_event_bin():
     assert rep.duration_us == 2000
     assert rep.mean_bps == encode_stats(stream).n_bytes * 1_000_000 / rep.duration_us
     assert rep.peak_bps >= rep.mean_bps
+
+
+def _brute_esf1_peak_bps(stream, bin_us):
+    """Peak esf1 bandwidth from the reference encoder's per-item word counts,
+    summed into bins one item at a time."""
+    _, counts = _ref_encode_words(stream)
+    bin_words = {}
+    for t, c in zip(stream.merged_times().tolist(), counts.tolist()):
+        bin_words[t // bin_us] = bin_words.get(t // bin_us, 0) + c
+    t_ev = stream.events["t"].tolist()
+    mean_bps = (16 + 2 * sum(counts.tolist())) * 1_000_000 / max(t_ev[-1] - t_ev[0], 1)
+    return max(2 * max(bin_words.values()) * 1_000_000 / bin_us, mean_bps), mean_bps
+
+
+@pytest.mark.parametrize("bin_us", [7, 100, 1000, 4096, 25_000, 1 << 24])
+def test_esf1_peak_bps_matches_brute_force_bins(bin_us):
+    # Event bursts with empty bins between them, a trigger-only stretch that is
+    # the densest in words at some bin widths, a trigger before the first event
+    # and a burst past the first timestamp rollover.
+    rng = np.random.default_rng(bin_us)
+    t_ev = np.sort(np.concatenate([rng.integers(a, a + w, m) for a, w, m in
+                                   ((1_000, 300, 400), (60_000, 2_000, 300), (16_777_000, 900, 500))]))
+    t_tr = np.sort(np.concatenate([[10], 30_000 + np.arange(2_000), rng.integers(1_000, 17_000_000, 20)]))
+    stream = EventStream(StreamHeader(64, 64), _events_at(t_ev, seed=bin_us),
+                         make_triggers(t_tr, np.arange(t_tr.shape[0]) % 2, np.arange(t_tr.shape[0]) % 16))
+    peak_bps, mean_bps = _brute_esf1_peak_bps(stream, bin_us)
+    rep = rate_report(stream, encoding="esf1", bin_us=bin_us)
+    assert rep.peak_bps == peak_bps
+    assert rep.mean_bps == mean_bps
+    assert bin_us >= 25_000 or peak_bps > mean_bps  # the bins, not the mean, set the peak
 
 
 def test_report_peak_above_mean_property():

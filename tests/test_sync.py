@@ -315,3 +315,13 @@ def test_exposure_csv_rejects_garbage():
 def test_int_csv_rejects_repeated_frame_id(read, header):
     with pytest.raises(ValueError, match="line 4: frame_id 3 repeats line 2"):
         read(f"{header}\n3,0,10\n4,10,20\n3,20,30\n")
+
+
+@pytest.mark.parametrize("read, header", [(read_exposures_csv, "frame_id,start_us,end_us"),
+                                          (read_windows_csv, "frame_id,t0_us,t1_us")])
+@pytest.mark.parametrize("row", ["1,-5000,20000", "1,90000,60000", "1,-10,-5"])
+def test_int_csv_rejects_negative_or_reversed_bounds(read, header, row):
+    lower, upper = header.split(",")[1:]
+    with pytest.raises(ValueError, match=f"line 3: needs 0 <= {lower} <= {upper}, got '{row}'"):
+        read(f"{header}\n0,0,10\n{row}\n")
+    assert len(read(f"{header}\n0,0,0\n1,5,5\n")) == 2  # zero-length intervals stay allowed
