@@ -143,6 +143,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}") from None
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a rate that must be above zero."""
+    try:
+        value = float(text)
+        if not value > 0:  # also rejects nan
+            raise ValueError
+        return value
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a positive number, got {text!r}") from None
+
+
 def _channel(text: str) -> int:
     """argparse type for ``--channel``: a 4-bit trigger channel."""
     try:
@@ -733,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("esf")
     p.add_argument("--encoding", default="esf1", choices=["esf1", "fixed8"])
     p.add_argument("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US)
-    p.add_argument("--saturation-evps", type=float, default=rate.DEFAULT_SATURATION_EVPS)
+    p.add_argument("--saturation-evps", type=_positive_float, default=rate.DEFAULT_SATURATION_EVPS)
     p.add_argument("--series-out", default=None, metavar="CSV", help="per-bin counts (bin_start_us,count)")
     p.add_argument("-o", "--out", default=None)
 

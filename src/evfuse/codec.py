@@ -35,7 +35,8 @@ TIME_LOW, CD_Y, payload) each item forces; epoch rollovers, the one case that
 needs a variable number of TIME_HIGH words, carry a separate short run of
 words.  ``encode_esf`` gathers the masked slots of a per-item word table in
 row-major order and inserts the runs; ``encode_stats`` counts the mask's rows
-and the run lengths, so counting never builds a word or a slot.
+and the run lengths, so counting never builds a word or a slot.  The stream
+rules and the merged item order come from :mod:`evfuse.streams`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .streams import (
     EventStream,
     StreamError,
     StreamHeader,
-    UnsortedInput,
+    check_stream,
     make_events,
     make_triggers,
 )
@@ -303,22 +304,6 @@ def _rollover_words(cur_v: int, d: int, v_tgt: int) -> list:
     return ws
 
 
-def _check_coordinates(stream: EventStream) -> None:
-    """Raise :class:`CoordinateOutOfBounds` for the first event column value
-    outside the sensor, or trigger channel outside 0-15."""
-    ev, header = stream.events, stream.header
-    for axis, values, limit in (("x", ev["x"], header.width), ("y", ev["y"], header.height),
-                                ("channel", stream.triggers["channel"], 0x10)):
-        bad = np.flatnonzero(values >= limit)
-        if bad.shape[0]:
-            raise CoordinateOutOfBounds(axis, int(values[bad[0]]))
-
-
-def _merge_items(stream: EventStream, per_event: np.ndarray, per_trigger) -> np.ndarray:
-    """Per-event and per-trigger values (or one for all triggers) as one array in merged item order."""
-    return np.insert(per_event, stream.trigger_pos - np.arange(stream.n_triggers), per_trigger)
-
-
 def _forced_words(stream: EventStream) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
     """Which words each merged item forces, from the timestamps and event rows alone.
 
@@ -331,15 +316,12 @@ def _forced_words(stream: EventStream) -> tuple[np.ndarray, np.ndarray, np.ndarr
     item's TIME_HIGH slot is not emitted and ``runs[j]`` holds the TIME_HIGH
     words that item ``rows[j]`` forces instead.
     """
-    _check_coordinates(stream)
     high = stream.merged_times()
-    drop = np.nonzero(high[1:] < high[:-1])[0]
-    if drop.shape[0]:
-        raise UnsortedInput(int(drop[0] + 1))
+    check_stream(stream, high)
 
     emit = np.ones((high.shape[0], 4), dtype=bool)
     y = stream.events["y"]  # only events use the row register; the first one always sets it
-    emit[:, 2] = _merge_items(stream, np.concatenate(([True], y[1:] != y[:-1]))[: y.shape[0]], False)
+    emit[:, 2] = stream.merge_items(np.concatenate(([True], y[1:] != y[:-1]))[: y.shape[0]], False)
     low = high.astype(np.uint16)
     low &= 0xFFF
     high >>= np.uint64(12)
@@ -368,9 +350,9 @@ def encode_esf(stream: EventStream) -> bytes:
     np.bitwise_or(low, TYPE_TIME_LOW << 12, out=slots[:, 1])
     del low
     ev, tr = stream.events, stream.triggers
-    slots[:, 2] = _merge_items(stream, ev["y"], 0)  # CD_Y nibble is 0x0
-    slots[:, 3] = _merge_items(stream, (TYPE_CD_X << 12) | (ev["p"] > 0).astype(np.uint16) << 11 | ev["x"],
-                               (TYPE_EXT_TRIGGER << 12) | tr["channel"].astype(np.uint16) << 8 | tr["edge"] & 1)
+    slots[:, 2] = stream.merge_items(ev["y"], 0)  # CD_Y nibble is 0x0
+    slots[:, 3] = stream.merge_items((TYPE_CD_X << 12) | (ev["p"] > 0).astype(np.uint16) << 11 | ev["x"],
+                                  (TYPE_EXT_TRIGGER << 12) | tr["channel"].astype(np.uint16) << 8 | tr["edge"] & 1)
     # each rollover run goes before its item's first slot word
     cuts = np.concatenate(([0], rows))
     starts = np.cumsum([np.count_nonzero(emit[a:b]) for a, b in zip(cuts[:-1], cuts[1:])], dtype=np.int64)
@@ -399,17 +381,16 @@ def write_csv(stream: EventStream) -> str:
     triggers become ``trig,<t>,<r|f>,<channel>``.
     """
     ev, tr = stream.events, stream.triggers
-    mask = stream.merged_mask()
-    lines = np.empty(mask.shape[0], dtype=object)
-    lines[~mask] = [
+    ev_lines = [
         f"cd,{t},{x},{y},{'+1' if p else '-1'}"
         for t, x, y, p in zip(ev["t"].tolist(), ev["x"].tolist(), ev["y"].tolist(), (ev["p"] > 0).tolist())
     ]
-    lines[mask] = [
+    tr_lines = [
         f"trig,{t},{'r' if e else 'f'},{c}"
         for t, e, c in zip(tr["t"].tolist(), tr["edge"].tolist(), tr["channel"].tolist())
     ]
-    return "\n".join(lines.tolist()) + ("\n" if mask.shape[0] else "")
+    lines = stream.merge_items(np.array(ev_lines, dtype=object), tr_lines).tolist()
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_csv(text: str, width: int, height: int) -> EventStream:
@@ -469,7 +450,7 @@ def parse_csv(text: str, width: int, height: int) -> EventStream:
     triggers = make_triggers(*zip(*tr_rows)) if tr_rows else make_triggers([], [], [])
     trigger_pos = np.nonzero(np.asarray(order, dtype=bool))[0].astype(np.int64)
     stream = EventStream(StreamHeader(width, height), events, triggers, trigger_pos)
-    _check_coordinates(stream)
+    check_stream(stream, stream.merged_times())
     return stream
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import encode_stats
-from .streams import EventStream
+from .streams import EventStream, check_order
 
 DEFAULT_ERC_CAP_EVPS = 100_000_000  # explicit rate-controller cap
 DEFAULT_ERC_PERIOD_US = 1000
@@ -60,17 +60,37 @@ class RateSeries:
         return "\n".join(lines) + "\n"
 
 
-def rate_series(events: np.ndarray, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
-    """Histogram event timestamps into fixed bins anchored at t = 0."""
+def _occupied_bins(t: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bins that time-sorted ``t`` occupies: each one's index and its first position in ``t``."""
+    bins = t // np.uint64(bin_us)
+    new_bin = np.ones(bins.shape[0], dtype=bool)
+    np.not_equal(bins[1:], bins[:-1], out=new_bin[1:])
+    first = np.flatnonzero(new_bin)
+    return bins[first], first
+
+
+def _event_bins(events: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bins that hold events (checked to be time-sorted): each one's index and event count."""
     if bin_us <= 0:
         raise ValueError("bin width must be positive")
     t = events["t"]
-    if t.shape[0] == 0:
+    check_order(t)
+    index, first = _occupied_bins(t, bin_us)
+    return index, np.diff(first, append=t.shape[0])
+
+
+def rate_series(events: np.ndarray, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
+    """Histogram event timestamps into fixed bins anchored at t = 0.
+
+    The series is dense, one count per bin from the first event's to the
+    last's; unsorted events raise :class:`~evfuse.streams.UnsortedInput`.
+    """
+    index, counts = _event_bins(events, bin_us)
+    if index.shape[0] == 0:
         return RateSeries(bin_us, 0, np.zeros(0, dtype=np.int64))
-    bins = t // np.uint64(bin_us)
-    start = int(bins[0])
-    counts = np.bincount((bins - bins[0]).astype(np.int64))
-    return RateSeries(bin_us, start, counts.astype(np.int64))
+    dense = np.zeros(int(index[-1] - index[0]) + 1, dtype=np.int64)
+    dense[(index - index[0]).astype(np.int64)] = counts
+    return RateSeries(bin_us, int(index[0]), dense)
 
 
 @dataclass(frozen=True)
@@ -160,40 +180,38 @@ def rate_report(
     ``encoding`` selects the byte accounting: ``esf1`` uses the actual wire
     words the encoder would emit (header included in the mean), ``fixed8``
     charges a flat 8 bytes per event. Mean rates divide by the timestamp span
-    (``last - first``, floor 1 µs). The peak is taken over all bins *and* the
-    full span, so it can never undercut the mean.
+    (``last - first``, floor 1 µs). The peak is taken over the occupied bins
+    *and* the full span, so it can never undercut the mean.  Bins without
+    items are never built, so the cost follows the item count, not the span.
     """
     if encoding not in ("esf1", "fixed8"):
         raise ValueError(f"unknown encoding: {encoding!r}")
+    if not saturation_evps > 0:
+        raise ValueError("saturation rate must be positive")
     events = stream.events
     n = events.shape[0]
     if n < 2:
         raise TooFewEvents(n)
     t = events["t"]
+    index, counts = _event_bins(events, bin_us)  # occupied bins only: an empty bin is neither peak nor saturated
     duration = max(int(t[-1]) - int(t[0]), 1)
-
-    series = rate_series(events, bin_us)
-    rates = series.rates_evps()
+    rates = counts * (1_000_000.0 / bin_us)
     mean_evps = n * 1_000_000 / duration
     peak_evps = max(float(rates.max()), mean_evps)
 
     if encoding == "fixed8":
         total_bytes = 8 * n
-        bin_bytes = series.counts * 8
+        bin_bytes = counts * 8
     else:
         stats = encode_stats(stream)
         total_bytes = stats.n_bytes  # includes the 16-byte header
-        # words per bin: the running word count cut at each bin's end (encode_stats checked the order)
-        t_items = stream.merged_times()
-        first, last = int(t_items[0]) // bin_us, int(t_items[-1]) // bin_us
-        ends = np.searchsorted(t_items, np.arange(first + 1, last + 2, dtype=np.uint64) * np.uint64(bin_us))
-        bin_bytes = 2 * np.diff(np.cumsum(stats.item_words, out=stats.item_words)[ends - 1], prepend=0)
+        # words per bin over the bins that hold items, triggers included (encode_stats checked their order)
+        bin_bytes = 2 * np.add.reduceat(stats.item_words, _occupied_bins(stream.merged_times(), bin_us)[1])
     mean_bps = total_bytes * 1_000_000 / duration
     peak_bps = max(float(bin_bytes.max()) * 1_000_000 / bin_us, mean_bps)
 
     saturated = [
-        {"index": series.start_bin + int(i), "rate_evps": float(rates[i])}
-        for i in np.flatnonzero(rates >= saturation_evps)
+        {"index": int(index[i]), "rate_evps": float(rates[i])} for i in np.flatnonzero(rates >= saturation_evps)
     ]
     return RateReport(
         encoding=encoding,

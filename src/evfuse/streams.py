@@ -9,7 +9,10 @@ used throughout the package: compact NumPy record arrays plus a tiny header.
 Events and triggers are stored in separate arrays; the original interleaving
 is preserved via ``trigger_pos`` (the index of each trigger within the merged
 item sequence), so serialization round-trips are item-exact even when a
-trigger and an event share a timestamp.
+trigger and an event share a timestamp.  :meth:`EventStream.merge_items` lays
+values out in that order.  The stream rules (``x < width``, ``y < height``,
+``channel < 16``, non-decreasing merged time) are defined once, in
+:func:`rule_breaks`, for validation, encoding and CSV parsing alike.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
 TRIGGER_DTYPE = np.dtype([("t", "<u8"), ("edge", "<u1"), ("channel", "<u1")])
 
 MAX_SENSOR_DIM = 2048  # coordinate fields are 11/12-bit in the wire format
+N_CHANNELS = 16  # the trigger channel field is 4-bit in the wire format
 
 
 class StreamError(Exception):
@@ -140,19 +144,17 @@ class EventStream:
 
     # -- merged view ----------------------------------------------------------
 
+    def merge_items(self, per_event: np.ndarray, per_trigger) -> np.ndarray:
+        """Per-event and per-trigger values (or one for all triggers) as one array in merged item order."""
+        return np.insert(per_event, self.trigger_pos - np.arange(self.n_triggers), per_trigger)
+
     def merged_mask(self) -> np.ndarray:
         """Boolean array over the merged sequence; True where the item is a trigger."""
-        mask = np.zeros(self.n_items, dtype=bool)
-        mask[self.trigger_pos] = True
-        return mask
+        return self.merge_items(np.zeros(self.n_events, dtype=bool), True)
 
     def merged_times(self) -> np.ndarray:
         """Timestamps of the merged item sequence, in encounter order."""
-        mask = self.merged_mask()
-        t = np.empty(self.n_items, dtype=np.uint64)
-        t[mask] = self.triggers["t"]
-        t[~mask] = self.events["t"]
-        return t
+        return self.merge_items(self.events["t"], self.triggers["t"])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
@@ -197,46 +199,61 @@ class ValidationReport:
         return {"ok": self.ok, "findings": [f.to_json() for f in self.findings]}
 
 
+def order_breaks(t: np.ndarray) -> np.ndarray:
+    """Indices ``i`` where ``t[i] < t[i - 1]``: the items that break non-decreasing time order."""
+    return np.flatnonzero(t[1:] < t[:-1]) + 1
+
+
+def check_order(t: np.ndarray) -> None:
+    """Raise :class:`UnsortedInput` at the first item of ``t`` that precedes its predecessor."""
+    for i in order_breaks(t)[:1]:
+        raise UnsortedInput(int(i))
+
+
+def rule_breaks(stream: EventStream, t: np.ndarray) -> list:
+    """``(rule, values, indices)`` for each rule ``stream`` breaks, in precedence order; one pass per rule.
+
+    ``t`` is ``stream.merged_times()``.  ``x`` and ``y`` index the events,
+    ``channel`` the triggers and ``order`` the merged items; ``values[indices]``
+    are the offending values.
+    """
+    ev, h = stream.events, stream.header
+    rules = (("x", ev["x"], h.width), ("y", ev["y"], h.height), ("channel", stream.triggers["channel"], N_CHANNELS))
+    found = [(rule, values, np.flatnonzero(values >= limit)) for rule, values, limit in rules]
+    found.append(("order", t, order_breaks(t)))
+    return [f for f in found if f[2].shape[0]]
+
+
+def check_stream(stream: EventStream, t: np.ndarray) -> None:
+    """Raise the first break :func:`rule_breaks` finds: :class:`CoordinateOutOfBounds` or :class:`UnsortedInput`."""
+    for rule, values, bad in rule_breaks(stream, t)[:1]:
+        raise UnsortedInput(int(bad[0])) if rule == "order" else CoordinateOutOfBounds(rule, int(values[bad[0]]))
+
+
 def validate_stream(stream: EventStream) -> ValidationReport:
-    """Check global time order, coordinate bounds, and trigger pairing.
+    """Check the stream rules of :func:`rule_breaks` and trigger pairing.
 
     Returns a report of findings; an empty findings list means the stream is
-    structurally sound.  The stream itself is left untouched.  Order and
-    bounds problems are summarised, not listed: one ``monotonicity`` finding
-    and at most one ``bounds`` finding per axis, each holding the first
+    structurally sound.  The stream itself is left untouched.  Rule breaks
+    are summarised, not listed: one ``monotonicity`` finding and at most one
+    ``bounds`` finding per rule (x, y, channel), each holding the first
     offending indices and stating the total count in its message.  Each edge
     that :func:`~evfuse.sync.triggers_to_exposures` could not pair gives one
     ``unpaired_trigger`` finding.
     """
     findings: list[Finding] = []
-
-    # Global time order across both item kinds.
     t = stream.merged_times()
-    bad = np.flatnonzero(t[1:] < t[:-1])
-    if bad.shape[0]:
-        i = int(bad[0])
-        findings.append(
-            Finding(
-                "monotonicity",
-                f"{bad.shape[0]} item(s) precede their predecessor; first: "
-                f"item {i + 1} (t={int(t[i + 1])}) precedes item {i} (t={int(t[i])})",
-                (i, i + 1),
-            )
-        )
-
-    # Coordinate bounds against the header geometry.
-    ev = stream.events
-    for axis, dim, limit in (("x", "width", stream.header.width), ("y", "height", stream.header.height)):
-        bad = np.flatnonzero(ev[axis] >= limit)
-        if bad.shape[0]:
-            i = int(bad[0])
-            findings.append(
-                Finding(
-                    "bounds",
-                    f"{bad.shape[0]} event(s) with {axis} >= {dim} {limit}; first: event {i}: {axis}={int(ev[axis][i])}",
-                    (i,),
-                )
-            )
+    h = stream.header
+    limits = {"x": f"width {h.width}", "y": f"height {h.height}", "channel": str(N_CHANNELS)}
+    for rule, values, bad in rule_breaks(stream, t):
+        n, i = bad.shape[0], int(bad[0])
+        if rule == "order":  # the report lists time order first
+            findings.insert(0, Finding("monotonicity", f"{n} item(s) precede their predecessor; first: "
+                                       f"item {i} (t={int(t[i])}) precedes item {i - 1} (t={int(t[i - 1])})", (i - 1, i)))
+        else:
+            kind = "trigger" if rule == "channel" else "event"
+            findings.append(Finding("bounds", f"{n} {kind}(s) with {rule} >= {limits[rule]}; first: "
+                                    f"{kind} {i}: {rule}={int(values[i])}", (i,)))
 
     # Trigger pairing per channel: edges should alternate rising -> falling.
     tr = stream.triggers

@@ -31,6 +31,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import streams  # module import: streams.validate_stream imports this module
+
 
 class TooFewExposures(Exception):
     """The chosen windowing scheme needs more exposures than were given."""
@@ -219,9 +221,11 @@ def assign_events(events: np.ndarray, window_list) -> list:
 
     Returns one (possibly empty) view per window; an event is included when
     ``t0 <= t < t1``.  Windows may overlap, in which case events appear in
-    every window that covers them.
+    every window that covers them.  Unsorted events raise
+    :class:`~evfuse.streams.UnsortedInput` at the first one out of order.
     """
     t = np.ascontiguousarray(events["t"])
+    streams.check_order(t)
     bounds = np.array([(max(w.t0, 0), max(w.t1, 0)) for w in window_list], dtype=np.uint64).reshape(-1, 2)
     return [events[i0:i1] for i0, i1 in np.searchsorted(t, bounds, side="left").tolist()]
 

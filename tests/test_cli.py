@@ -444,6 +444,9 @@ BAD_OPTION_ARGV = [
     ["accumulate", "{missing}", "-d", "{out}", "--method", "m9"],
     ["accumulate", "{missing}", "-d", "{out}", "--clip", "0"],
     ["rate", "{missing}", "-o", "{out}", "--bin-us", "0"],
+    ["rate", "{missing}", "-o", "{out}", "--saturation-evps", "0"],
+    ["rate", "{missing}", "-o", "{out}", "--saturation-evps", "-5"],
+    ["rate", "{missing}", "-o", "{out}", "--saturation-evps", "nan"],
     ["erc", "{missing}", "-o", "{out}", "--cap-evps", "0"],
     ["erc", "{missing}", "-o", "{out}", "--period-us", "0"],
 ]
@@ -479,6 +482,17 @@ def test_label_transfer_rejects_labels_that_are_not_a_list(scene, tmp_path, caps
     assert run(argv) == 2
     rec = _last_diag(capsys)
     assert rec["kind"] == "ValueError" and str(bad) in rec["msg"]
+    assert not out.exists()
+
+
+def test_label_transfer_rejects_homography_that_is_not_an_object(scene, tmp_path, capsys):
+    bad = tmp_path / "h.json"
+    bad.write_text(json.dumps([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    out = tmp_path / "moved.json"
+    argv = ["label-transfer", "--labels", str(scene / "a" / "labels.json"), "--homography", str(bad), "-o", str(out)]
+    assert run(argv) == 2
+    rec = _last_diag(capsys)
+    assert rec["kind"] == "ValueError" and "object" in rec["msg"]
     assert not out.exists()
 
 

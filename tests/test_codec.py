@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evfuse.codec import (
@@ -600,6 +600,7 @@ def test_encode_rejects_out_of_bounds():
         ("x", 40, EventStream(header, make_events([1, 2], [3, 40], [1, 30], [1, 1]))),
         ("y", 30, EventStream(header, make_events([1, 2], [3, 4], [1, 30], [1, 1]))),
         ("channel", 16, EventStream(header, triggers=make_triggers([1], [1], [16]))),
+        ("x", 40, EventStream(header, make_events([2, 1], [3, 40], [1, 1], [1, 1]))),  # bounds before order
     ]
     for axis, value, stream in cases:
         for encode in (encode_esf, encode_stats):
@@ -610,6 +611,56 @@ def test_encode_rejects_out_of_bounds():
         with pytest.raises(CoordinateOutOfBounds) as exc:
             parse_csv(text, 32, 24)
         assert (exc.value.axis, exc.value.value) == (axis, value)
+
+
+def test_parse_csv_rejects_unsorted_lines():
+    # The CSV parser applies the encoder's rules, time order included; the index is the merged item's.
+    with pytest.raises(UnsortedInput) as exc:
+        parse_csv("cd,5,1,1,+1\ntrig,7,r,0\ncd,6,1,1,-1\n", 32, 24)
+    assert exc.value.index == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([None, "x", "y", "channel", "order"]),
+    st.randoms(use_true_random=False),
+)
+def test_validate_flags_exactly_what_encode_rejects(n_events, n_pairs, fault, pyrng):
+    """One rule set: a planted x, y, channel or order fault makes ``encode_stats``
+    raise and ``validate_stream`` report it; a clean stream passes both."""
+    width, height, n = 32, 24, n_events + 2 * n_pairs
+    assume({None: True, "x": n_events > 0, "y": n_events > 0, "channel": n_pairs > 0, "order": n >= 2}[fault])
+    t = sorted(pyrng.randrange(1, 10**6) for _ in range(n))  # >= 1, so an item can step below its predecessor
+    is_trig = np.zeros(n, dtype=bool)
+    is_trig[pyrng.sample(range(n), 2 * n_pairs)] = True
+    x, y = [pyrng.randrange(width) for _ in range(n_events)], [pyrng.randrange(height) for _ in range(n_events)]
+    channel = [pyrng.randrange(16)] * (2 * n_pairs)  # one channel, rising and falling edges alternate
+    if fault == "order":
+        j = pyrng.randrange(1, n)
+        t[j] = t[j - 1] - 1
+    elif fault == "channel":
+        channel[pyrng.randrange(2 * n_pairs)] = pyrng.randrange(16, 256)
+    elif fault is not None:
+        coords, limit = (x, width) if fault == "x" else (y, height)
+        coords[pyrng.randrange(n_events)] = pyrng.randrange(limit, 2048)
+    t = np.array(t, dtype=np.uint64)
+    s = EventStream(StreamHeader(width, height), make_events(t[~is_trig], x, y, [1] * n_events),
+                    make_triggers(t[is_trig], np.arange(2 * n_pairs) % 2 == 0, channel), np.flatnonzero(is_trig))
+
+    report = validate_stream(s)
+    try:
+        encode_stats(s)
+        raised = None
+    except (CoordinateOutOfBounds, UnsortedInput) as err:
+        raised = err
+    assert (raised is None) == (fault is None) == report.ok
+    if isinstance(raised, UnsortedInput):
+        assert ("monotonicity", (raised.index - 1, raised.index)) in [(f.kind, f.indices) for f in report.findings]
+    elif raised is not None:
+        assert any(f.kind == "bounds" and f" with {raised.axis} >= " in f.message
+                   and f.message.endswith(f": {raised.axis}={raised.value}") for f in report.findings)
 
 
 @settings(max_examples=300, deadline=None)
@@ -795,3 +846,10 @@ def test_validate_bounds_one_finding_per_axis():
     assert [(f.kind, f.indices) for f in findings] == [("bounds", (1,)), ("bounds", (0,))]
     assert findings[0].message.startswith("3 event(s) with x >= width 32")
     assert findings[1].message.startswith("2 event(s) with y >= height 32")
+
+
+def test_validate_reports_trigger_channel_bounds():
+    triggers = make_triggers([100, 200, 300, 400], [1, 0, 1, 0], [0, 16, 0, 40])
+    findings = validate_stream(EventStream(StreamHeader(32, 32), triggers=triggers)).findings
+    bounds = [(f.message, f.indices) for f in findings if f.kind == "bounds"]
+    assert bounds == [("2 trigger(s) with channel >= 16; first: trigger 1: channel=16", (1,))]

@@ -3,6 +3,8 @@ recounts of the rate-controller simulation."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from evfuse.rate import (
     rate_report,
     rate_series,
 )
-from evfuse.streams import EventStream, StreamHeader, make_events, make_triggers
+from evfuse.streams import EventStream, StreamHeader, UnsortedInput, make_events, make_triggers
 from test_codec import _ref_encode_words
 
 
@@ -298,6 +300,40 @@ def test_report_rejects_tiny_stream():
 def test_report_rejects_unknown_encoding():
     with pytest.raises(ValueError):
         rate_report(_stream(_events_at([1, 2])), encoding="raw")
+
+
+def test_report_rejects_non_positive_saturation_rate():
+    # with a zero or negative threshold every empty bin would count as saturated
+    for rate in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="saturation"):
+            rate_report(_stream(_events_at([1, 2])), encoding="fixed8", saturation_evps=rate)
+
+
+def test_series_and_report_reject_shuffled_events():
+    t = np.random.default_rng(12).permutation(np.arange(0, 100_000, 100, dtype=np.uint64))
+    first = int(np.flatnonzero(t[1:] < t[:-1])[0]) + 1
+    stream = _stream(_events_at(t))
+    for call in (lambda: rate_series(stream.events), lambda: rate_report(stream, encoding="fixed8"),
+                 lambda: rate_report(stream, encoding="esf1")):
+        with pytest.raises(UnsortedInput) as exc:
+            call()
+        assert exc.value.index == first
+
+
+def test_report_memory_follows_items_not_span():
+    # 2**24 one-µs bins, all but a handful empty, with triggers in bins of their own
+    events = _events_at([0, 5, 6, 1 << 23, 1 << 24])
+    stream = EventStream(StreamHeader(64, 64), events, make_triggers([3, 1 << 22, 1 << 22], [1, 0, 1], [0, 0, 0]))
+    tracemalloc.start()
+    try:
+        reports = [rate_report(stream, encoding=enc, bin_us=1) for enc in ("fixed8", "esf1")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    fixed8, esf1 = reports
+    assert (fixed8.peak_evps, fixed8.peak_bps, fixed8.saturated_bins) == (1e6, 8e6, [])
+    assert (esf1.peak_bps, esf1.mean_bps) == _brute_esf1_peak_bps(stream, 1)
 
 
 def test_report_json_keys():

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evfuse.streams import make_events, make_triggers
+from evfuse.streams import UnsortedInput, make_events, make_triggers
 from evfuse.sync import (
     CustomWindow,
     ExposureInterval,
@@ -241,6 +241,17 @@ def test_assign_events_matches_brute_force():
         ws = [SyncWindow(0, -500, int(t[3]) + 1), SyncWindow(1, -900, -10), SyncWindow(2, int(t[7]), int(t[9]))]
         assert list(window_counts(events, ws)) == _brute_counts(events, ws)
     assert assign_events(events, []) == []
+
+
+def test_assign_events_rejects_shuffled_events():
+    rng = np.random.default_rng(11)
+    t = rng.permutation(np.arange(0, 100_000, 100, dtype=np.uint64))
+    events = make_events(t, np.zeros(1000), np.zeros(1000), np.ones(1000))
+    first = int(np.flatnonzero(t[1:] < t[:-1])[0]) + 1
+    for count in (assign_events, window_counts):
+        with pytest.raises(UnsortedInput) as exc:
+            count(events, [SyncWindow(0, 0, 50_000), SyncWindow(1, 50_000, 100_000)])
+        assert exc.value.index == first
 
 
 def test_partition_property_m2_m4():
