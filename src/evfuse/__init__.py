@@ -65,7 +65,6 @@ from .geometry import (
     undistort_point,
     warp_box,
     warp_image,
-    warp_point,
     warp_points,
 )
 from .labels import (

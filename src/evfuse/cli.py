@@ -387,7 +387,8 @@ def cmd_rate(args) -> int:
     if report.saturated:
         _diag("warning", "stream exceeds the saturation rate in some bins", n_bins=len(report.saturated_bins))
     if args.series_out:
-        Path(args.series_out).write_text(rate.rate_series(stream.events, args.bin_us).to_csv(), encoding="utf-8")
+        with open(args.series_out, "w", encoding="utf-8") as fh:
+            rate.rate_series(stream.events, args.bin_us).to_csv(fh)
     _emit(report.to_json(), args.out)
     return OK
 

@@ -115,32 +115,7 @@ class MalformedLine(StreamError):
         super().__init__(f"line {line_no}: cannot parse {content!r}")
 
 
-# -- word builders (shared by the encoder and by golden-word tests) -----------
-
-
-def build_time_high(value: int) -> int:
-    return (TYPE_TIME_HIGH << 12) | (value & 0xFFF)
-
-
-def build_time_low(value: int) -> int:
-    return (TYPE_TIME_LOW << 12) | (value & 0xFFF)
-
-
-def build_cd_y(y: int) -> int:
-    return (TYPE_CD_Y << 12) | (y & 0xFFF)
-
-
-def build_cd_x(x: int, polarity: int) -> int:
-    return (TYPE_CD_X << 12) | ((1 if polarity > 0 else 0) << 11) | (x & 0x7FF)
-
-
-def build_trigger(edge: int, channel: int) -> int:
-    return (TYPE_EXT_TRIGGER << 12) | ((channel & 0xF) << 8) | (edge & 1)
-
-
-def pack_words(words) -> bytes:
-    """Pack a sequence of 16-bit word values little-endian."""
-    return np.asarray(words, dtype="<u2").tobytes()
+# -- header ----------------------------------------------------------------------
 
 
 def make_header(width: int, height: int) -> bytes:
@@ -284,6 +259,10 @@ class EncodeStats:
     @property
     def n_bytes(self) -> int:
         return HEADER_SIZE + WORD_SIZE * self.n_words
+
+
+def build_time_high(value: int) -> int:
+    return (TYPE_TIME_HIGH << 12) | (value & 0xFFF)
 
 
 def _rollover_words(cur_v: int, d: int, v_tgt: int) -> list:

@@ -234,11 +234,6 @@ def reprojection_stats(h: np.ndarray, src, dst, mask=None) -> CalibrationReport:
 # -- applying homographies ---------------------------------------------------------
 
 
-def warp_point(h: np.ndarray, x: float, y: float) -> tuple:
-    out = _apply_h(np.asarray(h, dtype=np.float64), np.array([[x, y]], dtype=np.float64))
-    return float(out[0, 0]), float(out[0, 1])
-
-
 def warp_points(h: np.ndarray, pts) -> np.ndarray:
     return _apply_h(np.asarray(h, dtype=np.float64), _as_points(pts))
 

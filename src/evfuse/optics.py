@@ -37,10 +37,6 @@ class SensorSpec:
         if self.width <= 0 or self.height <= 0 or self.pitch_um <= 0:
             raise ValueError("sensor dimensions and pitch must be positive")
 
-    @classmethod
-    def from_diagonal(cls, width: int, height: int, diagonal_mm: float, name: str = "") -> "SensorSpec":
-        return cls(width, height, pixel_pitch(diagonal_mm, width, height), name)
-
     @property
     def diagonal_mm(self) -> float:
         return self.pitch_um * math.hypot(self.width, self.height) / 1000.0

@@ -6,11 +6,14 @@ controller (ERC) that caps throughput (100 MEv/s here by default). This
 module bins streams into rate series, simulates the cap with a deterministic
 decimation policy, flags saturated bins, and accounts bandwidth for both the
 compact wire format and a fixed 8-byte-per-event layout.
+
+One rule, :func:`_occupied_bins`, finds the bins (or ERC periods) that hold
+items, so memory follows the items, never the time span they cover. Only the
+series CSV lists the empty bins, and it writes them one chunk at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +25,7 @@ DEFAULT_ERC_CAP_EVPS = 100_000_000  # explicit rate-controller cap
 DEFAULT_ERC_PERIOD_US = 1000
 DEFAULT_SATURATION_EVPS = 115_000_000  # sustained USB link limit
 DEFAULT_BIN_US = 1000
+_CSV_CHUNK_BINS = 1 << 14  # rate-series CSV rows built at a time
 
 
 class RateError(Exception):
@@ -36,32 +40,34 @@ class TooFewEvents(RateError):
 
 @dataclass(frozen=True)
 class RateSeries:
-    """Per-bin event counts. Bin ``k`` covers ``[k*bin_us, (k+1)*bin_us)`` in
-    absolute time; only the occupied range ``[start_bin, start_bin+len)`` is
-    stored."""
+    """Per-bin event counts over the occupied bins only: bin ``index[i]``
+    covers ``[index[i]*bin_us, (index[i]+1)*bin_us)`` in absolute time and
+    holds ``counts[i]`` events."""
 
     bin_us: int
-    start_bin: int
+    index: np.ndarray  # uint64, increasing
     counts: np.ndarray  # int64
 
-    @property
-    def n_bins(self) -> int:
-        return int(self.counts.shape[0])
-
-    def bin_start_us(self, i: int) -> int:
-        return (self.start_bin + i) * self.bin_us
-
-    def rates_evps(self) -> np.ndarray:
-        return self.counts * (1_000_000.0 / self.bin_us)
-
-    def to_csv(self) -> str:
-        lines = ["bin_start_us,count"]
-        lines += [f"{self.bin_start_us(i)},{int(c)}" for i, c in enumerate(self.counts)]
-        return "\n".join(lines) + "\n"
+    def to_csv(self, fh) -> None:
+        """Write one ``bin_start_us,count`` row per bin from the first occupied
+        bin to the last, empty ones as 0, one chunk of bins at a time."""
+        fh.write("bin_start_us,count\n")
+        if self.index.shape[0] == 0:
+            return
+        a, end = 0, int(self.index[-1]) + 1
+        for lo in range(int(self.index[0]), end, _CSV_CHUNK_BINS):
+            hi = min(lo + _CSV_CHUNK_BINS, end)
+            b = int(np.searchsorted(self.index, np.uint64(hi - 1), side="right"))  # occupied bins [a, b) are in [lo, hi)
+            chunk = np.zeros(hi - lo, dtype=np.int64)
+            chunk[(self.index[a:b] - np.uint64(lo)).astype(np.int64)] = self.counts[a:b]
+            starts = range(lo * self.bin_us, hi * self.bin_us, self.bin_us)
+            fh.write("".join(f"{s},{c}\n" for s, c in zip(starts, chunk.tolist())))
+            a = b
 
 
 def _occupied_bins(t: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bins that time-sorted ``t`` occupies: each one's index and its first position in ``t``."""
+    """The runs of equal bin in ``t``, one per occupied bin when ``t`` is time-sorted: each run's
+    bin index and its first position in ``t``."""
     bins = t // np.uint64(bin_us)
     new_bin = np.ones(bins.shape[0], dtype=bool)
     np.not_equal(bins[1:], bins[:-1], out=new_bin[1:])
@@ -80,17 +86,10 @@ def _event_bins(events: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray
 
 
 def rate_series(events: np.ndarray, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
-    """Histogram event timestamps into fixed bins anchored at t = 0.
-
-    The series is dense, one count per bin from the first event's to the
-    last's; unsorted events raise :class:`~evfuse.streams.UnsortedInput`.
-    """
-    index, counts = _event_bins(events, bin_us)
-    if index.shape[0] == 0:
-        return RateSeries(bin_us, 0, np.zeros(0, dtype=np.int64))
-    dense = np.zeros(int(index[-1] - index[0]) + 1, dtype=np.int64)
-    dense[(index - index[0]).astype(np.int64)] = counts
-    return RateSeries(bin_us, int(index[0]), dense)
+    """Count event timestamps per fixed bin anchored at t = 0, over the
+    occupied bins only; unsorted events raise
+    :class:`~evfuse.streams.UnsortedInput`."""
+    return RateSeries(bin_us, *_event_bins(events, bin_us))
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,9 @@ def erc_filter(events: np.ndarray, cfg: ErcConfig = ErcConfig()) -> np.ndarray:
     indices ``round(i*n/B)`` for ``i = 0..B-1`` — deterministic, evenly
     spread, and order-preserving. Applying the filter twice changes nothing.
     """
-    pid = events["t"] // np.uint64(cfg.period_us)
-    # runs of equal period id: their starts and lengths
-    new_run = np.ones(pid.shape[0], dtype=bool)
-    new_run[1:] = pid[1:] != pid[:-1]
-    starts = np.flatnonzero(new_run)
-    lengths = np.diff(np.append(starts, pid.shape[0]))
+    # runs of equal period id (no order check: shuffled input is thinned run by run)
+    _, starts = _occupied_bins(events["t"], cfg.period_us)
+    lengths = np.diff(starts, append=events.shape[0])
     budget = cfg.budget
     keep = np.repeat(lengths <= budget, lengths)
     # Each over-budget run keeps `budget` indices (none when budget == 0), so

@@ -148,10 +148,6 @@ class EventStream:
         """Per-event and per-trigger values (or one for all triggers) as one array in merged item order."""
         return np.insert(per_event, self.trigger_pos - np.arange(self.n_triggers), per_trigger)
 
-    def merged_mask(self) -> np.ndarray:
-        """Boolean array over the merged sequence; True where the item is a trigger."""
-        return self.merge_items(np.zeros(self.n_events, dtype=bool), True)
-
     def merged_times(self) -> np.ndarray:
         """Timestamps of the merged item sequence, in encounter order."""
         return self.merge_items(self.events["t"], self.triggers["t"])

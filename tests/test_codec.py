@@ -20,16 +20,11 @@ from evfuse.codec import (
     MalformedLine,
     TruncatedStream,
     UnknownWordType,
-    build_cd_x,
-    build_cd_y,
     build_time_high,
-    build_time_low,
-    build_trigger,
     decode_esf,
     encode_esf,
     encode_stats,
     make_header,
-    pack_words,
     parse_csv,
     write_csv,
 )
@@ -43,6 +38,35 @@ from evfuse.streams import (
     make_triggers,
     validate_stream,
 )
+
+
+# -- golden-word oracle: one ESF-1 word per call, as the format table lays it out --
+
+
+def build_time_low(value: int) -> int:
+    return (TYPE_TIME_LOW << 12) | (value & 0xFFF)
+
+
+def build_cd_y(y: int) -> int:
+    return (TYPE_CD_Y << 12) | (y & 0xFFF)
+
+
+def build_cd_x(x: int, polarity: int) -> int:
+    return (TYPE_CD_X << 12) | ((1 if polarity > 0 else 0) << 11) | (x & 0x7FF)
+
+
+def build_trigger(edge: int, channel: int) -> int:
+    return (TYPE_EXT_TRIGGER << 12) | ((channel & 0xF) << 8) | (edge & 1)
+
+
+def pack_words(words) -> bytes:
+    """Pack a sequence of 16-bit word values little-endian."""
+    return np.asarray(words, dtype="<u2").tobytes()
+
+
+def _merged_mask(stream):
+    """Boolean array over the merged item sequence; True where the item is a trigger."""
+    return stream.merge_items(np.zeros(stream.n_events, dtype=bool), True)
 
 
 class ReferenceDecoder:
@@ -98,7 +122,7 @@ class ReferenceDecoder:
 def _stream_items(stream):
     """Flatten a stream into the golden model's item tuples."""
     out = []
-    mask = stream.merged_mask()
+    mask = _merged_mask(stream)
     ei = ti = 0
     for is_trig in mask:
         if is_trig:
@@ -147,7 +171,7 @@ def _ref_encode_words(stream):
     if n == 0:
         return np.empty(0, dtype="<u2"), np.empty(0, dtype=np.int64)
 
-    is_trig = stream.merged_mask()
+    is_trig = _merged_mask(stream)
     t = stream.merged_times()
 
     payload = np.empty(n, dtype=np.uint16)
@@ -201,7 +225,7 @@ def _ref_slot_encode(stream):
     full-length epoch array for the rollovers (the reference slot-table
     encoder; input checks left out)."""
     ev, tr = stream.events, stream.triggers
-    is_ev = ~stream.merged_mask()
+    is_ev = ~_merged_mask(stream)
     t = stream.merged_times()
     slots = np.zeros((t.shape[0], 4), dtype="<u2")
     time_high, time_low, cd_y, payload = slots.T
@@ -258,6 +282,13 @@ def test_decode_trigger_words():
     assert s.n_events == 0 and s.n_triggers == 1
     r = s.triggers[0]
     assert (int(r["t"]), int(r["edge"]), int(r["channel"])) == (4096, 1, 1)
+
+
+def test_encode_trigger_words():
+    # the encoder counterpart of the word list above (TIME_LOW stays at its zero register)
+    s = EventStream(StreamHeader(1280, 720), triggers=make_triggers([4096], [1], [1]))
+    words = np.frombuffer(encode_esf(s), dtype="<u2", offset=HEADER_SIZE)
+    assert list(words) == [build_time_high(1), build_trigger(1, 1)]
 
 
 def test_decode_epoch_rollover():
@@ -566,7 +597,7 @@ def _stream_at_scale(rng, n, kinds, t0=0):
 @pytest.mark.parametrize("kinds, t0", [("mixed", 0), ("mixed", 1 << 24), ("events", 5), ("triggers", 3 << 24)])
 def test_encoder_matches_slot_table_reference_at_scale(kinds, t0):
     s = _stream_at_scale(np.random.default_rng(2023), 200_000, kinds, t0)
-    t, is_trig = s.merged_times(), s.merged_mask()
+    t, is_trig = s.merged_times(), _merged_mask(s)
     epochs = np.diff(t >> np.uint64(24))
     assert np.count_nonzero(epochs) >= 3 and epochs.max() >= 2  # rollovers, some across several epochs
     assert bool(is_trig[0]) == (kinds != "events")  # trigger-first

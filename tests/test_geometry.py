@@ -30,7 +30,6 @@ from evfuse.geometry import (
     undistort_point,
     warp_box,
     warp_image,
-    warp_point,
     warp_points,
 )
 from evfuse.labels import BoundingBox, clip_box, iou, transfer_box
@@ -190,7 +189,7 @@ def test_ransac_deterministic_for_seed():
 
 def test_warp_point_and_box_affine():
     h = np.array([[2.0, 0.0, 10.0], [0.0, 3.0, -5.0], [0.0, 0.0, 1.0]])
-    assert warp_point(h, 1.0, 1.0) == (12.0, -2.0)
+    assert warp_points(h, [[1.0, 1.0]]).tolist() == [[12.0, -2.0]]
     x, y, w, bh = warp_box(h, 0.0, 0.0, 10.0, 10.0)
     assert (x, y, w, bh) == (10.0, -5.0, 20.0, 30.0)
 
@@ -209,7 +208,7 @@ def test_warp_box_perspective_hull():
 def test_warp_point_at_infinity():
     h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.01, 0.0, 1.0]])
     with pytest.raises(PointAtInfinity):
-        warp_point(h, 100.0, 0.0)
+        warp_points(h, [[100.0, 0.0]])
 
 
 def test_warp_image_translation():

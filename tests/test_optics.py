@@ -141,7 +141,7 @@ def test_field_of_view_monotone_in_focal():
 
 
 def test_sensor_from_diagonal_roundtrip():
-    s = SensorSpec.from_diagonal(1280, 720, 7.137)
+    s = SensorSpec(1280, 720, pixel_pitch(7.137, 1280, 720))
     assert s.pitch_um == pytest.approx(4.86, abs=0.005)
     assert s.diagonal_mm == pytest.approx(7.137, abs=1e-9)
 

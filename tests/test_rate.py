@@ -3,7 +3,10 @@ recounts of the rate-controller simulation."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ import pytest
 from evfuse.codec import encode_stats
 from evfuse.rate import (
     ErcConfig,
-    RateSeries,
     TooFewEvents,
     erc_filter,
     rate_report,
@@ -35,27 +37,44 @@ def _stream(events, width=64, height=64):
 # -- rate series -------------------------------------------------------------------
 
 
+def _ref_series_csv(events, bin_us):
+    """The series CSV from a dense count array, one entry per bin across the span (the reference)."""
+    t = events["t"]
+    lines = ["bin_start_us,count"]
+    if t.shape[0]:
+        start_bin = int(t[0]) // bin_us
+        dense = np.bincount((t // np.uint64(bin_us) - np.uint64(start_bin)).astype(np.int64))
+        lines += [f"{(start_bin + i) * bin_us},{int(c)}" for i, c in enumerate(dense)]
+    return "\n".join(lines) + "\n"
+
+
+def _csv(series):
+    fh = io.StringIO()
+    series.to_csv(fh)
+    return fh.getvalue()
+
+
 def test_rate_series_uniform_1mevps():
     # 10^6 events uniformly over exactly 1s at 1 per µs -> every 1ms bin holds 1000.
     t = np.arange(1_000_000, dtype=np.uint64)
     series = rate_series(_events_at(t), bin_us=1000)
-    assert series.n_bins == 1000
+    assert np.array_equal(series.index, np.arange(1000))
     assert (series.counts == 1000).all()
-    assert (series.rates_evps() == 1e6).all()
+    assert (series.counts * (1_000_000.0 / series.bin_us) == 1e6).all()
     assert series.counts.sum() == 1_000_000
 
 
 def test_rate_series_empty():
     series = rate_series(_events_at([]), bin_us=1000)
-    assert series.n_bins == 0
+    assert series.index.shape[0] == series.counts.shape[0] == 0
+    assert _csv(series) == "bin_start_us,count\n"
 
 
 def test_rate_series_single_burst():
     series = rate_series(_events_at([500_123] * 700), bin_us=1000)
-    assert series.n_bins == 1
-    assert series.start_bin == 500
-    assert series.counts[0] == 700
-    assert series.bin_start_us(0) == 500_000
+    assert series.index.tolist() == [500]
+    assert series.counts.tolist() == [700]
+    assert _csv(series) == "bin_start_us,count\n500000,700\n"
 
 
 def test_rate_series_counts_sum_property():
@@ -64,15 +83,46 @@ def test_rate_series_counts_sum_property():
         t = np.sort(rng.integers(0, 10_000_000, size=int(rng.integers(1, 5000))).astype(np.uint64))
         series = rate_series(_events_at(t), bin_us=int(rng.integers(1, 50_000)))
         assert series.counts.sum() == t.shape[0]
-        # brute-force recount of a random bin
-        i = int(rng.integers(0, series.n_bins))
-        lo = series.bin_start_us(i)
-        assert series.counts[i] == ((t >= lo) & (t < lo + series.bin_us)).sum()
+        # brute-force recount of a random bin between the first and last occupied one, empty or not
+        k = int(rng.integers(int(series.index[0]), int(series.index[-1]) + 1))
+        i = int(np.searchsorted(series.index, np.uint64(k)))
+        count = int(series.counts[i]) if series.index[i] == k else 0
+        lo = k * series.bin_us
+        assert count == ((t >= lo) & (t < lo + series.bin_us)).sum()
 
 
 def test_rate_series_csv():
     series = rate_series(_events_at([0, 1, 1500]), bin_us=1000)
-    assert series.to_csv() == "bin_start_us,count\n0,2\n1000,1\n"
+    assert _csv(series) == "bin_start_us,count\n0,2\n1000,1\n"
+
+
+@pytest.mark.parametrize("bin_us", [1, 7, 1000, 1 << 24])
+def test_rate_series_csv_matches_dense_reference(bin_us):
+    rng = np.random.default_rng(bin_us)
+    streams = [[], [123_456] * 3, [1 << 32, (1 << 32) + 5, (1 << 32) + 70_000]]
+    for _ in range(8):
+        # four bursts of up to 3 bins each, after empty gaps of up to 20,000 bins (a CSV chunk is 16,384)
+        starts = (int(rng.integers(0, 1 << 20)) + np.cumsum(rng.integers(0, 20_000, size=4))) * bin_us
+        bursts = [s + rng.integers(0, 3 * bin_us, size=int(rng.integers(1, 50))) for s in starts]
+        streams.append(np.sort(np.concatenate(bursts)))
+    for t in streams:
+        events = _events_at(t)
+        assert _csv(rate_series(events, bin_us)) == _ref_series_csv(events, bin_us)
+
+
+def test_series_memory_follows_items_not_span():
+    # 2**18 one-µs bins, all but a handful empty: memory is the items plus one CSV chunk
+    events = _events_at([3, 4, 4, 1 << 17, (1 << 18) + 2])
+    digest = hashlib.sha256()
+    sink = SimpleNamespace(write=lambda text: digest.update(text.encode()))  # keeps only a digest
+    tracemalloc.start()
+    try:
+        rate_series(events, bin_us=1).to_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert digest.hexdigest() == hashlib.sha256(_ref_series_csv(events, 1).encode()).hexdigest()
 
 
 def test_rate_series_rejects_bad_bin():
