@@ -56,13 +56,11 @@ from .frames import (
 )
 from .geometry import (
     CalibrationReport,
-    distort_point,
     estimate_homography,
     estimate_homography_ransac,
     load_homography,
     reprojection_stats,
     save_homography,
-    undistort_point,
     warp_box,
     warp_image,
     warp_points,

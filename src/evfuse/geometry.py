@@ -42,10 +42,6 @@ class PointAtInfinity(GeometryError):
     """A warped point's homogeneous scale vanished."""
 
 
-class NoConvergence(GeometryError):
-    """Iterative undistortion failed to settle."""
-
-
 def _as_points(pts) -> np.ndarray:
     arr = np.asarray(pts, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -268,51 +264,6 @@ def warp_image(h: np.ndarray, image: np.ndarray, out_shape=None, fill: float = 0
     if image.dtype == np.uint8:
         return np.clip(np.rint(out), 0, 255).astype(np.uint8)
     return out
-
-
-# -- lens distortion ----------------------------------------------------------------
-
-
-def distort_point(x: float, y: float, k1: float, k2: float = 0.0, p1: float = 0.0, p2: float = 0.0) -> tuple:
-    """Forward radial-tangential distortion of a normalized point."""
-    r2 = x * x + y * y
-    radial = 1.0 + k1 * r2 + k2 * r2 * r2
-    xd = x * radial + 2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x)
-    yd = y * radial + p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y
-    return xd, yd
-
-
-def undistort_point(
-    xd: float,
-    yd: float,
-    k1: float,
-    k2: float = 0.0,
-    p1: float = 0.0,
-    p2: float = 0.0,
-    max_iterations: int = 200,
-    tol: float = 1e-12,
-) -> tuple:
-    """Invert :func:`distort_point` by fixed-point iteration.
-
-    Convergence is linear; strong distortion near the field corner can take
-    ~100 iterations, hence the generous default cap.
-    """
-    x, y = xd, yd
-    for _ in range(max_iterations):
-        r2 = x * x + y * y
-        radial = 1.0 + k1 * r2 + k2 * r2 * r2
-        if abs(radial) <= 1e-12:
-            raise NoConvergence("radial factor vanished during undistortion")
-        x_new = (xd - (2.0 * p1 * x * y + p2 * (r2 + 2.0 * x * x))) / radial
-        y_new = (yd - (p1 * (r2 + 2.0 * y * y) + 2.0 * p2 * x * y)) / radial
-        if math.hypot(x_new - x, y_new - y) < tol:
-            return x_new, y_new
-        x, y = x_new, y_new
-    # accept if the forward map lands close enough anyway
-    bx, by = distort_point(x, y, k1, k2, p1, p2)
-    if math.hypot(bx - xd, by - yd) < 1e-9:
-        return x, y
-    raise NoConvergence(f"undistortion did not settle after {max_iterations} iterations")
 
 
 # -- serialization -------------------------------------------------------------------

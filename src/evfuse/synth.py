@@ -12,6 +12,14 @@ hardware.
 A second camera view is produced by mapping the *scene* through a homography
 before rasterization (``warp_view``), not by resampling pixels or events, so
 the ground-truth homography is exact by construction.
+
+Each time step evaluates only the pattern's box at both ends of the step
+(mapped through the homography for the second view). That is exact: the
+pattern's coverage is exactly 0 from ``pattern_size/2 + 0.5`` off its centre
+on, so outside the box the intensity is exactly ``background`` at both ends,
+the log-intensity change is exactly 0, and no pixel there can fire. A step
+whose box crosses the homography's vanishing line, or follows a firing that
+left a residual of a whole threshold, runs on the full frame.
 """
 
 from __future__ import annotations
@@ -54,6 +62,10 @@ class SceneSpec:
     start: tuple | None = None
 
     def __post_init__(self):
+        for name in ("pattern_size", "velocity", "start", "duration_s", "background", "foreground", "contrast", "fps"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise InvalidSpec(f"{name} must be finite, got {value!r}")
         if self.pattern not in PATTERNS:
             raise InvalidSpec(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
         if self.width <= 0 or self.height <= 0 or self.pattern_size <= 0:
@@ -157,9 +169,39 @@ def _exposure_table(spec: SceneSpec) -> list:
     return out
 
 
+def _step_boxes(spec: SceneSpec, hm: np.ndarray, width: int, height: int, n_steps: int) -> np.ndarray:
+    """Row ``k`` is the ``(y0, y1, x0, x1)`` slice of the view of ``hm``
+    outside which the intensity is exactly ``background`` at both ends of
+    step ``k``. Row 0 (the t=0 sample) is empty, as is every row whose
+    pattern is off the canvas; a row whose box cannot be mapped through
+    ``hm`` is the full frame."""
+    cx, cy = spec.center_at(np.arange(n_steps + 1) * float(spec.dt_us))
+    # coverage is exactly 0 from pattern_size/2 + 0.5 off the centre; 1 px more for rounding
+    r = spec.pattern_size / 2.0 + 1.5
+    x0, x1 = np.minimum(cx[:-1], cx[1:]) - r, np.maximum(cx[:-1], cx[1:]) + r
+    y0, y1 = np.minimum(cy[:-1], cy[1:]) - r, np.maximum(cy[:-1], cy[1:]) + r
+    one = np.ones(n_steps)
+    corners = np.stack([np.stack([x, y, one], axis=1) for x, y in ((x0, y0), (x1, y0), (x0, y1), (x1, y1))])
+    proj = corners @ hm.T  # (4, n_steps, 3)
+    w = proj[..., 2]
+    # With one sign of H's denominator on all four corners the box maps into
+    # the bounding box of their images; otherwise it crosses H's vanishing line.
+    mappable = (w > 0).all(axis=0) | (w < 0).all(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        px, py = proj[..., 0] / w, proj[..., 1] / w
+    bounds = np.stack([py.min(axis=0) - 1.0, py.max(axis=0) + 1.0, px.min(axis=0) - 1.0, px.max(axis=0) + 1.0], axis=1)
+    mappable &= np.isfinite(bounds).all(axis=1)
+    bounds = np.where(mappable[:, None], np.floor(bounds) + [0, 1, 0, 1], [0, height, 0, width])
+    bounds = np.clip(bounds, 0, [height, height, width, width]).astype(np.int64)
+    return np.concatenate([np.zeros((1, 4), dtype=np.int64), bounds])
+
+
 def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) -> SceneResult:
     """Core generator. ``h`` maps source-view coordinates to this view; the
-    intensity field of this view is I(H^-1(x,y), t), evaluated analytically."""
+    intensity field of this view is I(H^-1(x,y), t), evaluated analytically.
+    Each step updates the full-frame ``i_now``, ``log_prev`` and ``acc`` in
+    place inside its box from :func:`_step_boxes`, so the frame integrals add
+    what a full-frame evaluation would."""
     ys_i, xs_i = np.mgrid[0:height, 0:width]
     if h is None:
         hm = np.eye(3)
@@ -173,6 +215,7 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
 
     exposures = _exposure_table(spec)
     n_steps = -(-spec.duration_us // spec.dt_us)  # ceil division
+    boxes = _step_boxes(spec, hm, width, height, n_steps)
     dt = spec.dt_us
     c = spec.contrast
 
@@ -181,47 +224,54 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
     log_prev = np.log1p(i_now)
     intensity_sum = np.zeros((spec.n_frames, height, width), dtype=np.float64)
     intensity_n = np.zeros(spec.n_frames, dtype=np.int64)
-    # sample at t=0 contributes to any exposure starting at 0
-    for k, exp in enumerate(exposures):
-        if exp.start <= 0 < exp.end:
-            intensity_sum[k] += i_now
-            intensity_n[k] += 1
 
     ts_parts, xs_parts, ys_parts, ps_parts = [], [], [], []
     flat_x = xs_i.ravel()
     flat_y = ys_i.ravel()
+    refire = False
 
-    for step in range(1, n_steps + 1):
+    for step in range(n_steps + 1):
         t_now = step * dt
-        i_now = _intensity(spec, xs, ys, float(t_now))
-        log_now = np.log1p(i_now)
-        delta = log_now - log_prev
-        acc += delta
-        m = np.floor(np.abs(acc) / c).astype(np.int64)
-        fired = np.flatnonzero(m.ravel())
-        if fired.size:
-            m_f = m.ravel()[fired]
-            a = (acc - delta).ravel()[fired]  # residual before this step
-            d = delta.ravel()[fired]
-            s = np.sign(acc.ravel()[fired]).astype(np.int8)
-            total = int(m_f.sum())
-            pix = np.repeat(fired, m_f)
-            j = np.arange(total) - np.repeat(np.cumsum(m_f) - m_f, m_f) + 1
-            frac = (np.repeat(s, m_f) * j * c - np.repeat(a, m_f)) / np.repeat(d, m_f)
-            frac = np.clip(frac, np.finfo(np.float64).tiny, 1.0)
-            t_ev = (t_now - dt) + np.floor(frac * dt).astype(np.int64)
-            order = np.lexsort((pix, t_ev))
-            ts_parts.append(t_ev[order].astype(np.uint64))
-            xs_parts.append(flat_x[pix[order]])
-            ys_parts.append(flat_y[pix[order]])
-            ps_parts.append(np.repeat(s, m_f)[order])
-            acc -= np.sign(acc) * m * c
-        # accumulate frame integrals
-        for k, exp in enumerate(exposures):
-            if exp.start <= t_now < exp.end:
-                intensity_sum[k] += i_now
-                intensity_n[k] += 1
-        log_prev = log_now
+        # Rounding can leave |acc| >= c after a firing; such a pixel fires
+        # again on the next step wherever it is, so that step is full-frame.
+        y0, y1, x0, x1 = (0, height, 0, width) if refire else boxes[step]
+        if y0 < y1 and x0 < x1:
+            box = np.s_[y0:y1, x0:x1]
+            i_box = _intensity(spec, xs[box], ys[box], float(t_now))
+            log_now = np.log1p(i_box)
+            delta = log_now - log_prev[box]
+            acc_box = acc[box] + delta
+            m = np.floor(np.abs(acc_box) / c).astype(np.int64)
+            fired = np.flatnonzero(m)
+            refire = False
+            if fired.size:
+                m_f = m.ravel()[fired]
+                acc_f = acc_box.ravel()[fired]
+                d = delta.ravel()[fired]
+                a = acc_f - d  # residual before this step
+                s = np.sign(acc_f).astype(np.int8)
+                total = int(m_f.sum())
+                row, col = np.divmod(fired, x1 - x0)
+                pix = np.repeat((row + y0) * width + (col + x0), m_f)
+                j = np.arange(total) - np.repeat(np.cumsum(m_f) - m_f, m_f) + 1
+                frac = (np.repeat(s, m_f) * j * c - np.repeat(a, m_f)) / np.repeat(d, m_f)
+                frac = np.clip(frac, np.finfo(np.float64).tiny, 1.0)
+                t_ev = (t_now - dt) + np.floor(frac * dt).astype(np.int64)
+                order = np.lexsort((pix, t_ev))
+                ts_parts.append(t_ev[order].astype(np.uint64))
+                xs_parts.append(flat_x[pix[order]])
+                ys_parts.append(flat_y[pix[order]])
+                ps_parts.append(np.repeat(s, m_f)[order])
+                acc_box -= np.sign(acc_box) * m * c
+                refire = bool((np.abs(acc_box.ravel()[fired]) / c >= 1.0).any())
+            acc[box] = acc_box
+            i_now[box] = i_box
+            log_prev[box] = log_now
+        # accumulate frame integrals; exposures never overlap (exposure <= period)
+        k, phase = divmod(t_now, spec.period_us)
+        if k < spec.n_frames and phase < spec.exposure_us:
+            intensity_sum[k] += i_now
+            intensity_n[k] += 1
 
     if ts_parts:
         events = make_events(

@@ -418,6 +418,24 @@ def test_synth_scene_json_round_trips_and_bad_velocity_is_usage_error(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--contrast", "nan"], "contrast"),
+        (["--velocity", "nan,0"], "velocity"),
+        (["--background", "nan"], "background"),
+        (["--pattern-size", "inf"], "pattern_size"),
+        (["--start", "inf,0"], "start"),
+    ],
+)
+def test_synth_non_finite_value_is_data_error_naming_the_field(tmp_path, capsys, flags, field):
+    out_dir = tmp_path / "s"
+    assert run(["synth", "-d", str(out_dir), "-o", str(tmp_path / "out.json")] + flags) == 2
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "InvalidSpec" and field in diag["msg"]
+    assert not out_dir.exists()
+
+
 def test_diagnostics_are_single_line_json(scene, capsys, tmp_path):
     assert run(["decode", str(scene / "a" / "events.esf"), "--csv", str(tmp_path / "x.csv")]) == 0
     for line in capsys.readouterr().err.strip().splitlines():

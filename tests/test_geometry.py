@@ -19,7 +19,6 @@ from evfuse.geometry import (
     NoConsensus,
     PointAtInfinity,
     TooFewPoints,
-    distort_point,
     estimate_homography,
     estimate_homography_ransac,
     homography_from_json,
@@ -27,7 +26,6 @@ from evfuse.geometry import (
     load_homography,
     reprojection_stats,
     save_homography,
-    undistort_point,
     warp_box,
     warp_image,
     warp_points,
@@ -224,30 +222,6 @@ def test_warp_image_identity_roundtrip():
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, size=(16, 16)).astype(np.uint8)
     assert np.array_equal(warp_image(np.eye(3), img), img)
-
-
-# -- distortion ---------------------------------------------------------------------
-
-
-def test_distortion_roundtrip():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        x, y = rng.uniform(-0.8, 0.8, size=2)
-        k1, k2 = rng.uniform(-0.2, 0.2), rng.uniform(-0.05, 0.05)
-        p1, p2 = rng.uniform(-0.01, 0.01, size=2)
-        xd, yd = distort_point(x, y, k1, k2, p1, p2)
-        xu, yu = undistort_point(xd, yd, k1, k2, p1, p2)
-        assert math.hypot(xu - x, yu - y) < 1e-9
-
-
-def test_distortion_zero_coefficients_identity():
-    assert distort_point(0.3, -0.2, 0.0) == (0.3, -0.2)
-    assert undistort_point(0.3, -0.2, 0.0) == (0.3, -0.2)
-
-
-def test_distortion_pincushion_moves_outward():
-    xd, yd = distort_point(0.5, 0.0, 0.1)
-    assert xd > 0.5 and yd == 0.0
 
 
 # -- serialization ------------------------------------------------------------------

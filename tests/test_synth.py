@@ -1,17 +1,31 @@
 """Scene-generator tests: conservation against a scalar reimplementation of
-the threshold-with-carry rule, stream validity, and warped-view geometry."""
+the threshold-with-carry rule, byte equality with a full-frame reference
+generator, stream validity, and warped-view geometry."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from evfuse.labels import iou
-from evfuse.streams import validate_stream
+from evfuse.geometry import warp_points
+from evfuse.labels import BoundingBox, iou
+from evfuse.streams import EventStream, StreamHeader, make_events, make_triggers, validate_stream
 from evfuse.sync import triggers_to_exposures
-from evfuse.synth import InvalidSpec, SceneSpec, gen_scene, warp_view
+from evfuse.synth import (
+    InvalidSpec,
+    SceneResult,
+    SceneSpec,
+    _boundary_points,
+    _exposure_table,
+    _intensity,
+    _simulate,
+    _step_boxes,
+    gen_scene,
+    warp_view,
+)
 
 SMALL = SceneSpec(
     width=96,
@@ -28,8 +42,6 @@ SMALL = SceneSpec(
 
 def _scalar_recount(spec):
     """Independent per-pixel scalar model of the event emission rule."""
-    from evfuse.synth import _intensity
-
     ys, xs = np.mgrid[0 : spec.height, 0 : spec.width]
     xs = xs.astype(np.float64)
     ys = ys.astype(np.float64)
@@ -53,6 +65,189 @@ def _scalar_recount(spec):
                     acc -= math.copysign(m * spec.contrast, acc)
     return total, pos
 
+
+def _ref_simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) -> SceneResult:
+    """Reference generator: every step evaluates the whole frame and scans
+    every exposure. ``synth._simulate`` must reproduce it byte for byte."""
+    ys_i, xs_i = np.mgrid[0:height, 0:width]
+    if h is None:
+        hm = np.eye(3)
+        xs, ys = xs_i.astype(np.float64), ys_i.astype(np.float64)
+    else:
+        hm = np.asarray(h, dtype=np.float64)
+        pts = np.stack([xs_i.ravel(), ys_i.ravel()], axis=1).astype(np.float64)
+        back = warp_points(np.linalg.inv(hm), pts)
+        xs = back[:, 0].reshape(height, width)
+        ys = back[:, 1].reshape(height, width)
+
+    exposures = _exposure_table(spec)
+    n_steps = -(-spec.duration_us // spec.dt_us)  # ceil division
+    dt = spec.dt_us
+    c = spec.contrast
+
+    acc = np.zeros((height, width), dtype=np.float64)
+    i_now = _intensity(spec, xs, ys, 0.0)
+    log_prev = np.log1p(i_now)
+    intensity_sum = np.zeros((spec.n_frames, height, width), dtype=np.float64)
+    intensity_n = np.zeros(spec.n_frames, dtype=np.int64)
+    # sample at t=0 contributes to any exposure starting at 0
+    for k, exp in enumerate(exposures):
+        if exp.start <= 0 < exp.end:
+            intensity_sum[k] += i_now
+            intensity_n[k] += 1
+
+    ts_parts, xs_parts, ys_parts, ps_parts = [], [], [], []
+    flat_x = xs_i.ravel()
+    flat_y = ys_i.ravel()
+
+    for step in range(1, n_steps + 1):
+        t_now = step * dt
+        i_now = _intensity(spec, xs, ys, float(t_now))
+        log_now = np.log1p(i_now)
+        delta = log_now - log_prev
+        acc += delta
+        m = np.floor(np.abs(acc) / c).astype(np.int64)
+        fired = np.flatnonzero(m.ravel())
+        if fired.size:
+            m_f = m.ravel()[fired]
+            a = (acc - delta).ravel()[fired]  # residual before this step
+            d = delta.ravel()[fired]
+            s = np.sign(acc.ravel()[fired]).astype(np.int8)
+            total = int(m_f.sum())
+            pix = np.repeat(fired, m_f)
+            j = np.arange(total) - np.repeat(np.cumsum(m_f) - m_f, m_f) + 1
+            frac = (np.repeat(s, m_f) * j * c - np.repeat(a, m_f)) / np.repeat(d, m_f)
+            frac = np.clip(frac, np.finfo(np.float64).tiny, 1.0)
+            t_ev = (t_now - dt) + np.floor(frac * dt).astype(np.int64)
+            order = np.lexsort((pix, t_ev))
+            ts_parts.append(t_ev[order].astype(np.uint64))
+            xs_parts.append(flat_x[pix[order]])
+            ys_parts.append(flat_y[pix[order]])
+            ps_parts.append(np.repeat(s, m_f)[order])
+            acc -= np.sign(acc) * m * c
+        # accumulate frame integrals
+        for k, exp in enumerate(exposures):
+            if exp.start <= t_now < exp.end:
+                intensity_sum[k] += i_now
+                intensity_n[k] += 1
+        log_prev = log_now
+
+    if ts_parts:
+        events = make_events(
+            np.concatenate(ts_parts),
+            np.concatenate(xs_parts),
+            np.concatenate(ys_parts),
+            np.concatenate(ps_parts),
+        )
+    else:
+        events = make_events([], [], [], [])
+
+    tr_t = np.repeat([e.start for e in exposures], 2).astype(np.uint64)
+    tr_t[1::2] = [e.end for e in exposures]
+    tr_edge = np.tile([1, 0], spec.n_frames)
+    triggers = make_triggers(tr_t, tr_edge, np.zeros(2 * spec.n_frames))
+
+    stream = EventStream(StreamHeader(width, height), events, triggers)
+
+    frames = np.clip(
+        np.rint(intensity_sum / intensity_n[:, None, None]), 0, 255
+    ).astype(np.uint8)
+
+    labels = []
+    for exp in exposures:
+        mid = (exp.start + exp.end) / 2.0
+        pts = _boundary_points(spec, mid)
+        if h is not None:
+            pts = warp_points(hm, pts)
+        lo = pts.min(axis=0)
+        hi = pts.max(axis=0)
+        labels.append(
+            BoundingBox(exp.frame_id, spec.pattern, float(lo[0]), float(lo[1]), float(hi[0] - lo[0]), float(hi[1] - lo[1]))
+        )
+
+    return SceneResult(stream, frames, exposures, labels, spec, hm)
+
+
+ORACLE = SceneSpec(
+    width=64, height=48, pattern_size=16.0, duration_s=0.1, fps=20.0, exposure_us=5000, dt_us=500,
+)
+# H's denominator 1 - 0.02 x + 0.0005 y vanishes on a line through the source
+# canvas near x = 50, which the horizontal and diagonal sweeps' boxes cross
+PROJECTIVE_H = np.array([[1.02, 0.03, 1.0], [-0.02, 0.98, 0.5], [-0.02, 0.0005, 1.0]])
+ORACLE_H = {
+    "none": None,
+    "translation": np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "projective": PROJECTIVE_H,
+}
+
+
+def _assert_same_scene(got: SceneResult, want: SceneResult) -> None:
+    assert got.stream.events.tobytes() == want.stream.events.tobytes()
+    assert got.stream.triggers.tobytes() == want.stream.triggers.tobytes()
+    assert got.stream == want.stream
+    assert got.frames.tobytes() == want.frames.tobytes()
+    assert got.labels == want.labels
+    assert got.exposures == want.exposures
+    assert np.array_equal(got.homography, want.homography)
+
+
+@pytest.mark.parametrize("h_name", sorted(ORACLE_H))
+@pytest.mark.parametrize("velocity", [(300.0, 0.0), (0.0, -250.0), (220.0, 180.0)], ids=["horizontal", "vertical", "diagonal"])
+@pytest.mark.parametrize("pattern", ["disk", "rectangle", "checker"])
+def test_simulate_matches_full_frame_reference(pattern, velocity, h_name):
+    spec = replace(ORACLE, pattern=pattern, velocity=velocity)
+    h = ORACLE_H[h_name]
+    got = _simulate(spec, h, spec.width, spec.height)
+    assert got.stream.n_events > 100
+    _assert_same_scene(got, _ref_simulate(spec, h, spec.width, spec.height))
+
+
+def test_projective_oracle_case_runs_the_full_frame_fallback():
+    spec = replace(ORACLE, velocity=(300.0, 0.0))
+    n_steps = -(-spec.duration_us // spec.dt_us)
+    full = [0, spec.height, 0, spec.width]
+    projective = _step_boxes(spec, PROJECTIVE_H, spec.width, spec.height, n_steps)
+    translated = _step_boxes(spec, ORACLE_H["translation"], spec.width, spec.height, n_steps)
+    assert (projective[1:] == full).all(axis=1).any()
+    assert not (translated[1:] == full).all(axis=1).any()
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"start": (40.0, 24.0), "velocity": (500.0, 100.0)},  # leaves the canvas
+        {"start": (-30.0, 24.0), "velocity": (600.0, 0.0)},  # starts off it, then enters
+        {"start": (-200.0, -200.0), "velocity": (10.0, 10.0)},  # never on it
+        {"dt_us": 700, "exposure_us": 2100, "fps": 30.0, "velocity": (180.0, -90.0)},
+        {"pattern": "checker", "dt_us": 1000, "exposure_us": 3000, "pattern_size": 21.0, "width": 70},
+    ],
+    ids=["leaves", "enters", "off-canvas", "dt-700", "checker-dt-1000"],
+)
+@pytest.mark.parametrize("h_name", sorted(ORACLE_H))
+def test_simulate_matches_reference_at_canvas_edges_and_other_steps(changes, h_name):
+    spec = replace(ORACLE, **changes)
+    h = ORACLE_H[h_name]
+    got = _simulate(spec, h, spec.width, spec.height)
+    _assert_same_scene(got, _ref_simulate(spec, h, spec.width, spec.height))
+
+
+
+# With this contrast a full fg -> bg change fires 214 events and leaves a
+# residual of 1.0000000000000004 thresholds, so the pixel fires once more on
+# the next step with delta == 0, after the pattern has left its box.
+REFIRE_CONTRAST = 0.0073941062388593855
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+def test_simulate_matches_reference_when_a_residual_refires():
+    spec = replace(
+        ORACLE, pattern="rectangle", pattern_size=4.0, start=(10.0, 24.0), velocity=(24000.0, 0.0),
+        contrast=REFIRE_CONTRAST,
+    )
+    want = _ref_simulate(spec, None, spec.width, spec.height)
+    refired = want.stream.events[(want.stream.events["t"] == 2 * spec.dt_us) & (want.stream.events["x"] <= 11)]
+    assert len(refired) == 9  # the 3x3 pixels the pattern covered at t=0
+    _assert_same_scene(_simulate(spec, None, spec.width, spec.height), want)
 
 def test_event_conservation_against_scalar_model():
     spec = SceneSpec(
@@ -199,6 +394,25 @@ def test_invalid_specs():
         SceneSpec(dt_us=6000, exposure_us=5000)
     with pytest.raises(InvalidSpec):
         SceneSpec(exposure_us=60_000, fps=20.0)  # exceeds 50 ms period
+
+
+NON_FINITE_SPEC = {  # field -> its value with one non-finite component
+    "pattern_size": lambda v: v,
+    "velocity": lambda v: (v, 0.0),
+    "start": lambda v: (0.0, v),
+    "duration_s": lambda v: v,
+    "background": lambda v: v,
+    "foreground": lambda v: v,
+    "contrast": lambda v: v,
+    "fps": lambda v: v,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_SPEC))
+def test_non_finite_spec_values_are_rejected(field, value):
+    with pytest.raises(InvalidSpec, match=field):
+        SceneSpec(**{field: NON_FINITE_SPEC[field](value)})
 
 
 def test_generation_is_deterministic():
