@@ -56,10 +56,46 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def sobel_gradients(image: np.ndarray) -> tuple:
+    """``ndimage.correlate`` with ``SOBEL_X`` and ``SOBEL_Y``, mode "reflect", bit
+    for bit: one shifted slice of the symmetrically padded image per non-zero
+    weight, added in correlate's order (row-major, from the first product)."""
     img = np.asarray(image, dtype=np.float64)
-    gx = ndimage.correlate(img, SOBEL_X, mode="reflect")
-    gy = ndimage.correlate(img, SOBEL_Y, mode="reflect")
+    h, w = img.shape
+    padded = np.pad(img, 1, mode="symmetric")
+
+    def at(dy, dx):
+        return padded[dy : dy + h, dx : dx + w]
+
+    gx = at(0, 2) - at(0, 0) - 2.0 * at(1, 0) + 2.0 * at(1, 2) - at(2, 0) + at(2, 2)
+    gy = at(2, 0) - (at(0, 0) + 2.0 * at(0, 1) + at(0, 2)) + 2.0 * at(2, 1) + at(2, 2)
     return gx, gy
+
+
+# |gy|/|gx| at 1e-9 below and above tan(22.5 deg) and tan(67.5 deg). _SECTOR
+# maps a gradient's band among them (odd: near an edge), plus 5 for opposite
+# signs, to its direction bin.
+_EDGES = [math.tan(a) * (1.0 + e) for a in (math.pi / 8, 3 * math.pi / 8) for e in (-1e-9, 1e-9)]
+_SECTOR = np.array([0, 0, 1, 0, 2, 0, 0, 3, 0, 2])
+
+
+def _sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Direction bin of each gradient, 0-3 for 0, 45, 90 and 135 degrees:
+    ``floor((mod(arctan2(gy, gx), pi) + pi/8) / (pi/4)) % 4``, exactly.
+
+    Sign tests and the ratio's band set the bin, as cv::Canny does. Near an
+    edge, 0/0 and non-finite ratios among them, the formula itself decides.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(gy) / np.abs(gx)
+    band = (~(ratio < _EDGES[0])).view(np.uint8)  # NaN counts as near an edge
+    for edge in _EDGES[1:]:
+        band += ratio >= edge
+    near = np.flatnonzero(band & 1)
+    band += ((gx < 0) != (gy < 0)).view(np.uint8) * np.uint8(5)
+    sector = _SECTOR[band]
+    angle = np.mod(np.arctan2(gy[near], gx[near]), math.pi)
+    sector[near] = ((angle + math.pi / 8) // (math.pi / 4)).astype(np.int64) % 4
+    return sector
 
 
 def canny(
@@ -82,27 +118,29 @@ def canny(
     if peak <= 0.0:
         return np.zeros(img.shape, dtype=bool)
 
-    # Quantize gradient direction to 4 bins: 0, 45, 90, 135 degrees.
-    angle = np.mod(np.arctan2(gy, gx), math.pi)
-    sector = ((angle + math.pi / 8) // (math.pi / 4)).astype(np.int64) % 4
+    # Only a candidate (mag >= low) can end up weak or strong: any other
+    # pixel's thinned value is 0 or below low, whatever its direction.
+    low = low_frac * peak
+    w = mag.shape[1]
+    cand = np.flatnonzero(mag >= low)
+    # (0, 1), (1, 1), (1, 0) and (1, -1) steps by direction bin, on the padded frame
+    step = np.array([1, w + 3, w + 2, w + 1])[_sectors(gx.ravel()[cand], gy.ravel()[cand])]
 
-    padded = np.pad(mag, 1)
-    center = padded[1:-1, 1:-1]
-    # neighbor pairs per sector, in (dy, dx) steps on the padded array
-    steps = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
-    keep = np.zeros(mag.shape, dtype=bool)
-    for s, (dy, dx) in steps.items():
-        fwd = padded[1 + dy : padded.shape[0] - 1 + dy, 1 + dx : padded.shape[1] - 1 + dx]
-        bwd = padded[1 - dy : padded.shape[0] - 1 - dy, 1 - dx : padded.shape[1] - 1 - dx]
-        keep |= (sector == s) & (center >= fwd) & (center >= bwd)
-    thin = np.where(keep, mag, 0.0)
-
-    strong = thin >= high_frac * peak
-    weak = thin >= low_frac * peak
-    if not strong.any():
+    # Non-maximum suppression: each candidate against its two neighbours
+    # along the gradient, one gather on the flat zero-padded magnitude.
+    padded = np.pad(mag, 1).ravel()
+    at = cand + 2 * (cand // w) + w + 3
+    centre = padded[at]
+    keep = (centre >= padded[at + step]) & (centre >= padded[at - step])
+    edges = cand[keep]
+    strong = edges[centre[keep] >= high_frac * peak]
+    if not strong.size:
         return np.zeros(img.shape, dtype=bool)
+    # Hysteresis. A suppressed pixel counts as 0, so with low == 0 all are weak.
+    weak = np.full(mag.shape, low == 0.0)
+    weak.ravel()[edges] = True
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
-    kept = np.unique(labels[strong])
+    kept = np.unique(labels.ravel()[strong])
     return np.isin(labels, kept[kept != 0])
 
 
@@ -281,6 +319,8 @@ def match_deviation(
     if ref.shape != tgt.shape:
         raise ValueError("reference and target must have the same shape")
     check_search(search_radius, margin)
+    if not 0.0 <= smooth_sigma < math.inf:
+        raise ValueError(f"smooth_sigma must be finite and >= 0, got {smooth_sigma}")
     h, w = ref.shape
     if h <= 2 * margin or w <= 2 * margin:
         raise ValueError(f"image {w}x{h} too small for margin {margin}")

@@ -154,6 +154,17 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"expects a positive number, got {text!r}") from None
 
 
+def _blur_sigma(text: str) -> float:
+    """argparse type for a blur width: a finite number, 0 (no blur) or more."""
+    try:
+        value = float(text)
+        if not 0.0 <= value < float("inf"):  # also rejects nan
+            raise ValueError
+        return value
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {text!r}") from None
+
+
 def _channel(text: str) -> int:
     """argparse type for ``--channel``: a 4-bit trigger channel."""
     try:
@@ -738,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="edges: Canny both; intensity: raw; activity: reference is an event-count frame")
     p.add_argument("--radius", type=int, default=16, help="integer search radius in px")
     p.add_argument("--margin", type=int, default=32, help="template inset from the reference border")
-    p.add_argument("--smooth-sigma", type=float, default=1.0)
+    p.add_argument("--smooth-sigma", type=_blur_sigma, default=1.0)
     p.add_argument("-o", "--out", default=None)
 
     p = add("rate", cmd_rate, "report event rate and bandwidth under an encoding")
@@ -817,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
     opt("--radius", type=int, default=16, help="integer search radius in px (default: %(default)s)")
     opt("--margin", type=int, default=32, help="template inset from the border (default: %(default)s)")
-    opt("--smooth-sigma", type=float, default=2.0, help="blur before matching (default: %(default)s)")
+    opt("--smooth-sigma", type=_blur_sigma, default=2.0, help="blur before matching (default: %(default)s)")
     opt("--threshold-px", type=float, default=2.0, help="RANSAC inlier threshold (default: %(default)s)")
     opt("--seed", type=int, default=0, help="RANSAC seed (default: %(default)s)")
     opt("--jobs", type=_positive_int, default=1, help="frame worker threads (default: %(default)s)")

@@ -199,10 +199,15 @@ def rate_report(
         total_bytes = 8 * n
         bin_bytes = counts * 8
     else:
-        stats = encode_stats(stream)
+        stats = encode_stats(stream)  # also checks that the merged items are time-sorted
         total_bytes = stats.n_bytes  # includes the 16-byte header
-        # words per bin over the bins that hold items, triggers included (encode_stats checked their order)
-        bin_bytes = 2 * np.add.reduceat(stats.item_words, _occupied_bins(stream.merged_times(), bin_us)[1])
+        # Words per bin over the bins that hold items, triggers included. A bin's
+        # first item comes after every event and trigger of the earlier bins.
+        trigger_bins = stream.triggers["t"] // np.uint64(bin_us)
+        bins = np.union1d(index, trigger_bins)
+        starts = np.concatenate(([0], np.cumsum(counts)))[np.searchsorted(index, bins)]
+        starts += np.searchsorted(trigger_bins, bins)
+        bin_bytes = 2 * np.add.reduceat(stats.item_words, starts)
     mean_bps = total_bytes * 1_000_000 / duration
     peak_bps = max(float(bin_bytes.max()) * 1_000_000 / bin_us, mean_bps)
 

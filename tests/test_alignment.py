@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from evfuse import alignment, cli, frames
 from evfuse.alignment import (
@@ -20,6 +21,7 @@ from evfuse.alignment import (
     NonFiniteInput,
     ZeroVariance,
     ZnccResult,
+    _sectors,
     _subpixel,
     _zncc_map,
     canny,
@@ -90,6 +92,38 @@ def _brute_match(reference, target, search_radius=16, margin=32, smooth_sigma=1.
         sub_y = _subpixel(filled[iy - 1, ix], filled[iy, ix], filled[iy + 1, ix])
     fx, fy = dx + sub_x, dy + sub_y
     return ZnccResult(dx=fx, dy=fy, score=float(best), deviation=math.hypot(fx, fy))
+
+
+def _ref_canny(image, sigma=1.4, low_frac=0.1, high_frac=0.3):
+    """``canny`` as full-frame passes: every pixel's direction from arctan2,
+    masked non-maximum suppression, thresholds on the thinned map (the reference)."""
+    if not 0.0 <= low_frac <= high_frac:
+        raise ValueError("need 0 <= low_frac <= high_frac")
+    img = gaussian_blur(image, sigma)
+    gx = ndimage.correlate(img, alignment.SOBEL_X, mode="reflect")
+    gy = ndimage.correlate(img, alignment.SOBEL_Y, mode="reflect")
+    mag = np.hypot(gx, gy)
+    peak = mag.max()
+    if peak <= 0.0:
+        return np.zeros(img.shape, dtype=bool)
+    angle = np.mod(np.arctan2(gy, gx), math.pi)
+    sector = ((angle + math.pi / 8) // (math.pi / 4)).astype(np.int64) % 4
+    padded = np.pad(mag, 1)
+    center = padded[1:-1, 1:-1]
+    steps = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
+    keep = np.zeros(mag.shape, dtype=bool)
+    for s, (dy, dx) in steps.items():
+        fwd = padded[1 + dy : padded.shape[0] - 1 + dy, 1 + dx : padded.shape[1] - 1 + dx]
+        bwd = padded[1 - dy : padded.shape[0] - 1 - dy, 1 - dx : padded.shape[1] - 1 - dx]
+        keep |= (sector == s) & (center >= fwd) & (center >= bwd)
+    thin = np.where(keep, mag, 0.0)
+    strong = thin >= high_frac * peak
+    weak = thin >= low_frac * peak
+    if not strong.any():
+        return np.zeros(img.shape, dtype=bool)
+    labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
+    kept = np.unique(labels[strong])
+    return np.isin(labels, kept[kept != 0])
 
 
 # -- blur ---------------------------------------------------------------------------
@@ -180,6 +214,75 @@ def test_canny_hysteresis_keeps_connected_weak():
     edges = canny(img, sigma=1.0)
     assert edges[:, 18:23].any()
     assert not edges[:, :12].any()
+
+
+def _disk(h, w, radius, cx, cy, inside=200.0, outside=40.0):
+    yy, xx = np.mgrid[0:h, 0:w]
+    return np.where((xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2, inside, outside)
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(21)
+    yy, xx = np.mgrid[0:48, 0:64].astype(np.float64)
+    cases = {
+        "texture": _texture(rng, 90, 120),
+        "coarse texture": np.round(_texture(rng, 70, 50) / 32.0) * 32.0,
+        "disk": _disk(80, 100, 22, 47.5, 41),
+        "noise": rng.uniform(0, 255, size=(40, 56)),
+        "ramp 45": xx + yy,
+        "ramp 135": xx - yy,
+        "ramp 22.5": xx + yy * math.tan(math.pi / 8),
+        "ramp 67.5": xx * math.tan(math.pi / 8) + yy,
+        "step 45": np.where(xx > yy, 100.0, 0.0),
+        "constant": np.full((20, 30), 7.0),
+        "zero": np.zeros((20, 30)),
+        "1x1": np.array([[5.0]]),
+        "1xN": rng.uniform(0, 9, size=(1, 17)),
+        "Nx1": rng.uniform(0, 9, size=(23, 1)),
+        "2x2": np.array([[0.0, 1.0], [3.0, 2.0]]),
+    }
+    for h, w in ((1, 2), (3, 1), (5, 7), (33, 13)):
+        cases[f"noise {h}x{w}"] = rng.uniform(0, 255, size=(h, w))
+    return cases
+
+
+@pytest.mark.parametrize("name, image", list(_oracle_inputs().items()))
+def test_sobel_equals_correlate(name, image):
+    gx, gy = sobel_gradients(image)
+    assert np.array_equal(gx, ndimage.correlate(image, alignment.SOBEL_X, mode="reflect"))
+    assert np.array_equal(gy, ndimage.correlate(image, alignment.SOBEL_Y, mode="reflect"))
+
+
+@pytest.mark.parametrize("name, image", list(_oracle_inputs().items()))
+@pytest.mark.parametrize("sigma, low_frac, high_frac", [
+    (1.4, 0.1, 0.3), (0.0, 0.1, 0.3), (1.4, 0.0, 0.3), (1.0, 0.2, 0.2), (0.0, 0.0, 0.0),
+])
+def test_canny_equals_reference(name, image, sigma, low_frac, high_frac):
+    got = canny(image, sigma, low_frac, high_frac)
+    assert got.dtype == bool
+    assert np.array_equal(got, _ref_canny(image, sigma, low_frac, high_frac))
+
+
+def test_canny_equals_reference_at_sensor_scale():
+    image = _disk(720, 1280, 150, 640.5, 360)
+    image += _texture(np.random.default_rng(22), 720, 1280) * 0.05
+    assert np.array_equal(canny(image), _ref_canny(image))
+
+
+def test_sectors_at_bin_edges_equal_the_angle_formula():
+    # Gradients at and within 1e-15 rad of every k * pi/8, and signed zeros.
+    theta = np.array([k * math.pi / 8 + d for k in range(-8, 9) for d in (-1e-15, -3e-16, 0.0, 3e-16, 1e-15)])
+    scale = np.array([1e-300, 1e-3, 1.0, 255.0 * 8, 1e300])[:, None]
+    gx = (np.cos(theta) * scale).ravel()
+    gy = (np.sin(theta) * scale).ravel()
+    zeros = [0.0, -0.0]
+    gx = np.concatenate((gx, [a for a in zeros for _ in zeros], [1.0, -1.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]))
+    gy = np.concatenate((gy, [b for _ in zeros for b in zeros], [0.0, -0.0, 1.0, -1.0, -0.0, 0.0, -1.0, 1.0]))
+    gx = np.concatenate((gx, [np.inf, -np.inf, 1.0, np.inf, 5e-324, 3 * 5e-324]))
+    gy = np.concatenate((gy, [1.0, np.inf, -np.inf, np.inf, 5e-324, 5e-324]))
+    angle = np.mod(np.arctan2(gy, gx), math.pi)
+    want = ((angle + math.pi / 8) // (math.pi / 4)).astype(np.int64) % 4
+    assert np.array_equal(_sectors(gx, gy), want)
 
 
 # -- zncc ---------------------------------------------------------------------------
@@ -430,6 +533,15 @@ def test_match_subpixel_sign_of_zero_like_brute_force():
     expected = _brute_match(ref, tgt, 8, 16, 0.0)
     assert str(round(expected.dy, 3)) == "-0.0"
     assert repr(match_deviation(ref, tgt, 8, 16, 0.0)) == repr(expected)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+def test_match_rejects_bad_smooth_sigma(sigma):
+    rng = np.random.default_rng(13)
+    base = _texture(rng, 80, 100)
+    for check in (match_deviation, edge_deviation, event_frame_deviation):
+        with pytest.raises(ValueError, match="smooth_sigma"):
+            check(base, _shift(base, 2, 0), search_radius=4, margin=8, smooth_sigma=sigma)
 
 
 @pytest.mark.parametrize("which, bad", [("target", np.nan), ("reference", np.inf)])

@@ -467,6 +467,12 @@ BAD_OPTION_ARGV = [
     ["rate", "{missing}", "-o", "{out}", "--saturation-evps", "nan"],
     ["erc", "{missing}", "-o", "{out}", "--cap-evps", "0"],
     ["erc", "{missing}", "-o", "{out}", "--period-us", "0"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--smooth-sigma", "nan"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--smooth-sigma", "inf"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--smooth-sigma", "-1"],
+    ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "nan"],
+    ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "inf"],
+    ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "-1"],
 ]
 
 
@@ -481,7 +487,8 @@ def test_bad_option_value_is_usage_error_before_input_is_read(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "config",
     [{"method": "m9"}, {"custom": "start:1"}, {"jobs": 0}, {"bin_us": 0}, {"erc_cap_evps": 0},
-     {"erc_period_us": 0}, {"clip": -3}, {"channel": 16}],
+     {"erc_period_us": 0}, {"clip": -3}, {"channel": 16},
+     {"smooth_sigma": -1.0}, {"smooth_sigma": "inf"}, {"smooth_sigma": float("nan")}],
 )
 def test_bad_config_value_is_usage_error_before_input_is_read(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -313,6 +313,19 @@ def test_esf1_peak_bps_matches_brute_force_bins(bin_us):
     assert bin_us >= 25_000 or peak_bps > mean_bps  # the bins, not the mean, set the peak
 
 
+def test_esf1_report_builds_merged_times_once(monkeypatch):
+    # encode_stats needs the merged timestamps; the bin cut reuses the event bins instead
+    calls = []
+    merged_times = EventStream.merged_times
+    monkeypatch.setattr(EventStream, "merged_times", lambda self: calls.append(1) or merged_times(self))
+    t_ev = np.arange(0, 50_000, 7)
+    triggers = make_triggers([3, 2_500, 2_999, 40_000], [1, 0, 1, 0], [0] * 4)
+    stream = EventStream(StreamHeader(64, 64), _events_at(t_ev), triggers)
+    rep = rate_report(stream, encoding="esf1", bin_us=1000)
+    assert len(calls) == 1
+    assert (rep.peak_bps, rep.mean_bps) == _brute_esf1_peak_bps(stream, 1000)
+
+
 def test_report_peak_above_mean_property():
     rng = np.random.default_rng(5)
     for _ in range(20):
