@@ -60,34 +60,27 @@ def sobel_gradients(image: np.ndarray) -> tuple:
     for bit: one shifted slice of the symmetrically padded image per non-zero
     weight, added in correlate's order (row-major, from the first product)."""
     img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape
+    rows, cols = img.shape
     padded = np.pad(img, 1, mode="symmetric")
-
-    def at(dy, dx):
-        return padded[dy : dy + h, dx : dx + w]
-
-    gx = at(0, 2) - at(0, 0) - 2.0 * at(1, 0) + 2.0 * at(1, 2) - at(2, 0) + at(2, 2)
-    gy = at(2, 0) - (at(0, 0) + 2.0 * at(0, 1) + at(0, 2)) + 2.0 * at(2, 1) + at(2, 2)
+    nw, n, ne, w, _, e, sw, s, se = (padded[dy : dy + rows, dx : dx + cols] for dy in range(3) for dx in range(3))
+    gx = ne - nw - 2.0 * w + 2.0 * e - sw + se
+    gy = sw - (nw + 2.0 * n + ne) + 2.0 * s + se
     return gx, gy
 
 
-# |gy|/|gx| at 1e-9 below and above tan(22.5 deg) and tan(67.5 deg). _SECTOR
-# maps a gradient's band among them (odd: near an edge), plus 5 for opposite
-# signs, to its direction bin.
+# |gy|/|gx| just below and above tan(22.5 deg) and tan(67.5 deg), and the bin of each band among them
 _EDGES = [math.tan(a) * (1.0 + e) for a in (math.pi / 8, 3 * math.pi / 8) for e in (-1e-9, 1e-9)]
-_SECTOR = np.array([0, 0, 1, 0, 2, 0, 0, 3, 0, 2])
+_SECTOR = np.array([0, 0, 1, 0, 2, 0, 0, 3, 0, 2])  # band + 5 for gx, gy of opposite signs
 
 
 def _sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Direction bin of each gradient, 0-3 for 0, 45, 90 and 135 degrees:
-    ``floor((mod(arctan2(gy, gx), pi) + pi/8) / (pi/4)) % 4``, exactly.
-
-    Sign tests and the ratio's band set the bin, as cv::Canny does. Near an
-    edge, 0/0 and non-finite ratios among them, the formula itself decides.
-    """
+    """Direction bin of each gradient (0-3: 0, 45, 90, 135 degrees), exactly
+    ``floor((mod(arctan2(gy, gx), pi) + pi/8) / (pi/4)) % 4``: from sign tests
+    and the ratio's band, as cv::Canny does, but from the formula itself where
+    the ratio is within 1e-9 of a bin edge (odd bands) or NaN (0/0, inf/inf)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.abs(gy) / np.abs(gx)
-    band = (~(ratio < _EDGES[0])).view(np.uint8)  # NaN counts as near an edge
+    band = (~(ratio < _EDGES[0])).view(np.uint8)  # NaN stays in band 1
     for edge in _EDGES[1:]:
         band += ratio >= edge
     near = np.flatnonzero(band & 1)
@@ -120,16 +113,15 @@ def canny(
 
     # Only a candidate (mag >= low) can end up weak or strong: any other
     # pixel's thinned value is 0 or below low, whatever its direction.
+    # Non-maximum suppression compares each candidate with its two neighbours
+    # along the gradient, steps (0, 1), (1, 1), (1, 0) or (1, -1) by direction
+    # bin, in one gather on the flat zero-padded magnitude.
     low = low_frac * peak
     w = mag.shape[1]
     cand = np.flatnonzero(mag >= low)
-    # (0, 1), (1, 1), (1, 0) and (1, -1) steps by direction bin, on the padded frame
     step = np.array([1, w + 3, w + 2, w + 1])[_sectors(gx.ravel()[cand], gy.ravel()[cand])]
-
-    # Non-maximum suppression: each candidate against its two neighbours
-    # along the gradient, one gather on the flat zero-padded magnitude.
     padded = np.pad(mag, 1).ravel()
-    at = cand + 2 * (cand // w) + w + 3
+    at = cand + 2 * (cand // w) + w + 3  # flat index in the padded frame
     centre = padded[at]
     keep = (centre >= padded[at + step]) & (centre >= padded[at - step])
     edges = cand[keep]

@@ -216,9 +216,9 @@ def test_canny_hysteresis_keeps_connected_weak():
     assert not edges[:, :12].any()
 
 
-def _disk(h, w, radius, cx, cy, inside=200.0, outside=40.0):
+def _disk(h, w, radius, cx, cy):
     yy, xx = np.mgrid[0:h, 0:w]
-    return np.where((xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2, inside, outside)
+    return np.where((xx - cx) ** 2 + (yy - cy) ** 2 <= radius**2, 200.0, 40.0)
 
 
 def _oracle_inputs():
