@@ -44,6 +44,8 @@ SOBEL_Y = SOBEL_X.T
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur, kernel truncated at 3 sigma, reflected edges."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     img = np.asarray(image, dtype=np.float64)
     if sigma <= 0:
         return img.copy()

@@ -27,6 +27,11 @@ strictly smaller than the previous one (24-bit rollover).  Decoder state
 starts at time_high = time_low = 0, epoch = 0, row unset; a CD_X word before
 any CD_Y is an error.
 
+``decode_esf`` runs one vectorized slice decoder over cache-sized word slices
+in order, carrying those registers from slice to slice.  A first pass counts
+each slice's events and triggers, so the output is allocated once and each
+slice writes its own part: decode memory follows the output, not the file.
+
 The encoder emits state words only when the corresponding register changes,
 so the byte count (16 + 2 * words) is the honest wire footprint used by the
 rate-budget module.  One forced-word mask, built from the merged timestamps
@@ -43,11 +48,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .streams import (
+    EVENT_DTYPE,
     MAX_SENSOR_DIM,
+    TRIGGER_DTYPE,
     CoordinateOutOfBounds,
     EventStream,
     StreamError,
@@ -66,7 +74,7 @@ TYPE_CD_X = 0x2
 TYPE_TIME_LOW = 0x6
 TYPE_TIME_HIGH = 0x8
 TYPE_EXT_TRIGGER = 0xA
-_KNOWN_TYPES = (TYPE_CD_Y, TYPE_CD_X, TYPE_TIME_LOW, TYPE_TIME_HIGH, TYPE_EXT_TRIGGER)
+_SLICE_WORDS = 1 << 16  # words per decoded slice: its temporaries stay cache-sized
 
 
 # -- typed decode errors ------------------------------------------------------
@@ -147,21 +155,41 @@ def decode_esf(data: bytes) -> EventStream:
     if (len(data) - HEADER_SIZE) % WORD_SIZE:
         raise TruncatedStream(len(data) - 1, "odd byte count: truncated final word")
 
-    header = StreamHeader(width, height)
     words = np.frombuffer(data, dtype="<u2", offset=HEADER_SIZE)
-    if words.shape[0] == 0:
-        return EventStream(header)
-    return EventStream(header, *_decode_words(words, width, height))
+    starts = range(0, words.shape[0], _SLICE_WORDS)
+    at = np.zeros((len(starts) + 1, 2), dtype=np.int64)
+    for k, s in enumerate(starts):
+        types = words[s : s + _SLICE_WORDS] >> 12
+        at[k + 1] = np.count_nonzero(types == TYPE_CD_X), np.count_nonzero(types == TYPE_EXT_TRIGGER)
+    ev_at, tr_at = np.cumsum(at, axis=0).T
+    events = np.empty(ev_at[-1], dtype=EVENT_DTYPE)
+    triggers = np.empty(tr_at[-1], dtype=TRIGGER_DTYPE)
+    trigger_pos = np.empty(tr_at[-1], dtype=np.int64)
+    state = _Registers()
+    for k, s in enumerate(starts):
+        ev, tr = events[ev_at[k] : ev_at[k + 1]], triggers[tr_at[k] : tr_at[k + 1]]
+        pos, state = _decode_slice(words[s : s + _SLICE_WORDS], state, s, width, height, ev, tr)
+        np.add(pos, ev_at[k] + tr_at[k], out=trigger_pos[tr_at[k] : tr_at[k + 1]])
+    return EventStream(StreamHeader(width, height), events, triggers, trigger_pos)
 
 
-def _decode_words(words, width, height):
-    """Decode the whole word array in one vectorized pass.
+class _Registers(NamedTuple):
+    """Decoder registers between word slices; ``row`` is None until the first CD_Y."""
 
-    Returns (events, triggers, trigger positions within the merged item
-    sequence).
+    epoch: int = 0
+    time_high: int = 0
+    time_low: int = 0
+    row: int | None = None
+
+
+def _decode_slice(words, state, start, width, height, events, triggers):
+    """Decode the slice ``words``, which starts at word ``start`` of the file, from the registers ``state``.
+
+    Writes its items into ``events`` and ``triggers``, sized by its CD_X and
+    EXT_TRIGGER words.  Returns the triggers' positions among the slice's
+    items and the registers after the slice.
     """
     n = words.shape[0]
-    count_dtype = np.int32 if n < 1 << 31 else np.int64
     types = (words >> 12).astype(np.uint8)
 
     is_th = types == TYPE_TIME_HIGH
@@ -175,7 +203,7 @@ def _decode_words(words, width, height):
     y_vals_all = words.take(y_idx) & 0xFFF
     x_words = words.take(x_idx)
     x_vals = x_words & 0x7FF
-    first_y = int(y_idx[0]) if y_idx.shape[0] else n
+    first_y = 0 if state.row is not None else int(y_idx[0]) if y_idx.shape[0] else n  # row unset before it
 
     # Screen for malformed words cheaply.  Only on failure is a per-word
     # ``bad`` mask built: its argmax is the word a sequential decoder stops at,
@@ -190,7 +218,7 @@ def _decode_words(words, width, height):
         bad[:first_y] |= is_x[:first_y]
         i = int(np.argmax(bad))
         word = int(words[i])
-        kind, offset = word >> 12, HEADER_SIZE + WORD_SIZE * i
+        kind, offset = word >> 12, HEADER_SIZE + WORD_SIZE * (start + i)
         if kind == TYPE_CD_Y:
             raise CoordinateOutOfBounds("y", word & 0xFFF, offset)
         if kind == TYPE_CD_X and word & 0x7FF >= width:
@@ -199,46 +227,40 @@ def _decode_words(words, width, height):
 
     # Timestamp state.  Both TIME word kinds update the same 64-bit register,
     # so build one table of its value after each TIME word; cnt_time[i] then
-    # indexes it (slot 0 = the all-zero initial state).  Within the TIME-word
+    # indexes it (slot 0 = the carried registers).  Within the TIME-word
     # subsequence the high part forward-fills across low-word updates and vice
     # versa, and the epoch increments at each strict TIME_HIGH decrease
-    # (24-bit rollover).
+    # (24-bit rollover), the carried TIME_HIGH included.
     is_time = is_th | is_tl
     time_idx = np.nonzero(is_time)[0]
     time_is_high = is_th.take(time_idx)
     time_vals = (words.take(time_idx) & 0xFFF).astype(np.uint64)
-    th_tab = np.insert(time_vals[time_is_high], 0, 0)
-    ep_tab = np.insert(np.cumsum(th_tab[1:] < th_tab[:-1], dtype=np.uint64), 0, 0)
-    tl_tab = np.insert(time_vals[~time_is_high], 0, 0)
-    jth = np.cumsum(time_is_high, dtype=count_dtype)
-    jtl = np.cumsum(~time_is_high, dtype=count_dtype)
-    t_tab = np.insert((ep_tab[jth] << np.uint64(24)) + (th_tab[jth] << np.uint64(12)) + tl_tab[jtl], 0, 0)
+    th_tab = np.insert(time_vals[time_is_high], 0, state.time_high)
+    ep_tab = np.insert(np.cumsum(th_tab[1:] < th_tab[:-1], dtype=np.uint64), 0, 0) + np.uint64(state.epoch)
+    tl_tab = np.insert(time_vals[~time_is_high], 0, state.time_low)
+    jth = np.insert(np.cumsum(time_is_high, dtype=np.int32), 0, 0)
+    jtl = np.insert(np.cumsum(~time_is_high, dtype=np.int32), 0, 0)
+    t_tab = (ep_tab[jth] << np.uint64(24)) + (th_tab[jth] << np.uint64(12)) + tl_tab[jtl]
 
-    cnt_time = np.cumsum(is_time, dtype=count_dtype)
-    cnt_y = np.cumsum(is_y, dtype=count_dtype)
-    y_tab = np.insert(y_vals_all.astype(np.uint16), 0, 0)
+    cnt_time = np.cumsum(is_time, dtype=np.int32)
+    cnt_y = np.cumsum(is_y, dtype=np.int32)
+    y_tab = np.insert(y_vals_all.astype(np.uint16), 0, state.row or 0)
 
-    polarity = ((x_words >> 11) & 1).astype(np.int8)
-    polarity += polarity
-    polarity -= 1  # bit set -> +1, clear -> -1
-    events = make_events(
-        t_tab[cnt_time.take(x_idx)],
-        x_vals,
-        y_tab[cnt_y.take(x_idx)],
-        polarity,
-    )
+    events["t"] = t_tab[cnt_time.take(x_idx)]
+    events["x"] = x_vals
+    events["y"] = y_tab[cnt_y.take(x_idx)]
+    events["p"] = ((x_words >> 11) & 1).astype(np.int8) * 2 - 1  # bit set -> +1, clear -> -1
 
     trig_idx = np.nonzero(is_trig)[0]
     trig_words = words.take(trig_idx)
-    triggers = make_triggers(
-        t_tab[cnt_time[trig_idx]],
-        (trig_words & 1).astype(np.uint8),
-        ((trig_words >> 8) & 0xF).astype(np.uint8),
-    )
+    triggers["t"] = t_tab[cnt_time.take(trig_idx)]
+    triggers["edge"] = trig_words & 1
+    triggers["channel"] = (trig_words >> 8) & 0xF
 
-    # Merged position of each trigger: events before it plus triggers before it.
-    trigger_pos = (np.searchsorted(x_idx, trig_idx) + np.arange(trig_idx.shape[0])).astype(np.int64)
-    return events, triggers, trigger_pos
+    # Position of each trigger among the slice's items: events before it plus triggers before it.
+    trigger_pos = np.searchsorted(x_idx, trig_idx) + np.arange(trig_idx.shape[0])
+    row = int(y_tab[-1]) if y_idx.shape[0] else state.row
+    return trigger_pos, _Registers(int(ep_tab[-1]), int(th_tab[-1]), int(tl_tab[-1]), row)
 
 
 # -- encoding ------------------------------------------------------------------

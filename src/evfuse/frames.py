@@ -59,11 +59,17 @@ def render_gray(data: np.ndarray, mode: str = "polarity", clip: int = DEFAULT_CL
     if clip <= 0:
         raise ValueError("clip must be positive")
     if mode == "count":
-        scaled = 255.0 * np.minimum(data, clip) / clip
-        return np.rint(np.maximum(scaled, 0.0)).astype(np.uint8)
-    # polarity
-    clamped = np.clip(data, -clip, clip)
-    return np.rint(128.0 + 127.0 * clamped / clip).astype(np.uint8)
+        lo, hi, zero, full = 0, min(clip, max(int(data.max(initial=0)), 0)), 0.0, 255.0
+    else:  # polarity
+        hi = min(clip, max(int(data.max(initial=0)), -int(data.min(initial=0))))
+        lo, zero, full = -hi, 128.0, 127.0
+    clamped = np.clip(data, lo, hi)
+    # The formula runs once per value in [lo, hi] to give a uint8 lookup table.
+    # The table is sized by the values present, so a huge ``clip`` never builds
+    # a huge one; where it would outgrow the image the formula runs per pixel.
+    values = clamped if hi - lo >= clamped.size else np.arange(lo, hi + 1)
+    gray = np.rint(zero + full * values / clip).astype(np.uint8)
+    return gray if values is clamped else gray.take(np.subtract(clamped, lo, out=clamped))
 
 
 # -- image file I/O ---------------------------------------------------------------

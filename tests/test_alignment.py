@@ -157,6 +157,16 @@ def test_blur_zero_sigma_is_identity():
     assert np.array_equal(gaussian_blur(img, 0.0), img)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+def test_blur_and_canny_reject_non_finite_sigma(sigma):
+    img = np.zeros((8, 8))
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_blur(img, sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        canny(img, sigma=sigma)
+    assert np.array_equal(gaussian_blur(img, -1.0), img)  # a non-positive sigma still means no blur
+
+
 def test_sobel_on_ramp():
     # Horizontal ramp: gx = 8 * step everywhere (kernel weight sum 8), gy = 0.
     img = np.tile(np.arange(10, dtype=float) * 3.0, (6, 1))

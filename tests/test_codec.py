@@ -3,11 +3,14 @@ round trips, and decoder totality under fuzzing."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from evfuse import codec
 from evfuse.codec import (
     HEADER_SIZE,
     TYPE_CD_X,
@@ -462,26 +465,36 @@ def _reference_decode(data):
     return ref.items
 
 
-def test_decoder_matches_reference_model_on_random_words():
-    # Every word kind plus unknown nibbles.  Payloads mostly stay under a
-    # per-array cap below 96, so they land on both sides of sensor sizes
-    # 1..89: errors of every kind compete for the earliest offset, and about
-    # one array in ten decodes to events.
-    rng = np.random.default_rng(99)
+def _random_word_blobs(rng, count):
+    """``count`` ESF-1 byte strings of up to 39 random words.
+
+    Every word kind plus unknown nibbles.  Payloads mostly stay under a
+    per-array cap below 96, so they land on both sides of sensor sizes
+    1..89: errors of every kind compete for the earliest offset, and about
+    one array in ten decodes to events.
+    """
     nibbles = np.array([TYPE_TIME_HIGH, TYPE_TIME_LOW, TYPE_CD_Y, TYPE_CD_X, TYPE_EXT_TRIGGER, 0x1, 0x7, 0xF])
     weights = np.array([10, 10, 25, 37, 15, 1, 1, 1]) / 100
-    kinds = set()
-    for _ in range(10_000):
+    for _ in range(count):
         n = int(rng.integers(0, 40))
         words = nibbles[rng.choice(8, size=n, p=weights)] << 12
         words |= np.where(rng.random(n) < 0.98, rng.integers(0, rng.integers(1, 96), n), rng.integers(0, 0x1000, n))
         is_x = words >> 12 == TYPE_CD_X
         words[is_x] |= rng.integers(0, 2, int(is_x.sum())) << 11  # polarity
-        data = make_header(*(int(v) for v in rng.integers(1, 90, 2))) + pack_words(words)
+        yield make_header(*(int(v) for v in rng.integers(1, 90, 2))) + pack_words(words)
+
+
+def _assert_decoder_matches_reference_on_random_words(count):
+    kinds = set()
+    for data in _random_word_blobs(np.random.default_rng(99), count):
         got = _decode_outcome(lambda d: _stream_items(decode_esf(d)), data)
-        assert got == _decode_outcome(_reference_decode, data), words.tolist()
+        assert got == _decode_outcome(_reference_decode, data), np.frombuffer(data, "<u2", offset=HEADER_SIZE)
         kinds.add(got[0] if isinstance(got, tuple) else "items")
     assert kinds == {"items", UnknownWordType, CoordinateOutOfBounds, CdXBeforeCdY}
+
+
+def test_decoder_matches_reference_model_on_random_words():
+    _assert_decoder_matches_reference_on_random_words(10_000)
 
 
 def test_roundtrip_random_streams():
@@ -531,6 +544,116 @@ def test_decode_error_offset_after_many_words():
     with pytest.raises(UnknownWordType) as exc:
         decode_esf(make_header(64, 64) + pack_words(words))
     assert exc.value.offset == HEADER_SIZE + 2 * 10
+
+
+# -- word slices: the decoder carries its registers from one slice to the next --
+
+
+@pytest.fixture(params=[1, 2, 3, 7])
+def slice_words(request, monkeypatch):
+    """Decode in slices of 1, 2, 3 or 7 words, so every register crosses a slice boundary."""
+    monkeypatch.setattr(codec, "_SLICE_WORDS", request.param)
+    return request.param
+
+
+def test_slices_match_reference_model_on_random_words(slice_words):
+    _assert_decoder_matches_reference_on_random_words(1_000)
+
+
+def test_slices_round_trip_random_streams(slice_words):
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        s = _random_stream(rng)
+        assert decode_esf(encode_esf(s)) == s
+
+
+def test_slices_preserve_tie_interleaving(slice_words):
+    events = make_events([100, 100], [1, 2], [3, 3], [1, -1])
+    s = EventStream(StreamHeader(32, 32), events, make_triggers([100], [1], [0]), trigger_pos=[1])
+    assert decode_esf(encode_esf(s)) == s
+
+
+def test_slices_multi_rollover_round_trip(slice_words):
+    s = _random_stream(np.random.default_rng(21), n_events=4000, n_triggers=40, t_span=80_000_000)
+    assert decode_esf(encode_esf(s)) == s
+
+
+def _decode_every_slicing(monkeypatch, words, width=64, height=64):
+    """Decode ``words`` in slices of every size from one word to all of them.
+
+    Each outcome (items, or error type, offset and message) must equal the
+    reference model's; returns it and the decoded streams.
+    """
+    data = make_header(width, height) + pack_words(words)
+    want, streams = _decode_outcome(_reference_decode, data), []
+    for size in range(1, len(words) + 1):
+        monkeypatch.setattr(codec, "_SLICE_WORDS", size)
+        got = _decode_outcome(decode_esf, data)
+        assert (got if isinstance(got, tuple) else _stream_items(got)) == want, size
+        streams.append(got)
+    return want, streams
+
+
+def test_slices_carry_epoch_across_rollover(monkeypatch):
+    # TIME_HIGH drops from 4095 to 0 in a later slice than it was set; TIME_LOW and the row carry too.
+    words = [build_time_high(4095), build_time_low(7), build_cd_y(0), build_cd_x(1, 1), build_time_high(0),
+             build_cd_x(2, 1)]
+    items, _ = _decode_every_slicing(monkeypatch, words)
+    assert items == [("cd", 4095 * 2**12 + 7, 1, 0, 1), ("cd", 2**24 + 7, 2, 0, 1)]
+
+
+def test_slices_carry_a_multi_epoch_run(monkeypatch):
+    ts = [0, 2**24 - 1, 2**24, 2**24 + 5, 3 * 2**24 + 17, 5 * 2**24, 5 * 2**24 + 4096]
+    s = EventStream(StreamHeader(32, 32), make_events(ts, [1] * 7, [2, 2, 3, 3, 4, 4, 4], [1] * 7))
+    words = np.frombuffer(encode_esf(s), dtype="<u2", offset=HEADER_SIZE).tolist()
+    items, _ = _decode_every_slicing(monkeypatch, words, 32, 32)
+    assert items == _stream_items(s)
+
+
+def test_slices_carry_unset_row_to_a_later_cd_x(monkeypatch):
+    # the first CD_Y comes in a later slice than the CD_X: the error is at the CD_X
+    words = [build_time_low(1), build_time_low(2), build_time_low(3), build_cd_x(1, 1), build_cd_y(2)]
+    outcome, _ = _decode_every_slicing(monkeypatch, words)
+    assert outcome[:2] == (CdXBeforeCdY, HEADER_SIZE + 2 * 3)
+    # a row set in an earlier slice stays set
+    items, _ = _decode_every_slicing(monkeypatch, [build_cd_y(2), build_time_low(1), build_cd_x(1, 1)])
+    assert items == [("cd", 1, 1, 2, 1)]
+
+
+def test_slices_report_an_unknown_word_in_the_last_slice(monkeypatch):
+    outcome, _ = _decode_every_slicing(monkeypatch, [build_cd_y(1)] + [build_cd_x(1, 1)] * 8 + [0x3000])
+    assert outcome == (UnknownWordType, HEADER_SIZE + 2 * 9, f"unknown word type 0x3 at byte {HEADER_SIZE + 18}")
+
+
+def test_slices_count_earlier_events_in_trigger_positions(monkeypatch):
+    words = [build_cd_y(1), build_cd_x(1, 1), build_cd_x(2, 1), build_cd_x(3, 0), build_trigger(1, 0),
+             build_cd_x(4, 1), build_trigger(0, 0)]
+    _, streams = _decode_every_slicing(monkeypatch, words)
+    assert [s.trigger_pos.tolist() for s in streams] == [[3, 5]] * len(words)
+
+
+def test_slices_of_time_words_only(monkeypatch):
+    words = [build_cd_y(1), build_cd_x(1, 1), build_time_high(2), build_time_low(3), build_time_high(4),
+             build_time_low(5), build_cd_x(2, 0)]
+    items, _ = _decode_every_slicing(monkeypatch, words)
+    assert items == [("cd", 0, 1, 1, 1), ("cd", 4 * 2**12 + 5, 2, 1, -1)]
+
+
+def test_decode_memory_follows_the_output():
+    # 1 M events over 3 epochs.  Decoding the whole word array at once builds
+    # word-length temporaries worth about ten times the output; slices keep
+    # them within a fixed budget.
+    s = _random_stream(np.random.default_rng(5), 1_000_000, 100, 1280, 720, t_span=3 * 2**24)
+    blob = encode_esf(s)
+    tracemalloc.start()
+    try:
+        out = decode_esf(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == s
+    out_bytes = out.events.nbytes + out.triggers.nbytes + out.trigger_pos.nbytes
+    assert peak <= out_bytes + 16 * 2**20, (peak, out_bytes)
 
 
 # Timestamps built from (epoch, TIME_HIGH, TIME_LOW) parts drawn from small

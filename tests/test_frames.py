@@ -82,6 +82,32 @@ def test_render_binary():
     assert list(render_gray(data, "binary")[0]) == [0, 255, 255]
 
 
+def _ref_render_gray(data, mode, clip):
+    """The float formula per pixel, no lookup table (the reference)."""
+    if mode == "binary":
+        return np.where(data != 0, 255, 0).astype(np.uint8)
+    if mode == "count":
+        scaled = 255.0 * np.minimum(data, clip) / clip
+        return np.rint(np.maximum(scaled, 0.0)).astype(np.uint8)
+    clamped = np.clip(data, -clip, clip)
+    return np.rint(128.0 + 127.0 * clamped / clip).astype(np.uint8)
+
+
+@pytest.mark.parametrize("mode", ["count", "polarity", "binary"])
+@pytest.mark.parametrize("clip", [1, 2, 3, 7, 255, 256, 10**6, 2**31 - 1])
+def test_render_gray_matches_float_formula(mode, clip):
+    rng = np.random.default_rng(clip)
+    for data in (
+        rng.integers(-300, 300, (37, 53)).astype(np.int32),  # negative values and values above clip
+        rng.integers(0, 4, (5, 6)).astype(np.int32),
+        np.full((2, 3), -5, dtype=np.int32),
+        np.zeros((0, 4), dtype=np.int32),
+        np.array([[np.iinfo(np.int32).max, 0, -np.iinfo(np.int32).max]], dtype=np.int32),
+    ):
+        got = render_gray(data, mode, clip)
+        assert got.dtype == np.uint8 and np.array_equal(got, _ref_render_gray(data, mode, clip))
+
+
 def test_render_rejects_bad_clip():
     with pytest.raises(ValueError):
         render_gray(np.zeros((1, 1), dtype=np.int32), "count", clip=0)
