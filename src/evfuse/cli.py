@@ -3,9 +3,10 @@
 Conventions shared by every subcommand:
 
 * exit status is 0 on success, 1 for usage errors, 2 for data/format errors;
-* option values (sync methods, custom windows, counts, rates and bin widths
-  that must be positive) are checked by the parser, before any input is
-  read, so a bad value is always a usage error;
+* option values are checked by the parser, before any input is read, so a
+  bad value is always a usage error: every numeric option declares its range
+  through one rule (``_number``), and sync methods and custom windows are
+  parsed by the library's own parsers;
 * results go to stdout (or to files named by ``-o``/``--out-dir``);
 * diagnostics are single-line JSON records on stderr, e.g.
   ``{"level": "warning", "msg": "..."}`` — never free-form prose;
@@ -26,6 +27,7 @@ import argparse
 import dataclasses
 import datetime as _dt
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -37,7 +39,7 @@ from . import alignment, codec, frames, geometry, labels, optics, rate, sync, sy
 from .alignment import AlignmentError
 from .geometry import GeometryError
 from .rate import RateError
-from .streams import EventStream, StreamHeader, StreamError, validate_stream
+from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, StreamError, validate_stream
 from .sync import TooFewExposures
 from .synth import InvalidSpec
 
@@ -109,71 +111,32 @@ def _usage_fail(message: str) -> "SystemExit":
 # -- small input parsers -----------------------------------------------------
 
 
-def _pair(text: str) -> tuple:
-    """argparse type for ``X,Y``: two floats."""
-    parts = text.split(",")
-    try:
-        if len(parts) != 2:
-            raise ValueError
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects 'X,Y' numbers, got {text!r}") from None
+def _number(convert, ok, expects: str):
+    """argparse type: ``convert(text)``, which must satisfy ``ok``; anything
+    else is a usage error saying what the option expects."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expects {expects}, got {text!r}")
+
+    return parse
 
 
-def _wh(text: str) -> tuple:
-    """argparse type for ``WIDTHxHEIGHT``: two positive ints."""
-    parts = text.lower().split("x")
-    try:
-        w, h = int(parts[0]), int(parts[1])
-        if w <= 0 or h <= 0 or len(parts) != 2:
-            raise ValueError
-        return w, h
-    except (ValueError, IndexError):
-        raise argparse.ArgumentTypeError(f"expects 'WIDTHxHEIGHT', got {text!r}") from None
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for a count, rate or width that must be at least 1."""
-    try:
-        value = int(text)
-        if value <= 0:
-            raise ValueError
-        return value
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}") from None
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for a rate that must be above zero."""
-    try:
-        value = float(text)
-        if not value > 0:  # also rejects nan
-            raise ValueError
-        return value
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a positive number, got {text!r}") from None
-
-
-def _blur_sigma(text: str) -> float:
-    """argparse type for a blur width: a finite number, 0 (no blur) or more."""
-    try:
-        value = float(text)
-        if not 0.0 <= value < float("inf"):  # also rejects nan
-            raise ValueError
-        return value
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a finite number >= 0, got {text!r}") from None
-
-
-def _channel(text: str) -> int:
-    """argparse type for ``--channel``: a 4-bit trigger channel."""
-    try:
-        value = int(text)
-        if not 0 <= value <= 0xF:
-            raise ValueError
-        return value
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expects a trigger channel 0-15, got {text!r}") from None
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _number(int, lambda v: v >= 0, "an integer >= 0")
+_sensor_dim = _number(int, lambda v: 0 < v <= MAX_SENSOR_DIM, f"an integer from 1 to {MAX_SENSOR_DIM}")
+_channel = _number(int, lambda v: 0 <= v < N_CHANNELS, f"a trigger channel 0-{N_CHANNELS - 1}")
+_positive_float = _number(float, lambda v: v > 0, "a positive number")  # inf: --saturation-evps flags no bin
+_positive_finite = _number(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_blur_sigma = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_probability = _number(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1")
+_pair = _number(lambda t: tuple(map(float, t.split(","))), lambda v: len(v) == 2, "'X,Y' numbers")
+_wh = _number(lambda t: tuple(map(int, t.lower().split("x"))), lambda v: len(v) == 2 and min(v) > 0, "'WIDTHxHEIGHT'")
 
 
 def _method(text: str):
@@ -457,22 +420,20 @@ def cmd_optics(args) -> int:
         _emit(optics.field_of_view(sensor, args.focal_mm).to_json(), args.out)
         return OK
 
-    if args.crop:
-        if sensor is None:
-            raise _usage_fail("crop mode needs a target sensor (--sensor)")
-        try:
-            reference = optics.get_sensor(args.reference)
-        except KeyError:
-            raise _usage_fail(f"unknown sensor preset {args.reference!r}") from None
-        ratio = optics.crop_factor(reference, sensor)
-        doc = {"reference": args.reference, "target": args.sensor, "crop_factor": round(ratio, 4)}
-        if args.focal_mm is not None:
-            doc["focal_mm"] = args.focal_mm
-            doc["effective_focal_mm"] = round(optics.effective_focal(args.focal_mm, ratio), 2)
-        _emit(doc, args.out)
-        return OK
-
-    raise _usage_fail("choose a mode: --object-m …, --fov, --crop, or --list")
+    # --crop: the parser requires exactly one of the four modes
+    if sensor is None:
+        raise _usage_fail("crop mode needs a target sensor (--sensor)")
+    try:
+        reference = optics.get_sensor(args.reference)
+    except KeyError:
+        raise _usage_fail(f"unknown sensor preset {args.reference!r}") from None
+    ratio = optics.crop_factor(reference, sensor)
+    doc = {"reference": args.reference, "target": args.sensor, "crop_factor": round(ratio, 4)}
+    if args.focal_mm is not None:
+        doc["focal_mm"] = args.focal_mm
+        doc["effective_focal_mm"] = round(optics.effective_focal(args.focal_mm, ratio), 2)
+    _emit(doc, args.out)
+    return OK
 
 
 def _write_scene(out_dir: Path, result: synth.SceneResult) -> dict:
@@ -698,8 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("encode", cmd_encode, "encode debug CSV back into an ESF-1 file")
     p.add_argument("--csv", required=True, metavar="PATH", help="CSV input path")
-    p.add_argument("--width", type=int, required=True, help="sensor width in pixels")
-    p.add_argument("--height", type=int, required=True, help="sensor height in pixels")
+    p.add_argument("--width", type=_sensor_dim, required=True, help="sensor width in pixels")
+    p.add_argument("--height", type=_sensor_dim, required=True, help="sensor height in pixels")
     p.add_argument("-o", "--out", required=True, help="output .esf path")
 
     p = add("info", cmd_info, "print stream geometry, counts, and time span as JSON")
@@ -734,9 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("calibrate", cmd_calibrate, "fit a homography to point correspondences")
     p.add_argument("--points", required=True, metavar="CSV", help="src_x,src_y,dst_x,dst_y per line")
     p.add_argument("--no-ransac", action="store_true", help="plain least-squares fit on all points")
-    p.add_argument("--threshold-px", type=float, default=2.0)
-    p.add_argument("--iterations", type=int, default=2000)
-    p.add_argument("--confidence", type=float, default=0.999)
+    p.add_argument("--threshold-px", type=_positive_finite, default=2.0)
+    p.add_argument("--iterations", type=_positive_int, default=2000)
+    p.add_argument("--confidence", type=_probability, default=0.999)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-inliers", type=int, default=5)
     p.add_argument("-o", "--out", default=None, metavar="H.json", help="write the fitted homography")
@@ -747,8 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="target image (PGM/PNG)")
     p.add_argument("--mode", default="edges", choices=["edges", "intensity", "activity"],
                    help="edges: Canny both; intensity: raw; activity: reference is an event-count frame")
-    p.add_argument("--radius", type=int, default=16, help="integer search radius in px")
-    p.add_argument("--margin", type=int, default=32, help="template inset from the reference border")
+    p.add_argument("--radius", type=_nonnegative_int, default=16, help="integer search radius in px")
+    p.add_argument("--margin", type=_nonnegative_int, default=32, help="template inset from the reference border")
     p.add_argument("--smooth-sigma", type=_blur_sigma, default=1.0)
     p.add_argument("-o", "--out", default=None)
 
@@ -767,16 +728,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="output .esf path")
 
     p = add("optics", cmd_optics, "lens/sensor resolvability math")
-    p.add_argument("--sensor", default=None, help="sensor preset name (see --list)")
-    p.add_argument("--pitch-um", type=float, default=None, help="pixel pitch for a custom sensor")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--object-m", type=_positive_finite, default=None, help="object size in meters (extent mode)")
+    mode.add_argument("--fov", action="store_true", help="report field of view")
+    mode.add_argument("--crop", action="store_true", help="report crop factor vs --reference")
+    mode.add_argument("--list", action="store_true", help="dump sensor/lens presets as JSON")
+    sensor = p.add_mutually_exclusive_group()
+    sensor.add_argument("--sensor", default=None, help="sensor preset name (see --list)")
+    sensor.add_argument("--pitch-um", type=_positive_finite, default=None, help="pixel pitch for a custom sensor")
     p.add_argument("--size", type=_wh, default=None, metavar="WxH", help="custom sensor resolution (for --fov)")
-    p.add_argument("--object-m", type=float, default=None, help="object size in meters (extent mode)")
-    p.add_argument("--distance-m", type=float, default=None)
-    p.add_argument("--focal-mm", type=float, default=None)
-    p.add_argument("--fov", action="store_true", help="report field of view")
-    p.add_argument("--crop", action="store_true", help="report crop factor vs --reference")
+    p.add_argument("--distance-m", type=_positive_finite, default=None)
+    p.add_argument("--focal-mm", type=_positive_finite, default=None)
     p.add_argument("--reference", default="ximea", help="reference sensor for --crop (default: ximea)")
-    p.add_argument("--list", action="store_true", help="dump sensor/lens presets as JSON")
     p.add_argument("-o", "--out", default=None)
 
     p = add("synth", cmd_synth, "generate a synthetic scene (events, frames, labels)")
@@ -826,10 +789,10 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--erc-period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US, help="ERC period (default: %(default)s)")
     opt("--encoding", default="esf1", choices=["esf1", "fixed8"], help="bandwidth encoding (default: %(default)s)")
     opt("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
-    opt("--radius", type=int, default=16, help="integer search radius in px (default: %(default)s)")
-    opt("--margin", type=int, default=32, help="template inset from the border (default: %(default)s)")
+    opt("--radius", type=_nonnegative_int, default=16, help="integer search radius in px (default: %(default)s)")
+    opt("--margin", type=_nonnegative_int, default=32, help="template inset from the border (default: %(default)s)")
     opt("--smooth-sigma", type=_blur_sigma, default=2.0, help="blur before matching (default: %(default)s)")
-    opt("--threshold-px", type=float, default=2.0, help="RANSAC inlier threshold (default: %(default)s)")
+    opt("--threshold-px", type=_positive_finite, default=2.0, help="RANSAC inlier threshold (default: %(default)s)")
     opt("--seed", type=int, default=0, help="RANSAC seed (default: %(default)s)")
     opt("--jobs", type=_positive_int, default=1, help="frame worker threads (default: %(default)s)")
     p.set_defaults(config_options=config_options)

@@ -236,20 +236,31 @@ def warp_points(h: np.ndarray, pts) -> np.ndarray:
 
 def warp_box(h: np.ndarray, x: float, y: float, w: float, bh: float) -> tuple:
     """Map an axis-aligned box through ``h``; returns the bounding box of the
-    warped corners as ``(x, y, w, h)``."""
+    warped corners as ``(x, y, w, h)``.
+
+    Raises :class:`PointAtInfinity` unless ``h``'s denominator has one sign
+    on all four corners: otherwise the box crosses ``h``'s vanishing line
+    and its image is unbounded."""
+    h = np.asarray(h, dtype=np.float64)
     corners = np.array(
         [[x, y], [x + w, y], [x, y + bh], [x + w, y + bh]], dtype=np.float64
     )
-    warped = _apply_h(np.asarray(h, dtype=np.float64), corners)
+    denom = corners @ h[2, :2] + h[2, 2]
+    if not ((denom > 0).all() or (denom < 0).all()):
+        raise PointAtInfinity(
+            f"box (x={x}, y={y}, w={w}, h={bh}) crosses the homography's vanishing line: its image is unbounded"
+        )
+    warped = _apply_h(h, corners)
     lo = warped.min(axis=0)
     hi = warped.max(axis=0)
     return float(lo[0]), float(lo[1]), float(hi[0] - lo[0]), float(hi[1] - lo[1])
 
 
-def warp_image(h: np.ndarray, image: np.ndarray, out_shape=None, fill: float = 0.0) -> np.ndarray:
+def warp_image(h: np.ndarray, image: np.ndarray, out_shape=None) -> np.ndarray:
     """Resample ``image`` into the destination frame of ``h`` (bilinear).
 
-    Each destination pixel is pulled from ``H^-1 (x, y)`` in the source.
+    Each destination pixel is pulled from ``H^-1 (x, y)`` in the source;
+    pixels that map outside it are 0.
     """
     h = np.asarray(h, dtype=np.float64)
     src = np.asarray(image, dtype=np.float64)
@@ -260,7 +271,7 @@ def warp_image(h: np.ndarray, image: np.ndarray, out_shape=None, fill: float = 0
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
     back = _apply_h(np.linalg.inv(h), pts)
     coords = np.stack([back[:, 1].reshape(hy, wx), back[:, 0].reshape(hy, wx)])
-    out = ndimage.map_coordinates(src, coords, order=1, mode="constant", cval=fill)
+    out = ndimage.map_coordinates(src, coords, order=1, mode="constant", cval=0.0)
     if image.dtype == np.uint8:
         return np.clip(np.rint(out), 0, 255).astype(np.uint8)
     return out

@@ -62,7 +62,6 @@ class StreamHeader:
 
     width: int
     height: int
-    version: int = 1
 
     def __post_init__(self):
         for axis, value in (("width", self.width), ("height", self.height)):

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evfuse import cli
+from evfuse import cli, optics
 from evfuse.codec import read_esf
 from evfuse.labels import iou, read_labels_json
+from evfuse.sync import read_exposures_csv, triggers_to_exposures
 from evfuse.synth import SceneSpec
 
 GOLDEN_SUMMARY = Path(__file__).with_name("golden_pipeline_summary.json")
@@ -123,6 +124,15 @@ def test_sync_writes_windows_csv(scene, tmp_path, capsys):
     assert len(lines) == 8  # 7 frames + header
 
 
+def test_sync_exposures_out_holds_the_pairing(scene, tmp_path):
+    esf = scene / "a" / "events.esf"
+    table = tmp_path / "exposures.csv"
+    assert run(["sync", str(esf), "--exposures-out", str(table), "-o", str(tmp_path / "win.csv")]) == 0
+    pairing = triggers_to_exposures(read_esf(str(esf)).triggers, channel=0)
+    assert len(pairing.exposures) == 7
+    assert read_exposures_csv(table.read_text()) == pairing.exposures
+
+
 def test_accumulate_writes_frame_files(scene, tmp_path, capsys):
     out_dir = tmp_path / "acc"
     assert run(["accumulate", str(scene / "a" / "events.esf"), "--method", "m3", "-d", str(out_dir)]) == 0
@@ -132,21 +142,39 @@ def test_accumulate_writes_frame_files(scene, tmp_path, capsys):
         assert (out_dir / f"frame_{entry['frame_id']}.pgm").exists()
 
 
-def test_calibrate_fits_planted_homography(tmp_path, capsys):
-    rng = np.random.default_rng(3)
-    h = np.array([[1.0, 0.01, 4.0], [-0.02, 1.0, 7.0], [0.0, 0.0, 1.0]])
-    src = rng.uniform(10, 400, size=(40, 2))
-    q = np.hstack([src, np.ones((40, 1))]) @ h.T
+PLANTED_H = np.array([[1.0, 0.01, 4.0], [-0.02, 1.0, 7.0], [0.0, 0.0, 1.0]])
+
+
+def _planted_points(path, h=PLANTED_H, n=40):
+    """Write ``n`` exact correspondences ``dst = h(src)`` as a points CSV."""
+    src = np.random.default_rng(3).uniform(10, 400, size=(n, 2))
+    q = np.hstack([src, np.ones((n, 1))]) @ h.T
     dst = q[:, :2] / q[:, 2:]
-    pts = tmp_path / "pts.csv"
     rows = ["src_x,src_y,dst_x,dst_y"] + [f"{a[0]},{a[1]},{b[0]},{b[1]}" for a, b in zip(src, dst)]
-    pts.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_calibrate_fits_planted_homography(tmp_path, capsys):
+    pts = _planted_points(tmp_path / "pts.csv")
     hout = tmp_path / "H.json"
     assert run(["calibrate", "--points", str(pts), "-o", str(hout)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["max_px"] < 1e-6
     fitted = np.asarray(json.loads(hout.read_text())["h"])
-    assert np.allclose(fitted / fitted[2, 2], h, atol=1e-6)
+    assert np.allclose(fitted / fitted[2, 2], PLANTED_H, atol=1e-6)
+
+
+def test_calibrate_no_ransac_writes_report_file(tmp_path, capsys):
+    pts = _planted_points(tmp_path / "pts.csv")
+    report = tmp_path / "report.json"
+    assert run(["calibrate", "--points", str(pts), "--no-ransac", "--report-out", str(report)]) == 0
+    assert capsys.readouterr().out == ""  # the report went to the file
+    doc = json.loads(report.read_text())
+    assert doc["report"]["max_px"] < 1e-6
+    assert doc["report"]["inliers"] == doc["report"]["total"] == 40  # no consensus mask: every point counts
+    fitted = np.asarray(doc["homography"])
+    assert np.allclose(fitted / fitted[2, 2], PLANTED_H, atol=1e-6)
 
 
 def test_verify_reports_planted_shift(scene, capsys):
@@ -198,6 +226,30 @@ def test_optics_unknown_sensor_is_usage_error(capsys):
 
 def test_optics_no_mode_is_usage_error():
     assert run(["optics", "--sensor", "evk4"]) == 1
+
+
+@pytest.mark.parametrize("sensor", [["--sensor", "evk4"], ["--pitch-um", "4.86", "--size", "1280x720"]])
+def test_optics_fov_of_a_preset_or_custom_sensor(capsys, sensor):
+    assert run(["optics", "--fov", "--focal-mm", "8"] + sensor) == 0
+    doc = json.loads(capsys.readouterr().out)
+    half_width_mm = 4.86 * 1280 / 2000.0  # the EVK4 grid either way
+    assert doc["horizontal_deg"] == pytest.approx(2 * np.degrees(np.arctan(half_width_mm / 8.0)), rel=1e-12)
+    assert doc == optics.field_of_view(optics.get_sensor("evk4"), 8.0).to_json()
+
+
+def test_optics_crop_with_focal_length(capsys):
+    assert run(["optics", "--crop", "--sensor", "evk4", "--focal-mm", "8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ref, evk4 = optics.get_sensor("ximea"), optics.get_sensor("evk4")
+    ratio = np.hypot(ref.width, ref.height) * ref.pitch_um / (np.hypot(evk4.width, evk4.height) * evk4.pitch_um)
+    assert doc["reference"] == "ximea" and doc["target"] == "evk4" and doc["focal_mm"] == 8.0
+    assert doc["crop_factor"] == pytest.approx(ratio, abs=5e-5)
+    assert doc["effective_focal_mm"] == pytest.approx(8.0 * ratio, abs=5e-3)
+
+
+def test_optics_list_dumps_the_presets(capsys):
+    assert run(["optics", "--list"]) == 0
+    assert json.loads(capsys.readouterr().out) == optics.load_presets()
 
 
 def test_synth_pattern_choices_match_generator(tmp_path):
@@ -291,6 +343,25 @@ def test_pipeline_labels_through_homography(scene, tmp_path):
     moved = read_labels_json(str(out_dir / "labels.json"))
     truth = {b.frame_id: b for b in read_labels_json(str(scene / "a" / "labels.json"))}
     assert moved and all(iou(b, truth[b.frame_id]) > 0.99 for b in moved)
+
+
+def test_pipeline_points_matches_calibrate_then_homography(scene, tmp_path, capsys):
+    # correspondences from RGB coordinates to event coordinates: undo the planted 5 px shift
+    shift = np.array([[1.0, 0.0, -5.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    pts = _planted_points(tmp_path / "pts.csv", h=shift)
+    h_json = tmp_path / "H.json"
+    assert run(["calibrate", "--points", str(pts), "-o", str(h_json)]) == 0
+    calibrated = json.loads(capsys.readouterr().out)
+    base = ["pipeline", "--events", str(scene / "a" / "events.esf"),
+            "--frames-dir", str(scene / "b" / "frames"), "--no-meta"]
+    assert run(base + ["--points", str(pts), "-d", str(tmp_path / "pp")]) == 0
+    assert run(base + ["--homography", str(h_json), "-d", str(tmp_path / "ph")]) == 0
+    by_points = json.loads((tmp_path / "pp" / "summary.json").read_text())
+    by_h = json.loads((tmp_path / "ph" / "summary.json").read_text())
+    assert by_points["calibration"] == calibrated["report"]
+    assert "calibration" not in by_h
+    assert by_points["frames"] == by_h["frames"]
+    assert by_points["deviation_median_px"] < 0.25  # the fitted homography undoes the shift
 
 
 def test_pipeline_labels_without_homography_is_usage_error(scene, tmp_path):
@@ -473,6 +544,34 @@ BAD_OPTION_ARGV = [
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "nan"],
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "inf"],
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "-1"],
+    ["encode", "--csv", "{missing}", "--height", "4", "-o", "{out}", "--width", "0"],
+    ["encode", "--csv", "{missing}", "--height", "4", "-o", "{out}", "--width", "5000"],
+    ["encode", "--csv", "{missing}", "--width", "4", "-o", "{out}", "--height", "0"],
+    ["encode", "--csv", "{missing}", "--width", "4", "-o", "{out}", "--height", "2049"],
+    ["verify", "{missing}", "{missing}", "-o", "{out}", "--radius", "-1"],
+    ["verify", "{missing}", "{missing}", "-o", "{out}", "--margin", "-1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--radius", "-1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--margin", "-1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--threshold-px", "nan"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--threshold-px", "0"],
+    ["calibrate", "--points", "{missing}", "-o", "{out}", "--threshold-px", "nan"],
+    ["calibrate", "--points", "{missing}", "-o", "{out}", "--threshold-px", "-1"],
+    ["calibrate", "--points", "{missing}", "-o", "{out}", "--threshold-px", "inf"],
+    ["calibrate", "--points", "{missing}", "-o", "{out}", "--iterations", "0"],
+    ["calibrate", "--points", "{missing}", "-o", "{out}", "--confidence", "1"],
+    ["calibrate", "--points", "{missing}", "-o", "{out}", "--confidence", "0"],
+    ["calibrate", "--points", "{missing}", "-o", "{out}", "--confidence", "nan"],
+    # optics reads no input: a bad value must still be a usage error, not a printed result
+    ["optics", "--distance-m", "100", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--object-m", "nan"],
+    ["optics", "--distance-m", "100", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--object-m", "inf"],
+    ["optics", "--object-m", "0.3", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--distance-m", "0"],
+    ["optics", "--object-m", "0.3", "--distance-m", "100", "--sensor", "evk4", "-o", "{out}", "--focal-mm", "inf"],
+    ["optics", "--object-m", "0.3", "--distance-m", "100", "--focal-mm", "8", "-o", "{out}", "--pitch-um", "nan"],
+    ["optics", "--object-m", "0.3", "--distance-m", "100", "--focal-mm", "8", "-o", "{out}", "--pitch-um", "-3"],
+    # optics modes and sensor sources are mutually exclusive, not resolved by precedence
+    ["optics", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--fov", "--crop"],
+    ["optics", "--object-m", "0.3", "--distance-m", "100", "--focal-mm", "8", "-o", "{out}",
+     "--sensor", "evk4", "--pitch-um", "3"],
 ]
 
 
@@ -480,7 +579,9 @@ BAD_OPTION_ARGV = [
 def test_bad_option_value_is_usage_error_before_input_is_read(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run([a.format(missing=tmp_path / "missing.esf", out=out) for a in argv]) == 1
-    assert _last_diag(capsys)["kind"] == "usage"
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "usage"
+    assert argv[-2] in diag["msg"]  # the message names the offending flag
     assert not out.exists()
 
 
@@ -488,14 +589,31 @@ def test_bad_option_value_is_usage_error_before_input_is_read(tmp_path, capsys, 
     "config",
     [{"method": "m9"}, {"custom": "start:1"}, {"jobs": 0}, {"bin_us": 0}, {"erc_cap_evps": 0},
      {"erc_period_us": 0}, {"clip": -3}, {"channel": 16},
-     {"smooth_sigma": -1.0}, {"smooth_sigma": "inf"}, {"smooth_sigma": float("nan")}],
+     {"smooth_sigma": -1.0}, {"smooth_sigma": "inf"}, {"smooth_sigma": float("nan")},
+     {"radius": -1}, {"threshold_px": "nan"}],
 )
 def test_bad_config_value_is_usage_error_before_input_is_read(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert run(["pipeline", "--events", str(tmp_path / "missing.esf"), "--config", str(cfg), "-d", str(out)]) == 1
-    assert _last_diag(capsys)["kind"] == "usage"
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "usage"
+    (key,) = config
+    assert "--" + key.replace("_", "-") in diag["msg"]  # the message names the offending key's flag
+    assert not out.exists()
+
+
+def test_label_transfer_across_the_vanishing_line_is_data_error(scene, tmp_path, capsys):
+    # w = 1 - x/100 changes sign inside every box that spans x = 100
+    h_json = tmp_path / "H.json"
+    h_json.write_text(json.dumps({"h": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.01, 0.0, 1.0]]}))
+    boxes = tmp_path / "boxes.json"
+    boxes.write_text(json.dumps([{"frame_id": 0, "class": "disk", "x": 50, "y": 10, "w": 100, "h": 20}]))
+    out = tmp_path / "moved.json"
+    assert run(["label-transfer", "--labels", str(boxes), "--homography", str(h_json), "-o", str(out)]) == 2
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "PointAtInfinity" and "vanishing line" in diag["msg"]
     assert not out.exists()
 
 

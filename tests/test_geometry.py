@@ -209,6 +209,17 @@ def test_warp_point_at_infinity():
         warp_points(h, [[100.0, 0.0]])
 
 
+@pytest.mark.parametrize("x", [50.0, 99.0])
+def test_warp_box_across_the_vanishing_line_raises(x):
+    # w = 1 - x/100: the corners' w have mixed signs, so the box's image is unbounded
+    h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.01, 0.0, 1.0]])
+    with pytest.raises(PointAtInfinity, match="vanishing line"):
+        warp_box(h, x, 10.0, 100.0, 20.0)
+    # a box entirely on either side maps to a finite box
+    assert warp_box(h, 0.0, 10.0, 50.0, 20.0) == pytest.approx((0.0, 10.0, 100.0, 50.0))
+    assert warp_box(h, 150.0, 10.0, 50.0, 20.0) == pytest.approx((-300.0, -60.0, 100.0, 50.0))
+
+
 def test_warp_image_translation():
     h = np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
     img = np.zeros((12, 12), dtype=np.uint8)
