@@ -39,7 +39,7 @@ from . import alignment, codec, frames, geometry, labels, optics, rate, sync, sy
 from .alignment import AlignmentError
 from .geometry import GeometryError
 from .rate import RateError
-from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, StreamError, validate_stream
+from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, StreamError, read_rows, validate_stream
 from .sync import TooFewExposures
 from .synth import InvalidSpec
 
@@ -56,8 +56,7 @@ _DATA_ERRORS = (
     RateError,
     InvalidSpec,
     OSError,
-    ValueError,  # malformed CSV/JSON payloads (includes json.JSONDecodeError)
-    KeyError,  # missing JSON fields / unknown preset names
+    ValueError,  # malformed JSON payloads (includes json.JSONDecodeError)
 )
 
 
@@ -159,30 +158,12 @@ def _custom(text: str):
 
 
 def _read_points_csv(path: str):
-    """Correspondence CSV: ``src_x,src_y,dst_x,dst_y`` per line, one
-    tolerated header line, ``#`` comments and blank lines skipped."""
-    src, dst = [], []
-    first_data_seen = False
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            if len(parts) < 4:
-                raise ValueError
-            vals = [float(v) for v in parts[:4]]
-        except ValueError:
-            if not first_data_seen:
-                first_data_seen = True  # tolerated header line
-                continue
-            raise ValueError(f"points CSV line {line_no}: cannot parse {raw!r}") from None
-        first_data_seen = True
-        src.append(vals[0:2])
-        dst.append(vals[2:4])
-    if not src:
-        raise ValueError(f"points CSV {path!r} contains no correspondences")
-    return np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
+    """Correspondence CSV read by :func:`~evfuse.streams.read_rows`:
+    ``src_x,src_y,dst_x,dst_y`` per line, columns past the fourth ignored."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows = [row for _, row in read_rows(text, lambda fields: [float(fields[k]) for k in range(4)], "points")]
+    pts = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    return pts[:, :2], pts[:, 2:]
 
 
 def _build_windows(stream: EventStream, windows_csv, channel: int, method, need_exposures=True):
@@ -396,14 +377,14 @@ def cmd_optics(args) -> int:
             sensor = optics.get_sensor(args.sensor)
         except KeyError:
             raise _usage_fail(f"unknown sensor preset {args.sensor!r}") from None
-    elif args.pitch_um:
-        w, h = args.size or (1, 1)  # extent math needs only the pitch
-        sensor = optics.SensorSpec(w, h, args.pitch_um)
+    elif args.pitch_um and args.size:
+        sensor = optics.SensorSpec(*args.size, args.pitch_um)
+    pitch_um = sensor.pitch_um if sensor else args.pitch_um  # extent math needs only the pitch
 
     if args.object_m is not None:
-        if args.distance_m is None or args.focal_mm is None or sensor is None:
+        if args.distance_m is None or args.focal_mm is None or pitch_um is None:
             raise _usage_fail("extent mode needs --object-m, --distance-m, --focal-mm and a sensor (--sensor or --pitch-um)")
-        px = optics.object_extent_px(args.object_m, args.distance_m, args.focal_mm, sensor.pitch_um)
+        px = optics.object_extent_px(args.object_m, args.distance_m, args.focal_mm, pitch_um)
         print(f"{px:.2f} px")
         if px < optics.MIN_DETECTABLE_PX:
             _diag(
@@ -415,14 +396,14 @@ def cmd_optics(args) -> int:
         return OK
 
     if args.fov:
-        if args.focal_mm is None or sensor is None or sensor.width <= 1:
+        if args.focal_mm is None or sensor is None:
             raise _usage_fail("fov mode needs --focal-mm and a full sensor (--sensor or --pitch-um with --size)")
         _emit(optics.field_of_view(sensor, args.focal_mm).to_json(), args.out)
         return OK
 
     # --crop: the parser requires exactly one of the four modes
     if sensor is None:
-        raise _usage_fail("crop mode needs a target sensor (--sensor)")
+        raise _usage_fail("crop mode needs a full target sensor (--sensor or --pitch-um with --size)")
     try:
         reference = optics.get_sensor(args.reference)
     except KeyError:
@@ -736,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     sensor = p.add_mutually_exclusive_group()
     sensor.add_argument("--sensor", default=None, help="sensor preset name (see --list)")
     sensor.add_argument("--pitch-um", type=_positive_finite, default=None, help="pixel pitch for a custom sensor")
-    p.add_argument("--size", type=_wh, default=None, metavar="WxH", help="custom sensor resolution (for --fov)")
+    p.add_argument("--size", type=_wh, default=None, metavar="WxH", help="custom sensor resolution (for --fov and --crop)")
     p.add_argument("--distance-m", type=_positive_finite, default=None)
     p.add_argument("--focal-mm", type=_positive_finite, default=None)
     p.add_argument("--reference", default="ximea", help="reference sensor for --crop (default: ximea)")

@@ -41,7 +41,8 @@ needs a variable number of TIME_HIGH words, carry a separate short run of
 words.  ``encode_esf`` gathers the masked slots of a per-item word table in
 row-major order and inserts the runs; ``encode_stats`` counts the mask's rows
 and the run lengths, so counting never builds a word or a slot.  The stream
-rules and the merged item order come from :mod:`evfuse.streams`.
+rules, the merged item order and the CSV line reader come from
+:mod:`evfuse.streams`.
 """
 
 from __future__ import annotations
@@ -55,14 +56,17 @@ import numpy as np
 from .streams import (
     EVENT_DTYPE,
     MAX_SENSOR_DIM,
+    N_CHANNELS,
     TRIGGER_DTYPE,
     CoordinateOutOfBounds,
     EventStream,
+    MalformedLine,  # parse_csv's error, still importable from this module
     StreamError,
     StreamHeader,
     check_stream,
     make_events,
     make_triggers,
+    read_rows,
 )
 
 MAGIC = b"ESF1"
@@ -112,15 +116,6 @@ class CdXBeforeCdY(StreamError):
     def __init__(self, offset: int):
         self.offset = offset
         super().__init__(f"CD_X before any CD_Y at byte {offset}")
-
-
-class MalformedLine(StreamError):
-    """A CSV line does not parse."""
-
-    def __init__(self, line_no: int, content: str):
-        self.line_no = line_no
-        self.content = content
-        super().__init__(f"line {line_no}: cannot parse {content!r}")
 
 
 # -- header ----------------------------------------------------------------------
@@ -394,62 +389,41 @@ def write_csv(stream: EventStream) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_POLARITY = {"+1": 1, "1": 1, "-1": -1}
+_EDGE = {"r": 1, "f": 0}
+
+
+def _parse_item(fields: list) -> tuple:
+    """One debug-CSV line: ``(t, x, y, p)`` for an event, ``(t, edge, channel)`` for a trigger."""
+    kind = fields[0].lower()
+    if kind == "cd":
+        _, t, x, y, p = fields
+        t, x, y = int(t), int(x), int(y)
+        if t < 0 or x < 0 or y < 0:
+            raise ValueError(t, x, y)
+        return t, x, y, _POLARITY[p]
+    if kind == "trig":
+        _, t, edge, channel = fields
+        t, channel = int(t), int(channel)
+        if t < 0 or not 0 <= channel < N_CHANNELS:
+            raise ValueError(t, channel)
+        return t, _EDGE[edge.lower()], channel
+    raise ValueError(kind)
+
+
 def parse_csv(text: str, width: int, height: int) -> EventStream:
     """Parse debug CSV into a stream with the given sensor geometry.
 
-    Blank lines and ``#`` comments are skipped; a single leading header line
-    is tolerated.  Anything else that does not parse raises
-    :class:`MalformedLine` with its 1-based line number.
+    Lines are read by :func:`~evfuse.streams.read_rows`, so a line that does
+    not parse raises :class:`MalformedLine`; the stream rules are then checked
+    as the encoder checks them.
     """
-    ev_rows = []  # (t, x, y, p)
-    tr_rows = []  # (t, edge, channel)
-    order = []  # True where the item is a trigger
-    first_data_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        kind = parts[0].lower()
-        if kind not in ("cd", "trig"):
-            if not first_data_seen:
-                first_data_seen = True  # tolerated header line
-                continue
-            raise MalformedLine(line_no, raw)
-        first_data_seen = True
-        try:
-            if kind == "cd":
-                if len(parts) != 5:
-                    raise ValueError
-                t = int(parts[1])
-                x = int(parts[2])
-                y = int(parts[3])
-                if parts[4] in ("+1", "1"):
-                    p = 1
-                elif parts[4] == "-1":
-                    p = -1
-                else:
-                    raise ValueError
-                if t < 0 or x < 0 or y < 0:
-                    raise ValueError
-                ev_rows.append((t, x, y, p))
-                order.append(False)
-            else:
-                if len(parts) != 4:
-                    raise ValueError
-                t = int(parts[1])
-                edge = {"r": 1, "f": 0}[parts[2].lower()]
-                channel = int(parts[3])
-                if t < 0 or not (0 <= channel <= 15):
-                    raise ValueError
-                tr_rows.append((t, edge, channel))
-                order.append(True)
-        except (ValueError, KeyError, IndexError):
-            raise MalformedLine(line_no, raw) from None
-
+    rows = [row for _, row in read_rows(text, _parse_item, "events")]
+    ev_rows = [row for row in rows if len(row) == 4]  # (t, x, y, p)
+    tr_rows = [row for row in rows if len(row) == 3]  # (t, edge, channel)
     events = make_events(*zip(*ev_rows)) if ev_rows else make_events([], [], [], [])
     triggers = make_triggers(*zip(*tr_rows)) if tr_rows else make_triggers([], [], [])
-    trigger_pos = np.nonzero(np.asarray(order, dtype=bool))[0].astype(np.int64)
+    trigger_pos = np.flatnonzero([len(row) == 3 for row in rows])
     stream = EventStream(StreamHeader(width, height), events, triggers, trigger_pos)
     check_stream(stream, stream.merged_times())
     return stream

@@ -288,8 +288,8 @@ def homography_to_json(h: np.ndarray) -> dict:
 
 
 def homography_from_json(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ValueError(f"homography JSON must be an object with an 'h' field, got {type(obj).__name__}")
+    if not isinstance(obj, dict) or "h" not in obj:
+        raise ValueError(f"homography JSON must be an object with an 'h' field, got {obj!r:.60}")
     h = np.asarray(obj["h"], dtype=np.float64)
     if h.shape != (3, 3):
         raise ValueError("homography must be 3x3")

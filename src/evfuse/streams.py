@@ -56,6 +56,53 @@ class CoordinateOutOfBounds(StreamError):
         super().__init__(f"{axis}={value} out of bounds{at}")
 
 
+class MalformedLine(StreamError, ValueError):
+    """A CSV line does not parse or breaks a rule; ``line_no`` is 1-based, counting blank and comment lines."""
+
+    def __init__(self, line_no: int, content: str, what: str, reason: str = "cannot parse"):
+        self.line_no = line_no
+        self.content = content
+        super().__init__(f"{what} CSV line {line_no}: {reason}, got {content!r}")
+
+
+class LineRule(ValueError):
+    """Raised by a :func:`read_rows` parser for a line that parses but breaks a rule; the message is the rule."""
+
+
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def read_rows(text: str, parse, what: str):
+    """The one line loop of every CSV input: yield ``(line_no, parse(fields))`` per data line, as it goes.
+
+    Blank lines and ``#`` comments are skipped, and so is the first remaining
+    line when none of its stripped comma-separated ``fields`` is a number (a
+    header).  A ``ValueError``, ``KeyError`` or ``IndexError`` from ``parse``
+    becomes :class:`MalformedLine`, whose reason is a :class:`LineRule`'s
+    message or else "cannot parse".
+    """
+    header_allowed = True
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = list(map(str.strip, line.split(",")))
+        if header_allowed:
+            header_allowed = False
+            if not any(map(_is_number, fields)):
+                continue
+        try:
+            row = parse(fields)
+        except (ValueError, KeyError, IndexError) as exc:
+            raise MalformedLine(line_no, raw, what, str(exc) if isinstance(exc, LineRule) else "cannot parse") from None
+        yield line_no, row
+
+
 @dataclass(frozen=True)
 class StreamHeader:
     """Sensor geometry attached to every stream."""

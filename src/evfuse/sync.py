@@ -247,29 +247,25 @@ def _write_int_csv(header: str, rows) -> str:
 def _read_int_csv(text: str, header: str, row_type, what: str) -> list:
     """Parse a table written by :func:`_write_int_csv` into ``row_type`` rows.
 
-    Blank lines, ``#`` comments and header lines are skipped; columns past the
+    Lines are read by :func:`~evfuse.streams.read_rows`; columns past the
     header's are ignored.  The first column is a ``frame_id``, which names a
     frame's outputs, so a repeated one is rejected.  The other two bound a
     time interval in µs, so ``0 <= lower <= upper`` must hold.
     """
-    first_col, lower, upper = header.split(",")
-    out = []
+    _, lower, upper = header.split(",")
     line_of = {}  # frame_id -> the line that holds it
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.lower().startswith(first_col):
-            continue
-        parts = line.split(",")
-        try:
-            values = [int(parts[k]) for k in range(3)]
-        except (ValueError, IndexError):
-            raise ValueError(f"{what} CSV line {line_no}: cannot parse {raw!r}") from None
-        if not 0 <= values[1] <= values[2]:
-            raise ValueError(f"{what} CSV line {line_no}: needs 0 <= {lower} <= {upper}, got {raw!r}")
-        row = row_type(*values)
-        first = line_of.setdefault(row.frame_id, line_no)
-        if first != line_no:
-            raise ValueError(f"{what} CSV line {line_no}: frame_id {row.frame_id} repeats line {first}")
+
+    def parse(fields):
+        frame_id, lo, hi = (int(fields[k]) for k in range(3))
+        if not 0 <= lo <= hi:
+            raise streams.LineRule(f"needs 0 <= {lower} <= {upper}")
+        if frame_id in line_of:
+            raise streams.LineRule(f"frame_id {frame_id} repeats line {line_of[frame_id]}")
+        return row_type(frame_id, lo, hi)
+
+    out = []
+    for line_no, row in streams.read_rows(text, parse, what):
+        line_of[row.frame_id] = line_no
         out.append(row)
     return out
 
@@ -279,6 +275,7 @@ def write_exposures_csv(exposures) -> str:
 
 
 def read_exposures_csv(text: str) -> list:
+    """Read back an exposure table, such as the file ``evfuse sync --exposures-out`` writes."""
     return _read_int_csv(text, "frame_id,start_us,end_us", ExposureInterval, "exposure")
 
 

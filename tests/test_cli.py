@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from evfuse import cli, optics
-from evfuse.codec import read_esf
+from evfuse.codec import MalformedLine, parse_csv, read_esf
 from evfuse.labels import iou, read_labels_json
-from evfuse.sync import read_exposures_csv, triggers_to_exposures
+from evfuse.sync import read_exposures_csv, read_windows_csv, triggers_to_exposures
 from evfuse.synth import SceneSpec
 
 GOLDEN_SUMMARY = Path(__file__).with_name("golden_pipeline_summary.json")
@@ -95,13 +95,20 @@ def test_bad_flag_value_is_usage_error(scene):
     assert run(["sync", esf, "--method", "m9"]) == 1
 
 
-def test_decode_encode_round_trip_is_byte_identical(scene, tmp_path):
+def test_decode_encode_round_trip_is_byte_identical(scene, tmp_path, capsys):
     esf = scene / "a" / "events.esf"
     csv = tmp_path / "dump.csv"
     out = tmp_path / "back.esf"
     assert run(["decode", str(esf), "--csv", str(csv)]) == 0
-    assert run(["encode", "--csv", str(csv), "--width", "240", "--height", "180", "-o", str(out)]) == 0
+    assert run(["info", str(esf)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    size = ["--width", str(info["width"]), "--height", str(info["height"])]
+    assert run(["encode", "--csv", str(csv)] + size + ["-o", str(out)]) == 0
     assert out.read_bytes() == esf.read_bytes()
+    # the esf1 mean counts every byte of the file over the report's own duration
+    assert run(["rate", str(esf), "--encoding", "esf1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mean_Bps"] == info["file_bytes"] * 1_000_000 / report["duration_us"]
 
 
 def test_info_reports_geometry_and_counts(scene, capsys):
@@ -177,6 +184,13 @@ def test_calibrate_no_ransac_writes_report_file(tmp_path, capsys):
     assert np.allclose(fitted / fitted[2, 2], PLANTED_H, atol=1e-6)
 
 
+def test_calibrate_points_csv_with_no_rows_is_too_few_points(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("# no correspondences yet\nsrc_x,src_y,dst_x,dst_y\n")
+    assert run(["calibrate", "--points", str(pts)]) == 2
+    assert _last_diag(capsys)["kind"] == "TooFewPoints"
+
+
 def test_verify_reports_planted_shift(scene, capsys):
     ref = str(scene / "a" / "frames" / "frame_3.pgm")
     tgt = str(scene / "b" / "frames" / "frame_3.pgm")
@@ -196,6 +210,9 @@ def test_rate_report_and_series(scene, tmp_path, capsys):
     assert lines[0] == "bin_start_us,count"
     total = sum(int(line.split(",")[1]) for line in lines[1:])
     assert total == doc["n_events"]
+    # one row per bin from the first event's bin to the last's, empty ones too, plus the header
+    t = read_esf(str(scene / "a" / "events.esf")).events["t"]
+    assert len(lines) == int(t[-1]) // 1000 - int(t[0]) // 1000 + 2
 
 
 def test_erc_thins_and_output_decodes(scene, tmp_path, capsys):
@@ -572,6 +589,9 @@ BAD_OPTION_ARGV = [
     ["optics", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--fov", "--crop"],
     ["optics", "--object-m", "0.3", "--distance-m", "100", "--focal-mm", "8", "-o", "{out}",
      "--sensor", "evk4", "--pitch-um", "3"],
+    # crop and fov measure a whole sensor: a custom one needs --size as well as its pitch
+    ["optics", "--crop", "-o", "{out}", "--pitch-um", "4.86"],
+    ["optics", "--fov", "--focal-mm", "8", "-o", "{out}", "--pitch-um", "3.45"],
 ]
 
 
@@ -639,6 +659,27 @@ def test_label_transfer_rejects_homography_that_is_not_an_object(scene, tmp_path
     assert not out.exists()
 
 
+def test_label_transfer_rejects_homography_without_its_h_field(scene, tmp_path, capsys):
+    bad = tmp_path / "h.json"
+    bad.write_text("{}")
+    out = tmp_path / "moved.json"
+    argv = ["label-transfer", "--labels", str(scene / "a" / "labels.json"), "--homography", str(bad), "-o", str(out)]
+    assert run(argv) == 2
+    rec = _last_diag(capsys)
+    assert rec["kind"] == "ValueError" and "'h'" in rec["msg"]
+    assert not out.exists()
+
+
+def test_key_error_inside_a_subcommand_escapes_main(monkeypatch):
+    # no input reaches a bare KeyError, so one is a bug in evfuse, not bad input data (exit 2)
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "cmd_info", broken)
+    with pytest.raises(KeyError):
+        cli.main(["info", "events.esf"])
+
+
 def test_pipeline_rejects_windows_csv_with_repeated_frame_id(scene, tmp_path, capsys):
     windows_csv = tmp_path / "windows.csv"
     windows_csv.write_text("frame_id,t0_us,t1_us\n0,0,50000\n1,50000,100000\n# again\n0,100000,150000\n")
@@ -646,7 +687,7 @@ def test_pipeline_rejects_windows_csv_with_repeated_frame_id(scene, tmp_path, ca
     argv = ["pipeline", "--events", str(scene / "a" / "events.esf"), "--windows", str(windows_csv), "-d", str(out_dir)]
     assert run(argv) == 2
     rec = _last_diag(capsys)
-    assert rec["kind"] == "ValueError" and "line 5" in rec["msg"] and "line 2" in rec["msg"]
+    assert rec["kind"] == "MalformedLine" and "line 5" in rec["msg"] and "line 2" in rec["msg"]
     assert not out_dir.exists()
 
 
@@ -659,5 +700,44 @@ def test_pipeline_rejects_windows_csv_with_bad_bounds(scene, tmp_path, capsys, r
     argv = ["pipeline", "--events", str(scene / "a" / "events.esf"), "--windows", str(windows_csv), "-d", str(out_dir)]
     assert run(argv) == 2
     rec = _last_diag(capsys)
-    assert rec["kind"] == "ValueError" and f"line {line}" in rec["msg"] and bad in rec["msg"]
+    assert rec["kind"] == "MalformedLine" and f"line {line}" in rec["msg"] and bad in rec["msg"]
     assert not out_dir.exists()
+
+
+def _read_points(text, tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    return cli._read_points_csv(str(path))
+
+
+# format: (read(text, tmp_path), rows read, header, two good rows, a bad row that holds numbers)
+CSV_FORMATS = {
+    "events": (lambda text, _: parse_csv(text, 16, 16), lambda s: s.n_items,
+               "kind,t,x,y,p", ["cd,1,2,3,+1", "trig,2,r,0"], "cd,1,x,3,+1"),
+    "window": (lambda text, _: read_windows_csv(text), len, "frame_id,t0_us,t1_us", ["0,0,10", "1,10,20"], "2,abc,30"),
+    "exposure": (lambda text, _: read_exposures_csv(text), len,
+                 "frame_id,start_us,end_us", ["0,0,10", "1,10,20"], "2,20,x"),
+    "points": (_read_points, lambda pts: pts[0].shape[0], "src_x,src_y,dst_x,dst_y", ["1,2,3,4", "5,6,7,8"],
+               "1,2,abc,4"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(CSV_FORMATS))
+def test_csv_inputs_share_one_header_rule(tmp_path, what):
+    read, n_rows, header, (row1, row2), bad = CSV_FORMATS[what]
+    # a header, comments and blank lines are accepted
+    assert n_rows(read(f"# made by hand\n\n{header}\n{row1}\n\n# more\n{row2}\n", tmp_path)) == 2
+    assert n_rows(read(f"{row1}\n{row2}\n", tmp_path)) == 2
+
+    def rejects(text, line_no):
+        with pytest.raises(MalformedLine) as exc:
+            read(text, tmp_path)
+        assert exc.value.line_no == line_no and f"{what} CSV line {line_no}" in str(exc.value)
+        return exc.value
+
+    # line numbers count comment and blank lines
+    assert rejects(f"# made by hand\n\n{header}\n{row1}\n\n# bad\n{bad}\n", 7).content == bad
+    # a header-like line after the first data line is data, and fails at its own line
+    assert rejects(f"{header}\n{row1}\n# again\n{header}\n", 4).content == header
+    # a corrupt first data row that holds a number is not taken for a header
+    assert rejects(f"# made by hand\n{bad}\n{row1}\n", 2).content == bad
