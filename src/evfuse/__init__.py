@@ -8,6 +8,7 @@ event-rate/bandwidth budgeting, lens/sensor resolvability math, and a
 synthetic scene generator used to validate all of it end to end.
 """
 
+from .errors import EvfuseError, InvalidInput
 from .streams import (
     EVENT_DTYPE,
     TRIGGER_DTYPE,

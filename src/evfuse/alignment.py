@@ -19,8 +19,10 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import ndimage
 
+from .errors import EvfuseError, InvalidInput
 
-class AlignmentError(Exception):
+
+class AlignmentError(EvfuseError):
     pass
 
 
@@ -311,13 +313,13 @@ def match_deviation(
     ref = np.asarray(reference, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
     if ref.shape != tgt.shape:
-        raise ValueError("reference and target must have the same shape")
+        raise InvalidInput(f"reference and target must have the same shape, got {ref.shape} and {tgt.shape}")
     check_search(search_radius, margin)
     if not 0.0 <= smooth_sigma < math.inf:
         raise ValueError(f"smooth_sigma must be finite and >= 0, got {smooth_sigma}")
     h, w = ref.shape
     if h <= 2 * margin or w <= 2 * margin:
-        raise ValueError(f"image {w}x{h} too small for margin {margin}")
+        raise InvalidInput(f"image {w}x{h} too small for margin {margin}")
     _require_finite(ref, tgt)
 
     if smooth_sigma > 0:

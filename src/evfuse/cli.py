@@ -2,7 +2,9 @@
 
 Conventions shared by every subcommand:
 
-* exit status is 0 on success, 1 for usage errors, 2 for data/format errors;
+* exit status is 0 on success, 1 for usage errors, 2 for data errors: an
+  ``EvfuseError`` or ``OSError`` (``InvalidInput`` names the input file and
+  why); anything else is an evfuse bug, with a traceback and no JSON record;
 * option values are checked by the parser, before any input is read, so a
   bad value is always a usage error: every numeric option declares its range
   through one rule (``_number``), and sync methods and custom windows are
@@ -36,28 +38,15 @@ import numpy as np
 
 from . import __version__
 from . import alignment, codec, frames, geometry, labels, optics, rate, sync, synth
-from .alignment import AlignmentError
-from .geometry import GeometryError
-from .rate import RateError
-from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, StreamError, read_rows, validate_stream
-from .sync import TooFewExposures
-from .synth import InvalidSpec
+from .errors import EvfuseError, InvalidInput, read_json, read_text
+from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, LineRule, read_rows, validate_stream
 
 OK = 0
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
 # Exceptions that mean "the inputs were bad", not "the invocation was bad".
-_DATA_ERRORS = (
-    StreamError,
-    TooFewExposures,
-    GeometryError,
-    AlignmentError,
-    RateError,
-    InvalidSpec,
-    OSError,
-    ValueError,  # malformed JSON payloads (includes json.JSONDecodeError)
-)
+_DATA_ERRORS = (EvfuseError, OSError)
 
 
 def _diag(level: str, msg: str, **fields) -> None:
@@ -159,9 +148,15 @@ def _custom(text: str):
 
 def _read_points_csv(path: str):
     """Correspondence CSV read by :func:`~evfuse.streams.read_rows`:
-    ``src_x,src_y,dst_x,dst_y`` per line, columns past the fourth ignored."""
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [row for _, row in read_rows(text, lambda fields: [float(fields[k]) for k in range(4)], "points")]
+    ``src_x,src_y,dst_x,dst_y`` finite numbers per line, columns past the fourth ignored."""
+
+    def parse(fields):
+        row = [float(fields[k]) for k in range(4)]
+        if not all(map(math.isfinite, row)):
+            raise LineRule("needs finite numbers")
+        return row
+
+    rows = [row for _, row in read_rows(read_text(path, "points CSV"), parse, "points")]
     pts = np.array(rows, dtype=np.float64).reshape(-1, 4)
     return pts[:, :2], pts[:, 2:]
 
@@ -175,12 +170,12 @@ def _build_windows(stream: EventStream, windows_csv, channel: int, method, need_
     one window per exposure.
     """
     if windows_csv:
-        return None, sync.read_windows_csv(Path(windows_csv).read_text(encoding="utf-8"))
+        return None, sync.read_windows_csv(read_text(windows_csv, "window CSV"))
     pairing = sync.triggers_to_exposures(stream.triggers, channel=channel)
     for a in pairing.anomalies:
         _diag("warning", "unpaired trigger edge", **a.to_json())
     if need_exposures and not pairing.exposures:
-        raise TooFewExposures("no exposures found on the selected trigger channel")
+        raise sync.TooFewExposures("no exposures found on the selected trigger channel")
     return pairing.exposures, sync.windows(pairing.exposures, method)
 
 
@@ -202,8 +197,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    text = Path(args.csv).read_text(encoding="utf-8")
-    stream = codec.parse_csv(text, args.width, args.height)
+    stream = codec.parse_csv(read_text(args.csv, "events CSV"), args.width, args.height)
     n_bytes = codec.write_esf(args.out, stream)
     _diag(
         "info",
@@ -384,7 +378,10 @@ def cmd_optics(args) -> int:
     if args.object_m is not None:
         if args.distance_m is None or args.focal_mm is None or pitch_um is None:
             raise _usage_fail("extent mode needs --object-m, --distance-m, --focal-mm and a sensor (--sensor or --pitch-um)")
-        px = optics.object_extent_px(args.object_m, args.distance_m, args.focal_mm, pitch_um)
+        try:
+            px = optics.object_extent_px(args.object_m, args.distance_m, args.focal_mm, pitch_um)
+        except ValueError as exc:  # the parser admits only positive values: the object is within the focal length
+            raise _usage_fail(f"--distance-m {args.distance_m} with --focal-mm {args.focal_mm}: {exc}") from None
         print(f"{px:.2f} px")
         if px < optics.MIN_DETECTABLE_PX:
             _diag(
@@ -488,10 +485,9 @@ def _config_argv(args, argv: list) -> list:
     win because argparse keeps the last occurrence. ``null`` keeps the
     default; ``true``/``false`` are accepted only by on/off switches.
     """
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = read_json(args.config, "config")
     if not isinstance(config, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise InvalidInput(f"config {args.config!r} must hold a JSON object, got {json.dumps(config):.60}")
     unknown = sorted(set(config) - set(args.config_options))
     if unknown:
         raise _usage_fail(f"unknown config keys: {', '.join(unknown)}")
@@ -569,6 +565,9 @@ def cmd_pipeline(args) -> int:
             rgb_path = frames_dir / f"frame_{w.frame_id}.pgm"
             if rgb_path.exists():
                 rgb = frames.read_image(str(rgb_path)).astype(np.float64)
+                if h is None and rgb.shape != (height, width):
+                    raise InvalidInput(f"RGB frame {str(rgb_path)!r} is {rgb.shape[1]}x{rgb.shape[0]}, not the event "
+                                       f"sensor's {width}x{height}: map it with --homography or --points")
             else:
                 _diag("warning", "no RGB frame for window", frame_id=w.frame_id, path=str(rgb_path))
         if rgb is not None:
@@ -583,7 +582,7 @@ def cmd_pipeline(args) -> int:
                 )
                 entry["deviation_px"] = round(res.deviation, 3)
                 entry["offset"] = {"dx": round(res.dx, 3), "dy": round(res.dy, 3), "score": round(res.score, 4)}
-            except AlignmentError as exc:
+            except alignment.AlignmentError as exc:
                 _diag("warning", "alignment check unusable for frame", frame_id=w.frame_id, reason=str(exc))
 
         for box in rgb_boxes.get(w.frame_id, ()):

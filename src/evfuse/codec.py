@@ -63,6 +63,7 @@ from .streams import (
     MalformedLine,  # parse_csv's error, still importable from this module
     StreamError,
     StreamHeader,
+    UnsortedInput,
     check_stream,
     make_events,
     make_triggers,
@@ -416,7 +417,7 @@ def parse_csv(text: str, width: int, height: int) -> EventStream:
 
     Lines are read by :func:`~evfuse.streams.read_rows`, so a line that does
     not parse raises :class:`MalformedLine`; the stream rules are then checked
-    as the encoder checks them.
+    as the encoder checks them, and a break names its CSV line.
     """
     rows = [row for _, row in read_rows(text, _parse_item, "events")]
     ev_rows = [row for row in rows if len(row) == 4]  # (t, x, y, p)
@@ -425,8 +426,22 @@ def parse_csv(text: str, width: int, height: int) -> EventStream:
     triggers = make_triggers(*zip(*tr_rows)) if tr_rows else make_triggers([], [], [])
     trigger_pos = np.flatnonzero([len(row) == 3 for row in rows])
     stream = EventStream(StreamHeader(width, height), events, triggers, trigger_pos)
-    check_stream(stream, stream.merged_times())
+    try:
+        check_stream(stream, stream.merged_times())
+    except (CoordinateOutOfBounds, UnsortedInput) as exc:
+        raise _at_line(exc, stream, text) from None
     return stream
+
+
+def _at_line(exc, stream: EventStream, text: str) -> StreamError:
+    """The rule break ``exc`` of the stream parsed from ``text``, its message led by the CSV line that broke it."""
+    if isinstance(exc, UnsortedInput):
+        item = exc.index
+    else:  # x or y: the first event holding the offending value is the first to break the rule
+        event = int(np.argmax(stream.events[exc.axis] == exc.value))
+        item = int(np.delete(np.arange(stream.n_items), stream.trigger_pos)[event])
+    msg = f"events CSV line {[n for n, _ in read_rows(text, len, 'events')][item]}: {exc}"
+    return UnsortedInput(exc.index, msg) if isinstance(exc, UnsortedInput) else CoordinateOutOfBounds(exc.axis, exc.value, message=msg)
 
 
 def read_esf(path) -> EventStream:

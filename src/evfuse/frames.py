@@ -18,6 +18,8 @@ import io
 
 import numpy as np
 
+from .errors import InvalidInput
+
 ACCUMULATION_MODES = ("count", "polarity", "binary")
 DEFAULT_CLIP = 3
 
@@ -87,10 +89,14 @@ def write_pgm(path: str, image: np.ndarray) -> None:
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """Read a binary PGM (P5) file into a uint8 array."""
+    """Read a binary PGM (P5) file into a uint8 array; any other file is
+    :class:`InvalidInput` naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return _parse_pgm(data)
+    try:
+        return _parse_pgm(data)
+    except ValueError as exc:
+        raise InvalidInput(f"image {path!r}: {exc}") from None
 
 
 def _parse_pgm(data: bytes) -> np.ndarray:
@@ -116,6 +122,8 @@ def _parse_pgm(data: bytes) -> np.ndarray:
     if magic != b"P5":
         raise ValueError(f"not a binary PGM file (magic {magic!r})")
     width, height, maxval = int(token()), int(token()), int(token())
+    if width < 1 or height < 1:
+        raise ValueError(f"no pixels in a {width}x{height} PGM")
     if maxval != 255:
         raise ValueError(f"only 8-bit PGM supported (maxval {maxval})")
     raw = buf.read(width * height)
@@ -134,7 +142,7 @@ def write_image(path: str, image: np.ndarray) -> None:
         try:
             from PIL import Image
         except ImportError as exc:  # pragma: no cover - depends on extras
-            raise RuntimeError("PNG output needs Pillow (pip install evfuse[png])") from exc
+            raise InvalidInput(f"image {path!r}: PNG output needs Pillow (pip install evfuse[png])") from exc
         Image.fromarray(np.ascontiguousarray(image, dtype=np.uint8), mode="L").save(path)
         return
     raise ValueError(f"unsupported image extension: {path}")
@@ -147,6 +155,6 @@ def read_image(path: str) -> np.ndarray:
     try:
         from PIL import Image
     except ImportError as exc:  # pragma: no cover
-        raise RuntimeError("reading non-PGM images needs Pillow") from exc
+        raise InvalidInput(f"image {path!r}: reading non-PGM images needs Pillow (pip install evfuse[png])") from exc
     with Image.open(path) as img:
         return np.asarray(img.convert("L"), dtype=np.uint8)

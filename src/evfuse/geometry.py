@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .errors import EvfuseError, InvalidInput, read_json
 
-class GeometryError(Exception):
+
+class GeometryError(EvfuseError):
     """Base class for estimation/transfer failures."""
 
 
@@ -103,6 +105,8 @@ def estimate_homography(src, dst) -> np.ndarray:
     a[1::2, 7] = v * y
     a[1::2, 8] = v
 
+    if not np.isfinite(a).all():  # SVD would not converge
+        raise DegenerateConfiguration("correspondences overflow float64 once normalized")
     _, s, vt = np.linalg.svd(a)
     rank = int((s > s[0] * 1e-9).sum()) if s[0] > 0 else 0
     if rank < 8:
@@ -287,12 +291,19 @@ def homography_to_json(h: np.ndarray) -> dict:
     return {"h": h.tolist()}
 
 
-def homography_from_json(obj: dict) -> np.ndarray:
+def homography_from_json(obj, what: str = "homography JSON") -> np.ndarray:
+    """The matrix of ``{"h": [[...], [...], [...]]}``: 3x3, finite and invertible,
+    so every later ``inv`` of it is safe.  Anything else is :class:`InvalidInput`
+    naming ``what`` and the field."""
     if not isinstance(obj, dict) or "h" not in obj:
-        raise ValueError(f"homography JSON must be an object with an 'h' field, got {obj!r:.60}")
-    h = np.asarray(obj["h"], dtype=np.float64)
-    if h.shape != (3, 3):
-        raise ValueError("homography must be 3x3")
+        raise InvalidInput(f"{what} must be an object with an 'h' field, got {obj!r:.60}")
+    try:
+        h = np.asarray(obj["h"], dtype=np.float64)
+        np.linalg.inv(h)  # raises LinAlgError, a ValueError, on a singular matrix
+    except (TypeError, ValueError):
+        h = None
+    if h is None or h.shape != (3, 3) or not np.isfinite(h).all():
+        raise InvalidInput(f"{what}: field 'h' must be an invertible 3x3 matrix of finite numbers, got {obj['h']!r:.60}")
     return h
 
 
@@ -303,5 +314,4 @@ def save_homography(path: str, h: np.ndarray) -> None:
 
 
 def load_homography(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return homography_from_json(json.load(fh))
+    return homography_from_json(read_json(path, "homography"), f"homography {str(path)!r}")

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput, read_json
 from .geometry import warp_box
 
 
@@ -89,11 +90,10 @@ def write_labels_json(path: str, boxes) -> None:
 
 
 def read_labels_json(path: str) -> list:
-    """Read a JSON list of box objects; anything else is a ``ValueError``
+    """Read a JSON list of box objects; anything else is :class:`InvalidInput`
     naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path, "labels")
     try:
         return [BoundingBox.from_json(obj) for obj in data]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"labels file {path!r} must hold a JSON list of box objects ({exc!r})") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"labels {path!r} must hold a JSON list of box objects ({exc!r})") from None

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import encode_stats
+from .errors import EvfuseError
 from .streams import EventStream, check_order
 
 DEFAULT_ERC_CAP_EVPS = 100_000_000  # explicit rate-controller cap
@@ -28,7 +29,7 @@ DEFAULT_BIN_US = 1000
 _CSV_CHUNK_BINS = 1 << 14  # rate-series CSV rows built at a time
 
 
-class RateError(Exception):
+class RateError(EvfuseError):
     pass
 
 

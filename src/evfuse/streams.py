@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import EvfuseError
 from .sync import triggers_to_exposures
 
 # CD event record: timestamp (microseconds), pixel coordinates, polarity (+1/-1).
@@ -33,7 +34,7 @@ MAX_SENSOR_DIM = 2048  # coordinate fields are 11/12-bit in the wire format
 N_CHANNELS = 16  # the trigger channel field is 4-bit in the wire format
 
 
-class StreamError(Exception):
+class StreamError(EvfuseError):
     """Base class for event-stream structural errors."""
 
 
@@ -48,12 +49,12 @@ class UnsortedInput(StreamError):
 class CoordinateOutOfBounds(StreamError):
     """An event coordinate does not fit the sensor geometry."""
 
-    def __init__(self, axis: str, value: int, offset: int | None = None):
+    def __init__(self, axis: str, value: int, offset: int | None = None, message: str = ""):
         self.axis = axis
         self.value = value
         self.offset = offset
         at = f" at byte {offset}" if offset is not None else ""
-        super().__init__(f"{axis}={value} out of bounds{at}")
+        super().__init__(message or f"{axis}={value} out of bounds{at}")
 
 
 class MalformedLine(StreamError, ValueError):

@@ -32,9 +32,10 @@ from enum import Enum
 import numpy as np
 
 from . import streams  # module import: streams.validate_stream imports this module
+from .errors import EvfuseError, InvalidInput
 
 
-class TooFewExposures(Exception):
+class TooFewExposures(EvfuseError):
     """The chosen windowing scheme needs more exposures than were given."""
 
 
@@ -160,9 +161,9 @@ def _check_exposures(exposures) -> None:
     prev_end = None
     for e in exposures:
         if e.end < e.start:
-            raise ValueError(f"exposure {e.frame_id} ends before it starts")
+            raise InvalidInput(f"exposure {e.frame_id} ends before it starts: rising edge at t={e.start}, falling at t={e.end}")
         if prev_end is not None and e.start < prev_end:
-            raise ValueError(f"exposure {e.frame_id} overlaps its predecessor")
+            raise InvalidInput(f"exposure {e.frame_id} overlaps its predecessor: starts at t={e.start}, before t={prev_end}")
         prev_end = e.end
 
 

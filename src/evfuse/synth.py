@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import EvfuseError
 from .geometry import warp_points
 from .labels import BoundingBox
 from .streams import EventStream, StreamHeader, make_events, make_triggers
@@ -37,7 +38,7 @@ from .sync import ExposureInterval
 PATTERNS = ("disk", "rectangle", "checker")
 
 
-class InvalidSpec(Exception):
+class InvalidSpec(EvfuseError):
     pass
 
 

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evfuse import cli, optics
+from evfuse import cli, codec, frames, optics
 from evfuse.codec import MalformedLine, parse_csv, read_esf
+from evfuse.errors import EvfuseError
+from evfuse.streams import CoordinateOutOfBounds, EventStream, StreamHeader, UnsortedInput, make_events, make_triggers
 from evfuse.labels import iou, read_labels_json
 from evfuse.sync import read_exposures_csv, read_windows_csv, triggers_to_exposures
 from evfuse.synth import SceneSpec
@@ -491,7 +499,7 @@ def test_pipeline_config_value_checked_like_flag(scene, tmp_path, capsys, config
 def test_pipeline_config_not_an_object_is_data_error(scene, tmp_path, capsys):
     code, out_dir = _pipeline_with_config(scene, tmp_path, [{"radius": 8}])
     assert code == 2
-    assert _last_diag(capsys)["kind"] == "ValueError"
+    assert _last_diag(capsys)["kind"] == "InvalidInput"
     assert not out_dir.exists()
 
 
@@ -592,6 +600,8 @@ BAD_OPTION_ARGV = [
     # crop and fov measure a whole sensor: a custom one needs --size as well as its pitch
     ["optics", "--crop", "-o", "{out}", "--pitch-um", "4.86"],
     ["optics", "--fov", "--focal-mm", "8", "-o", "{out}", "--pitch-um", "3.45"],
+    # an object nearer than the focal length has no real image
+    ["optics", "--object-m", "1", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--distance-m", "0.001"],
 ]
 
 
@@ -644,7 +654,7 @@ def test_label_transfer_rejects_labels_that_are_not_a_list(scene, tmp_path, caps
     argv = ["label-transfer", "--labels", str(bad), "--homography", str(scene / "b" / "homography.json"), "-o", str(out)]
     assert run(argv) == 2
     rec = _last_diag(capsys)
-    assert rec["kind"] == "ValueError" and str(bad) in rec["msg"]
+    assert rec["kind"] == "InvalidInput" and str(bad) in rec["msg"]
     assert not out.exists()
 
 
@@ -655,7 +665,7 @@ def test_label_transfer_rejects_homography_that_is_not_an_object(scene, tmp_path
     argv = ["label-transfer", "--labels", str(scene / "a" / "labels.json"), "--homography", str(bad), "-o", str(out)]
     assert run(argv) == 2
     rec = _last_diag(capsys)
-    assert rec["kind"] == "ValueError" and "object" in rec["msg"]
+    assert rec["kind"] == "InvalidInput" and "object" in rec["msg"]
     assert not out.exists()
 
 
@@ -666,7 +676,7 @@ def test_label_transfer_rejects_homography_without_its_h_field(scene, tmp_path, 
     argv = ["label-transfer", "--labels", str(scene / "a" / "labels.json"), "--homography", str(bad), "-o", str(out)]
     assert run(argv) == 2
     rec = _last_diag(capsys)
-    assert rec["kind"] == "ValueError" and "'h'" in rec["msg"]
+    assert rec["kind"] == "InvalidInput" and "'h'" in rec["msg"]
     assert not out.exists()
 
 
@@ -677,6 +687,16 @@ def test_key_error_inside_a_subcommand_escapes_main(monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_info", broken)
     with pytest.raises(KeyError):
+        cli.main(["info", "events.esf"])
+
+
+def test_value_error_inside_a_subcommand_escapes_main(monkeypatch):
+    # bad input raises an EvfuseError, so a bare ValueError is a bug in evfuse, not bad input data (exit 2)
+    def broken(args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "cmd_info", broken)
+    with pytest.raises(ValueError, match="bug"):
         cli.main(["info", "events.esf"])
 
 
@@ -741,3 +761,234 @@ def test_csv_inputs_share_one_header_rule(tmp_path, what):
     assert rejects(f"{header}\n{row1}\n# again\n{header}\n", 4).content == header
     # a corrupt first data row that holds a number is not taken for a header
     assert rejects(f"# made by hand\n{bad}\n{row1}\n", 2).content == bad
+
+
+@pytest.mark.parametrize(
+    "text, error, line",
+    [
+        ("cd,1,2,3,+1\n# c\ncd,2,40,3,+1\n", CoordinateOutOfBounds, 3),
+        ("cd,5,1,1,+1\n\ncd,4,1,1,+1\n", UnsortedInput, 3),
+        ("kind,t,x,y,p\ntrig,1,r,0\ncd,1,2,3,+1\n\ncd,2,2,30,+1\n", CoordinateOutOfBounds, 5),
+        ("trig,5,r,0\n# late\ntrig,3,f,0\n", UnsortedInput, 3),
+    ],
+)
+def test_events_csv_rule_break_names_its_line(text, error, line):
+    with pytest.raises(error) as exc:
+        parse_csv(text, 32, 24)
+    assert str(exc.value).startswith(f"events CSV line {line}: ")
+
+
+# -- every bad input is a typed data error (exit 2) that names the input ------------
+
+
+def _esf(width, height, words):
+    """ESF-1 bytes: a header, then ``(word type, payload)`` words."""
+    return codec.make_header(width, height) + np.array([kind << 12 | v for kind, v in words], dtype="<u2").tobytes()
+
+
+HAS_PILLOW = importlib.util.find_spec("PIL") is not None
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """One file or directory per way an input can be bad."""
+    d = tmp_path_factory.mktemp("bad")
+    assert run(["synth", "-d", str(d / "tiny"), "--width", "60", "--height", "50", "--duration-s", "0.1",
+                "--translate", "0,0", "--warped-dir", str(d / "tiny_rgb"), "-o", str(d / "tiny.json")]) == 0
+    for name in ("small.pgm", "small_frames/frame_0.pgm"):
+        (d / name).parent.mkdir(exist_ok=True)
+        frames.write_pgm(str(d / name), np.zeros((50, 60), dtype=np.uint8))
+    files = {
+        "trunc_frames/frame_0.pgm": b"P5\n240 180\n255\n" + bytes(100),
+        "p2.pgm": "P2\n2 2\n255\n1 2 3 4\n",
+        "empty.pgm": "P5\n0 0\n255\n",
+        "text.txt": "not JSON\n",
+        "binary": b"\x00\xff\xfe binary",
+        "config_list.json": "[1]",
+        "h_abc.json": '{"h": "abc"}',
+        "singular.json": '{"h": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}',
+        "labels_inf.json": '[{"frame_id": 1e400, "class": "disk", "x": 1, "y": 1, "w": 1, "h": 1}]',
+        "points_nan.csv": "src_x,src_y,dst_x,dst_y\n1,1,nan,1\n2,4,2,2\n3,9,3,3\n4,16,4,4\n",
+        "points_huge.csv": "".join(f"1e308,-1e308,{i},{i * i}\n" for i in range(1, 7)),
+        # the falling trigger edge's TIME_LOW is below the rising edge's
+        "backwards.esf": _esf(32, 24, [(codec.TYPE_TIME_LOW, 100), (codec.TYPE_EXT_TRIGGER, 1),
+                                       (codec.TYPE_TIME_LOW, 50), (codec.TYPE_EXT_TRIGGER, 0)]),
+    }
+    for name, content in files.items():
+        (d / name).parent.mkdir(exist_ok=True)
+        (d / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    return d
+
+
+def _needs_no_pillow(*args, id):
+    return pytest.param(*args, id=id, marks=pytest.mark.skipif(HAS_PILLOW, reason="Pillow reads and writes PNG"))
+
+
+def _label_transfer(labels="{a}/labels.json", homography="{b}/homography.json"):
+    return ["label-transfer", "--labels", labels, "--homography", homography, "-o", "{o}"]
+
+
+# (argv, kind, what the message names); {a} and {b} are the scene's two views,
+# {d} holds the bad inputs and {o} is an output path
+PIPELINE = ["pipeline", "--events", "{a}/events.esf", "-d", "{o}"]
+BAD_INPUTS = [
+    pytest.param(["verify", "{a}/frames/frame_3.pgm", "{d}/small.pgm"], "InvalidInput", "reference and target",
+                 id="verify images of different sizes"),
+    pytest.param(PIPELINE + ["--frames-dir", "{d}/small_frames"], "InvalidInput", "{d}/small_frames/frame_0.pgm",
+                 id="pipeline RGB frame of another size"),
+    pytest.param(["pipeline", "--events", "{d}/tiny/events.esf", "--frames-dir", "{d}/tiny_rgb/frames", "-d", "{o}"],
+                 "InvalidInput", "margin 32", id="pipeline sensor too small for the margin"),
+    pytest.param(["sync", "{d}/backwards.esf", "-o", "{o}"], "InvalidInput", "exposure 0", id="sync backwards triggers"),
+    pytest.param(["pipeline", "--events", "{d}/backwards.esf", "-d", "{o}"], "InvalidInput", "exposure 0",
+                 id="pipeline backwards triggers"),
+    pytest.param(_label_transfer(labels="{d}/text.txt"), "InvalidInput", "{d}/text.txt",
+                 id="labels not JSON"),
+    pytest.param(_label_transfer(homography="{d}/text.txt"), "InvalidInput", "{d}/text.txt",
+                 id="homography not JSON"),
+    pytest.param(PIPELINE + ["--config", "{d}/text.txt"], "InvalidInput", "{d}/text.txt", id="config not JSON"),
+    pytest.param(["encode", "--csv", "{d}/binary", "--width", "4", "--height", "4", "-o", "{o}"], "InvalidInput",
+                 "{d}/binary", id="events CSV binary"),
+    pytest.param(PIPELINE + ["--windows", "{d}/binary"], "InvalidInput", "{d}/binary", id="windows CSV binary"),
+    pytest.param(["calibrate", "--points", "{d}/binary"], "InvalidInput", "{d}/binary", id="points CSV binary"),
+    pytest.param(_label_transfer(labels="{d}/binary"), "InvalidInput", "{d}/binary",
+                 id="labels binary"),
+    pytest.param(_label_transfer(homography="{d}/binary"), "InvalidInput", "{d}/binary",
+                 id="homography binary"),
+    pytest.param(PIPELINE + ["--config", "{d}/binary"], "InvalidInput", "{d}/binary", id="config binary"),
+    pytest.param(PIPELINE + ["--config", "{d}/config_list.json"], "InvalidInput", "{d}/config_list.json",
+                 id="config not an object"),
+    pytest.param(_label_transfer(homography="{d}/h_abc.json"), "InvalidInput", "{d}/h_abc.json",
+                 id="homography field not a matrix"),
+    pytest.param(["verify", "{d}/p2.pgm", "{d}/p2.pgm"], "InvalidInput", "{d}/p2.pgm", id="verify ASCII PGM"),
+    pytest.param(PIPELINE + ["--frames-dir", "{d}/trunc_frames"], "InvalidInput", "{d}/trunc_frames/frame_0.pgm",
+                 id="pipeline truncated RGB frame"),
+    pytest.param(_label_transfer(homography="{d}/singular.json") + ["--invert"], "InvalidInput",
+                 "{d}/singular.json", id="label-transfer singular homography"),
+    pytest.param(PIPELINE + ["--homography", "{d}/singular.json"], "InvalidInput", "{d}/singular.json",
+                 id="pipeline singular homography"),
+    pytest.param(["synth", "-d", "{o}", "--duration-s", "0.1", "--homography", "{d}/singular.json",
+                  "--warped-dir", "{o}_warped"], "InvalidInput", "{d}/singular.json", id="synth singular homography"),
+    _needs_no_pillow(["accumulate", "{a}/events.esf", "--format", "png", "-d", "{o}"], "InvalidInput",
+                     "{o}/frame_0.png", id="accumulate PNG without Pillow"),
+    _needs_no_pillow(["verify", "{d}/x.png", "{d}/x.png"], "InvalidInput", "{d}/x.png", id="verify PNG without Pillow"),
+    # beyond the rows above: a non-finite point, points that overflow, an empty image, a label past int range
+    pytest.param(["calibrate", "--points", "{d}/points_nan.csv"], "MalformedLine", "points CSV line 2",
+                 id="points not finite"),
+    pytest.param(["calibrate", "--points", "{d}/points_huge.csv", "--no-ransac"], "DegenerateConfiguration",
+                 "overflow", id="points overflow"),
+    pytest.param(["verify", "{d}/empty.pgm", "{d}/empty.pgm"], "InvalidInput", "{d}/empty.pgm", id="verify empty PGM"),
+    pytest.param(_label_transfer(labels="{d}/labels_inf.json"), "InvalidInput",
+                 "{d}/labels_inf.json", id="labels frame_id overflows"),
+]
+
+
+@pytest.mark.parametrize("argv, kind, names", BAD_INPUTS)
+def test_bad_input_is_a_typed_data_error_naming_it(scene, bad_inputs, tmp_path, capsys, argv, kind, names):
+    where = {"a": scene / "a", "b": scene / "b", "d": bad_inputs, "o": tmp_path / "out"}
+    assert run([arg.format(**where) for arg in argv]) == 2
+    diag = _last_diag(capsys)
+    assert diag["kind"] == kind and names.format(**where) in diag["msg"], diag
+
+
+@pytest.mark.parametrize(
+    "h",
+    [{}, [[1, 2], [3]], [[1, "x", 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]],
+     [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]],
+    ids=["dict", "ragged", "non-numeric", "2x2", "NaN", "singular"],
+)
+def test_homography_is_checked_once_at_load(scene, tmp_path, capsys, h):
+    bad = tmp_path / "h.json"
+    bad.write_text(json.dumps({"h": h}))
+    out = tmp_path / "moved.json"
+    argv = ["label-transfer", "--labels", str(scene / "a" / "labels.json"), "--homography", str(bad), "-o", str(out)]
+    assert run(argv) == 2
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "InvalidInput" and str(bad) in diag["msg"] and "'h'" in diag["msg"]
+    assert not out.exists()
+
+
+def _kinds(cls):
+    """The names of ``cls`` and of every subclass of it."""
+    return {cls.__name__}.union(*map(_kinds, cls.__subclasses__()))
+
+
+@st.composite
+def _encoded_streams(draw):
+    """ESF-1 bytes of a small sorted stream: triggers may lie outside the event
+    span, windows may be empty, one exposure may be all there is, and jitter
+    may make exposures overlap."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    t = sorted(draw(st.lists(st.integers(0, 20_000), max_size=30)))
+    coords = st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, height - 1), st.sampled_from([-1, 1])),
+                      min_size=len(t), max_size=len(t))
+    events = make_events(t, *zip(*draw(coords))) if t else make_events([], [], [], [])
+    period, offset = draw(st.integers(1, 5_000)), draw(st.integers(0, 30_000))
+    exposure = draw(st.integers(0, 2 * period))
+    starts = [max(0, offset + k * period + j) for k, j in enumerate(draw(st.lists(st.integers(-period, period), max_size=6)))]
+    edges = sorted([(s, 1) for s in starts] + [(s + exposure, 0) for s in starts])
+    triggers = make_triggers([e[0] for e in edges], [e[1] for e in edges], [0] * len(edges))
+    return codec.encode_esf(EventStream(StreamHeader(width, height), events, triggers))
+
+
+# Word sequences in items: a time word, an event, a lone trigger edge, or an
+# exposure's two edges, each after its own TIME_LOW, so that trigger times may
+# run backwards and rows and columns may leave the sensor.
+_RAW_ITEM = st.one_of(
+    st.tuples(st.sampled_from([codec.TYPE_TIME_HIGH, codec.TYPE_TIME_LOW]), st.integers(0, 0xFFF)).map(lambda w: [w]),
+    st.tuples(st.integers(0, 8), st.integers(0, 8), st.sampled_from([0, 1 << 11])).map(
+        lambda e: [(codec.TYPE_CD_Y, e[0]), (codec.TYPE_CD_X, e[2] | e[1])]),
+    st.tuples(st.just(codec.TYPE_EXT_TRIGGER), st.integers(0, 1)).map(lambda w: [w]),
+    st.tuples(st.integers(0, 0xFFF), st.integers(0, 0xFFF)).map(
+        lambda ab: [(codec.TYPE_TIME_LOW, ab[0]), (codec.TYPE_EXT_TRIGGER, 1),
+                    (codec.TYPE_TIME_LOW, ab[1]), (codec.TYPE_EXT_TRIGGER, 0)]),
+)
+_RAW_STREAMS = st.builds(_esf, st.integers(4, 8), st.integers(4, 8),
+                         st.lists(_RAW_ITEM, max_size=16).map(lambda items: [w for item in items for w in item]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(esf=st.one_of(_encoded_streams(), _RAW_STREAMS), method=st.sampled_from(["m1", "m2", "m3", "m4"]))
+def test_pipeline_on_any_stream_exits_0_or_a_typed_data_error(fuzz_dir, esf, method):
+    (fuzz_dir / "events.esf").write_bytes(esf)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["pipeline", "--events", str(fuzz_dir / "events.esf"), "-d", str(fuzz_dir / "out"),
+                         "--method", method, "--no-meta"])
+    assert code in (0, 2)
+    if code == 2:
+        assert json.loads(err.getvalue().splitlines()[-1])["kind"] in _kinds(EvfuseError) | _kinds(OSError)
+
+
+# -- checks that once ran only as CI steps through the installed script ----------------
+
+
+def test_checker_scene_under_a_projective_homography(tmp_path):
+    h_json = tmp_path / "H.json"
+    h_json.write_text(json.dumps({"h": [[1.02, 0.01, 3.0], [-0.01, 0.99, 2.0], [1e-4, -5e-5, 1.0]]}))
+    views, summary = [tmp_path / "chk", tmp_path / "chk_rgb"], tmp_path / "chk.json"
+    assert run(["synth", "-d", str(views[0]), "--pattern", "checker", "--velocity", "80,-60",
+                "--homography", str(h_json), "--warped-dir", str(views[1]), "-o", str(summary)]) == 0
+    for view in views:
+        assert run(["validate", str(view / "events.esf")]) == 0
+    # one ground-truth label per frame in each view
+    doc = json.loads(summary.read_text())
+    assert len(doc) == 2 and all(v["n_labels"] == v["n_frames"] > 0 for v in doc.values())
+
+
+def test_rate_report_memory_follows_events_not_a_2_31_us_span(tmp_path):
+    csv, esf, report = tmp_path / "span.csv", tmp_path / "span.esf", tmp_path / "rate.json"
+    csv.write_text("cd,0,0,0,+1\ncd,2147483648,1,1,-1\n")
+    assert run(["encode", "--csv", str(csv), "--width", "2", "--height", "2", "-o", str(esf)]) == 0
+    tracemalloc.start()  # 2^31 one-µs bins: the report's memory must follow its two events
+    try:
+        code = run(["rate", str(esf), "--bin-us", "1", "-o", str(report)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 50 * 2**20
+    assert json.loads(report.read_text())["n_events"] == 2
