@@ -400,13 +400,13 @@ def _parse_item(fields: list) -> tuple:
     if kind == "cd":
         _, t, x, y, p = fields
         t, x, y = int(t), int(x), int(y)
-        if t < 0 or x < 0 or y < 0:
+        if not 0 <= t < 2**64 or x < 0 or y < 0:
             raise ValueError(t, x, y)
         return t, x, y, _POLARITY[p]
     if kind == "trig":
         _, t, edge, channel = fields
         t, channel = int(t), int(channel)
-        if t < 0 or not 0 <= channel < N_CHANNELS:
+        if not 0 <= t < 2**64 or not 0 <= channel < N_CHANNELS:
             raise ValueError(t, channel)
         return t, _EDGE[edge.lower()], channel
     raise ValueError(kind)

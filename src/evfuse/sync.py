@@ -222,13 +222,14 @@ def assign_events(events: np.ndarray, window_list) -> list:
 
     Returns one (possibly empty) view per window; an event is included when
     ``t0 <= t < t1``.  Windows may overlap, in which case events appear in
-    every window that covers them.  Unsorted events raise
-    :class:`~evfuse.streams.UnsortedInput` at the first one out of order.
+    every window that covers them, and bounds clamp into the u64 range of
+    event times.  Unsorted events raise :class:`~evfuse.streams.UnsortedInput`
+    at the first one out of order.
     """
     t = np.ascontiguousarray(events["t"])
     streams.check_order(t)
-    bounds = np.array([(max(w.t0, 0), max(w.t1, 0)) for w in window_list], dtype=np.uint64).reshape(-1, 2)
-    return [events[i0:i1] for i0, i1 in np.searchsorted(t, bounds, side="left").tolist()]
+    bounds = np.array([[min(max(b, 0), 2**64 - 1) for b in (w.t0, w.t1)] for w in window_list], dtype=np.uint64)
+    return [events[i0:i1] for i0, i1 in np.searchsorted(t, bounds.reshape(-1, 2), side="left").tolist()]
 
 
 def window_counts(events: np.ndarray, window_list) -> np.ndarray:

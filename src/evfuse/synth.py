@@ -13,13 +13,15 @@ A second camera view is produced by mapping the *scene* through a homography
 before rasterization (``warp_view``), not by resampling pixels or events, so
 the ground-truth homography is exact by construction.
 
-Each time step evaluates only the pattern's box at both ends of the step
-(mapped through the homography for the second view). That is exact: the
-pattern's coverage is exactly 0 from ``pattern_size/2 + 0.5`` off its centre
-on, so outside the box the intensity is exactly ``background`` at both ends,
-the log-intensity change is exactly 0, and no pixel there can fire. A step
-whose box crosses the homography's vanishing line, or follows a firing that
-left a residual of a whole threshold, runs on the full frame.
+Every view, the reference included, is rendered through its homography, and
+each time step evaluates only the pattern's box at both ends of the step,
+mapped through that homography. That is exact: the pattern's coverage is
+exactly 0 from ``pattern_size/2 + 0.5`` off its centre on, so outside the box
+the intensity is exactly ``background`` at both ends and the log-intensity
+change is exactly 0. A firing counts every crossing its pixel's residual still
+passes the firing test for, so after every step no pixel's residual can fire
+by itself, and a pixel whose change is 0 never fires. A step whose box
+crosses the homography's vanishing line runs on the full frame.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .errors import EvfuseError
 from .geometry import warp_points
 from .labels import BoundingBox
-from .streams import EventStream, StreamHeader, make_events, make_triggers
+from .streams import MAX_SENSOR_DIM, EventStream, StreamHeader, make_events, make_triggers
 from .sync import ExposureInterval
 
 PATTERNS = ("disk", "rectangle", "checker")
@@ -69,10 +71,11 @@ class SceneSpec:
                 raise InvalidSpec(f"{name} must be finite, got {value!r}")
         if self.pattern not in PATTERNS:
             raise InvalidSpec(f"pattern must be one of {PATTERNS}, got {self.pattern!r}")
-        if self.width <= 0 or self.height <= 0 or self.pattern_size <= 0:
-            raise InvalidSpec("canvas and pattern size must be positive")
-        if self.contrast <= 0:
-            raise InvalidSpec("contrast threshold must be positive")
+        for name in ("width", "height"):
+            if not 0 < getattr(self, name) <= MAX_SENSOR_DIM:
+                raise InvalidSpec(f"{name} must be from 1 to {MAX_SENSOR_DIM}, got {getattr(self, name)!r}")
+        if self.pattern_size <= 0 or self.contrast <= 0:
+            raise InvalidSpec("pattern size and contrast threshold must be positive")
         if self.fps * self.duration_s < 2:
             raise InvalidSpec("need at least two frames (fps * duration >= 2)")
         if not 0 < self.dt_us <= self.exposure_us:
@@ -81,6 +84,9 @@ class SceneSpec:
             raise InvalidSpec("exposure cannot exceed the frame period")
         if self.background < 0 or self.foreground < 0:
             raise InvalidSpec("intensities must be non-negative")
+        # one pixel crosses at most |log change| / contrast + 2 thresholds in a step, counted in int64
+        if abs(math.log1p(self.foreground) - math.log1p(self.background)) / self.contrast + 2 >= 2**63:
+            raise InvalidSpec(f"contrast {self.contrast!r} is too small: one step's crossings overflow int64")
 
     @property
     def period_us(self) -> int:
@@ -198,21 +204,21 @@ def _step_boxes(spec: SceneSpec, hm: np.ndarray, width: int, height: int, n_step
 
 
 def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) -> SceneResult:
-    """Core generator. ``h`` maps source-view coordinates to this view; the
-    intensity field of this view is I(H^-1(x,y), t), evaluated analytically.
-    Each step updates the full-frame ``i_now``, ``log_prev`` and ``acc`` in
-    place inside its box from :func:`_step_boxes`, so the frame integrals add
-    what a full-frame evaluation would."""
+    """Core generator. ``h`` maps source-view coordinates to this view
+    (``None`` is the identity); the intensity field of this view is
+    I(H^-1(x,y), t), evaluated analytically. Each step updates the full-frame
+    ``i_now``, ``log_prev`` and ``acc`` in place inside its box from
+    :func:`_step_boxes`, so the frame integrals add what a full-frame
+    evaluation would. A pixel fires ``m`` events in a step: ``m`` is
+    ``floor(|acc| / c)``, raised while the residual ``acc - sign(acc)*m*c``
+    still passes the firing test ``|acc| / c >= 1``. Each event is stamped
+    inside that step."""
+    hm = np.eye(3) if h is None else np.asarray(h, dtype=np.float64)
     ys_i, xs_i = np.mgrid[0:height, 0:width]
-    if h is None:
-        hm = np.eye(3)
-        xs, ys = xs_i.astype(np.float64), ys_i.astype(np.float64)
-    else:
-        hm = np.asarray(h, dtype=np.float64)
-        pts = np.stack([xs_i.ravel(), ys_i.ravel()], axis=1).astype(np.float64)
-        back = warp_points(np.linalg.inv(hm), pts)
-        xs = back[:, 0].reshape(height, width)
-        ys = back[:, 1].reshape(height, width)
+    pts = np.stack([xs_i.ravel(), ys_i.ravel()], axis=1).astype(np.float64)
+    back = warp_points(np.linalg.inv(hm), pts)
+    xs = back[:, 0].reshape(height, width)
+    ys = back[:, 1].reshape(height, width)
 
     exposures = _exposure_table(spec)
     n_steps = -(-spec.duration_us // spec.dt_us)  # ceil division
@@ -226,16 +232,13 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
     intensity_sum = np.zeros((spec.n_frames, height, width), dtype=np.float64)
     intensity_n = np.zeros(spec.n_frames, dtype=np.int64)
 
-    ts_parts, xs_parts, ys_parts, ps_parts = [], [], [], []
     flat_x = xs_i.ravel()
     flat_y = ys_i.ravel()
-    refire = False
+    ts_parts, xs_parts, ys_parts, ps_parts = [np.empty(0, np.uint64)], [flat_x[:0]], [flat_y[:0]], [np.empty(0, np.int8)]
 
     for step in range(n_steps + 1):
         t_now = step * dt
-        # Rounding can leave |acc| >= c after a firing; such a pixel fires
-        # again on the next step wherever it is, so that step is full-frame.
-        y0, y1, x0, x1 = (0, height, 0, width) if refire else boxes[step]
+        y0, y1, x0, x1 = boxes[step]
         if y0 < y1 and x0 < x1:
             box = np.s_[y0:y1, x0:x1]
             i_box = _intensity(spec, xs[box], ys[box], float(t_now))
@@ -244,13 +247,15 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
             acc_box = acc[box] + delta
             m = np.floor(np.abs(acc_box) / c).astype(np.int64)
             fired = np.flatnonzero(m)
-            refire = False
             if fired.size:
                 m_f = m.ravel()[fired]
                 acc_f = acc_box.ravel()[fired]
+                s = np.sign(acc_f).astype(np.int8)
+                # rounding can leave a residual that passes the firing test: one more crossing of this step
+                while (more := np.abs(acc_f - s * m_f * c) / c >= 1).any():
+                    m_f = m_f + more
                 d = delta.ravel()[fired]
                 a = acc_f - d  # residual before this step
-                s = np.sign(acc_f).astype(np.int8)
                 total = int(m_f.sum())
                 row, col = np.divmod(fired, x1 - x0)
                 pix = np.repeat((row + y0) * width + (col + x0), m_f)
@@ -263,8 +268,7 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
                 xs_parts.append(flat_x[pix[order]])
                 ys_parts.append(flat_y[pix[order]])
                 ps_parts.append(np.repeat(s, m_f)[order])
-                acc_box -= np.sign(acc_box) * m * c
-                refire = bool((np.abs(acc_box.ravel()[fired]) / c >= 1.0).any())
+                acc_box.ravel()[fired] = acc_f - s * m_f * c
             acc[box] = acc_box
             i_now[box] = i_box
             log_prev[box] = log_now
@@ -274,15 +278,7 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
             intensity_sum[k] += i_now
             intensity_n[k] += 1
 
-    if ts_parts:
-        events = make_events(
-            np.concatenate(ts_parts),
-            np.concatenate(xs_parts),
-            np.concatenate(ys_parts),
-            np.concatenate(ps_parts),
-        )
-    else:
-        events = make_events([], [], [], [])
+    events = make_events(*map(np.concatenate, (ts_parts, xs_parts, ys_parts, ps_parts)))
 
     tr_t = np.repeat([e.start for e in exposures], 2).astype(np.uint64)
     tr_t[1::2] = [e.end for e in exposures]
@@ -298,9 +294,7 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
     labels = []
     for exp in exposures:
         mid = (exp.start + exp.end) / 2.0
-        pts = _boundary_points(spec, mid)
-        if h is not None:
-            pts = warp_points(hm, pts)
+        pts = warp_points(hm, _boundary_points(spec, mid))
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         labels.append(
@@ -311,8 +305,8 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
 
 
 def gen_scene(spec: SceneSpec) -> SceneResult:
-    """Generate the reference view of the scene."""
-    return _simulate(spec, None, spec.width, spec.height)
+    """Generate the reference view of the scene: the identity view."""
+    return _simulate(spec, np.eye(3), spec.width, spec.height)
 
 
 def warp_view(spec: SceneSpec, h, width: int | None = None, height: int | None = None) -> SceneResult:

@@ -522,6 +522,9 @@ def test_synth_scene_json_round_trips_and_bad_velocity_is_usage_error(tmp_path):
         (["--background", "nan"], "background"),
         (["--pattern-size", "inf"], "pattern_size"),
         (["--start", "inf,0"], "start"),
+        # finite, but past what the generator can count or a stream can hold
+        (["--contrast", "1e-300"], "contrast"),
+        (["--width", "4096", "--height", "8", "--duration-s", "0.1"], "width"),
     ],
 )
 def test_synth_non_finite_value_is_data_error_naming_the_field(tmp_path, capsys, flags, field):
@@ -724,6 +727,21 @@ def test_pipeline_rejects_windows_csv_with_bad_bounds(scene, tmp_path, capsys, r
     assert not out_dir.exists()
 
 
+PAST_U64 = "99999999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pipeline", "--events", "{a}/events.esf", "--windows", "{d}/windows.csv", "-d", "{d}/o"],
+     ["pipeline", "--events", "{a}/events.esf", "--custom", f"midpoint:0:{PAST_U64}", "-d", "{d}/o"],
+     ["sync", "{a}/events.esf", "--custom", f"midpoint:0:{2**64}", "-o", "{d}/windows_out.csv"]],
+    ids=["pipeline windows CSV", "pipeline custom", "sync custom"],
+)
+def test_window_bound_past_u64_is_clamped(scene, tmp_path, argv):
+    (tmp_path / "windows.csv").write_text(f"frame_id,t0_us,t1_us\n0,0,{PAST_U64}\n")
+    assert run([arg.format(a=scene / "a", d=tmp_path) for arg in argv]) == 0
+
+
 def _read_points(text, tmp_path):
     path = tmp_path / "points.csv"
     path.write_text(text)
@@ -811,6 +829,7 @@ def bad_inputs(tmp_path_factory):
         "points_nan.csv": "src_x,src_y,dst_x,dst_y\n1,1,nan,1\n2,4,2,2\n3,9,3,3\n4,16,4,4\n",
         "points_huge.csv": "".join(f"1e308,-1e308,{i},{i * i}\n" for i in range(1, 7)),
         # the falling trigger edge's TIME_LOW is below the rising edge's
+        "t_past_u64.csv": "cd,1,1,1,+1\ncd,18446744073709551616,1,1,+1\n",
         "backwards.esf": _esf(32, 24, [(codec.TYPE_TIME_LOW, 100), (codec.TYPE_EXT_TRIGGER, 1),
                                        (codec.TYPE_TIME_LOW, 50), (codec.TYPE_EXT_TRIGGER, 0)]),
     }
@@ -879,6 +898,8 @@ BAD_INPUTS = [
     pytest.param(["verify", "{d}/empty.pgm", "{d}/empty.pgm"], "InvalidInput", "{d}/empty.pgm", id="verify empty PGM"),
     pytest.param(_label_transfer(labels="{d}/labels_inf.json"), "InvalidInput",
                  "{d}/labels_inf.json", id="labels frame_id overflows"),
+    pytest.param(["encode", "--csv", "{d}/t_past_u64.csv", "--width", "4", "--height", "4", "-o", "{o}"],
+                 "MalformedLine", "events CSV line 2", id="events CSV time past u64"),
 ]
 
 

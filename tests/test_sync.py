@@ -243,6 +243,12 @@ def test_assign_events_matches_brute_force():
     assert assign_events(events, []) == []
 
 
+def test_assign_events_clamps_bounds_past_u64():
+    events = make_events(np.arange(0, 1000, 10, dtype=np.uint64), np.zeros(100), np.zeros(100), np.ones(100))
+    ws = [SyncWindow(0, 500, 2**70), SyncWindow(1, 2**70, 2**71)]
+    assert [len(w) for w in assign_events(events, ws)] == [50, 0]
+
+
 def test_assign_events_rejects_shuffled_events():
     rng = np.random.default_rng(11)
     t = rng.permutation(np.arange(0, 100_000, 100, dtype=np.uint64))

@@ -41,7 +41,9 @@ SMALL = SceneSpec(
 
 
 def _scalar_recount(spec):
-    """Independent per-pixel scalar model of the event emission rule."""
+    """Independent per-pixel scalar model of the event emission rule: a step
+    fires ``m = floor(|acc| / c)`` events, raised while the residual
+    ``acc - sign(acc)*m*c`` still passes the firing test ``|acc| / c >= 1``."""
     ys, xs = np.mgrid[0 : spec.height, 0 : spec.width]
     xs = xs.astype(np.float64)
     ys = ys.astype(np.float64)
@@ -58,6 +60,8 @@ def _scalar_recount(spec):
             for k in range(1, len(samples)):
                 acc += samples[k][py, px] - samples[k - 1][py, px]
                 m = math.floor(abs(acc) / spec.contrast)
+                while abs(acc - math.copysign(m * spec.contrast, acc)) / spec.contrast >= 1:
+                    m += 1
                 if m:
                     if acc > 0:
                         pos += m
@@ -68,7 +72,10 @@ def _scalar_recount(spec):
 
 def _ref_simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) -> SceneResult:
     """Reference generator: every step evaluates the whole frame and scans
-    every exposure. ``synth._simulate`` must reproduce it byte for byte."""
+    every exposure. A step fires ``m = floor(|acc| / c)`` events per pixel,
+    raised while the residual ``acc - sign(acc)*m*c`` still passes the firing
+    test ``|acc| / c >= 1``. ``synth._simulate`` must reproduce it byte for
+    byte."""
     ys_i, xs_i = np.mgrid[0:height, 0:width]
     if h is None:
         hm = np.eye(3)
@@ -107,6 +114,8 @@ def _ref_simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int
         delta = log_now - log_prev
         acc += delta
         m = np.floor(np.abs(acc) / c).astype(np.int64)
+        while (more := np.abs(acc - np.sign(acc) * m * c) / c >= 1).any():
+            m += more
         fired = np.flatnonzero(m.ravel())
         if fired.size:
             m_f = m.ravel()[fired]
@@ -171,6 +180,14 @@ def _ref_simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int
 ORACLE = SceneSpec(
     width=64, height=48, pattern_size=16.0, duration_s=0.1, fps=20.0, exposure_us=5000, dt_us=500,
 )
+# With this contrast a full fg -> bg change crosses 214 thresholds by
+# floor(|acc| / c) and leaves a residual of 1.0000000000000004 thresholds: a
+# 215th crossing, which must be stamped inside the step that made it.
+REFIRE_CONTRAST = 0.0073941062388593855
+REFIRE_SPEC = replace(
+    ORACLE, pattern="rectangle", pattern_size=4.0, start=(10.0, 24.0), velocity=(24000.0, 0.0),
+    contrast=REFIRE_CONTRAST,
+)
 # H's denominator 1 - 0.02 x + 0.0005 y vanishes on a line through the source
 # canvas near x = 50, which the horizontal and diagonal sweeps' boxes cross
 PROJECTIVE_H = np.array([[1.02, 0.03, 1.0], [-0.02, 0.98, 0.5], [-0.02, 0.0005, 1.0]])
@@ -193,9 +210,14 @@ def _assert_same_scene(got: SceneResult, want: SceneResult) -> None:
 
 @pytest.mark.parametrize("h_name", sorted(ORACLE_H))
 @pytest.mark.parametrize("velocity", [(300.0, 0.0), (0.0, -250.0), (220.0, 180.0)], ids=["horizontal", "vertical", "diagonal"])
-@pytest.mark.parametrize("pattern", ["disk", "rectangle", "checker"])
-def test_simulate_matches_full_frame_reference(pattern, velocity, h_name):
-    spec = replace(ORACLE, pattern=pattern, velocity=velocity)
+@pytest.mark.parametrize(
+    "pattern, contrast",
+    [pytest.param(pattern, ORACLE.contrast, id=pattern) for pattern in ("disk", "rectangle", "checker")]
+    # the checker's sharp cell edges leave residuals of a whole threshold at this contrast
+    + [pytest.param("checker", REFIRE_CONTRAST, id="checker-refire")],
+)
+def test_simulate_matches_full_frame_reference(pattern, contrast, velocity, h_name):
+    spec = replace(ORACLE, pattern=pattern, velocity=velocity, contrast=contrast)
     h = ORACLE_H[h_name]
     got = _simulate(spec, h, spec.width, spec.height)
     assert got.stream.n_events > 100
@@ -231,26 +253,21 @@ def test_simulate_matches_reference_at_canvas_edges_and_other_steps(changes, h_n
     _assert_same_scene(got, _ref_simulate(spec, h, spec.width, spec.height))
 
 
-
-# With this contrast a full fg -> bg change fires 214 events and leaves a
-# residual of 1.0000000000000004 thresholds, so the pixel fires once more on
-# the next step with delta == 0, after the pattern has left its box.
-REFIRE_CONTRAST = 0.0073941062388593855
-
-
-@pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
-def test_simulate_matches_reference_when_a_residual_refires():
-    spec = replace(
-        ORACLE, pattern="rectangle", pattern_size=4.0, start=(10.0, 24.0), velocity=(24000.0, 0.0),
-        contrast=REFIRE_CONTRAST,
-    )
+def test_simulate_matches_reference_when_a_residual_reaches_the_threshold():
+    spec = REFIRE_SPEC
     want = _ref_simulate(spec, None, spec.width, spec.height)
-    refired = want.stream.events[(want.stream.events["t"] == 2 * spec.dt_us) & (want.stream.events["x"] <= 11)]
-    assert len(refired) == 9  # the 3x3 pixels the pattern covered at t=0
+    ev = want.stream.events
+    # the 3x3 pixels the pattern covered at t=0 change fully in step 1
+    covered = ev[(abs(ev["x"].astype(int) - 10) <= 1) & (abs(ev["y"].astype(int) - 24) <= 1)]
+    pixels, counts = np.unique(covered[["x", "y"]], return_counts=True)
+    assert len(pixels) == 9 and (counts == 215).all()
+    assert covered["t"].max() <= spec.dt_us
+    assert not (covered["t"] == 2 * spec.dt_us).any()
     _assert_same_scene(_simulate(spec, None, spec.width, spec.height), want)
 
+
 def test_event_conservation_against_scalar_model():
-    spec = SceneSpec(
+    disk = SceneSpec(
         width=48,
         height=36,
         pattern="disk",
@@ -261,10 +278,11 @@ def test_event_conservation_against_scalar_model():
         exposure_us=3000,
         dt_us=1000,
     )
-    res = gen_scene(spec)
-    total, pos = _scalar_recount(spec)
-    assert res.stream.n_events == total
-    assert int((res.stream.events["p"] > 0).sum()) == pos
+    for spec in (disk, REFIRE_SPEC):
+        res = gen_scene(spec)
+        total, pos = _scalar_recount(spec)
+        assert res.stream.n_events == total
+        assert int((res.stream.events["p"] > 0).sum()) == pos
 
 
 def test_stream_is_valid_and_sorted():
@@ -394,6 +412,10 @@ def test_invalid_specs():
         SceneSpec(dt_us=6000, exposure_us=5000)
     with pytest.raises(InvalidSpec):
         SceneSpec(exposure_us=60_000, fps=20.0)  # exceeds 50 ms period
+    with pytest.raises(InvalidSpec, match="contrast"):
+        SceneSpec(contrast=1e-300)  # one step's crossings overflow int64
+    with pytest.raises(InvalidSpec, match="width"):
+        SceneSpec(width=4096, height=8)  # wider than any stream
 
 
 NON_FINITE_SPEC = {  # field -> its value with one non-finite component
