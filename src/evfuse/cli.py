@@ -7,8 +7,12 @@ Conventions shared by every subcommand:
   why); anything else is an evfuse bug, with a traceback and no JSON record;
 * option values are checked by the parser, before any input is read, so a
   bad value is always a usage error: every numeric option declares its range
-  through one rule (``_number``), and sync methods and custom windows are
-  parsed by the library's own parsers;
+  through one rule (``_number``), and ``--method`` takes the window rule, a
+  preset or a custom ``ANCHOR:PRE_US:POST_US`` window, through the library's
+  one parser (``sync.parse_method``);
+* options that would override one another are mutually exclusive, so giving
+  both is a usage error naming both: ``optics``' modes and sensor sources,
+  ``pipeline --homography``/``--points`` and ``synth --homography``/``--translate``;
 * results go to stdout (or to files named by ``-o``/``--out-dir``);
 * diagnostics are single-line JSON records on stderr, e.g.
   ``{"level": "warning", "msg": "..."}`` — never free-form prose;
@@ -20,7 +24,8 @@ The ``pipeline`` subcommand accepts ``--config FILE`` with a JSON object of
 its "config options" (keys match the long flag names with ``-`` replaced by
 ``_``). The values become flags parsed before the command line's own, so
 they are checked exactly like flags (``null`` keeps the default) and
-explicit flags win.
+explicit flags win, because argparse keeps an option's last occurrence; a
+config value that excludes a given flag is a usage error like two flags.
 """
 
 from __future__ import annotations
@@ -87,8 +92,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        _diag("error", message, kind="usage")
-        raise SystemExit(USAGE_ERROR)
+        raise _usage_fail(message)
 
 
 def _usage_fail(message: str) -> "SystemExit":
@@ -128,22 +132,15 @@ _wh = _number(lambda t: tuple(map(int, t.lower().split("x"))), lambda v: len(v) 
 
 
 def _method(text: str):
-    """argparse type for ``--method``: a :class:`sync.SyncMethod` preset."""
+    """argparse type for ``--method``: a :class:`sync.SyncMethod` preset or a :class:`sync.CustomWindow`."""
     try:
         return sync.parse_method(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _custom(text: str):
-    """argparse type for ``--custom ANCHOR:PRE:POST``: a :class:`sync.CustomWindow`."""
-    parts = text.split(":")
-    try:
-        if len(parts) != 3:
-            raise ValueError(f"expects 'anchor:pre_us:post_us', got {text!r}")
-        return sync.CustomWindow(parts[0], int(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+METHOD_HELP = ("window rule: a preset m1|m2|m3|m4 (exposure|frame_leading|centered|midpoint) "
+               "or a custom ANCHOR:PRE_US:POST_US window, e.g. midpoint:5000:5000 (default: %(default)s)")
 
 
 def _read_points_csv(path: str):
@@ -239,7 +236,7 @@ def cmd_validate(args) -> int:
 
 def cmd_sync(args) -> int:
     stream = codec.read_esf(args.esf)
-    exposures, wins = _build_windows(stream, None, args.channel, args.custom or args.method, need_exposures=False)
+    exposures, wins = _build_windows(stream, None, args.channel, args.method, need_exposures=False)
     if args.exposures_out:
         Path(args.exposures_out).write_text(sync.write_exposures_csv(exposures), encoding="utf-8")
     counts = sync.window_counts(stream.events, wins)
@@ -256,7 +253,7 @@ def cmd_sync(args) -> int:
 
 def cmd_accumulate(args) -> int:
     stream = codec.read_esf(args.esf)
-    _, wins = _build_windows(stream, args.windows, args.channel, args.custom or args.method)
+    _, wins = _build_windows(stream, args.windows, args.channel, args.method)
     width, height = stream.header.width, stream.header.height
     out_dir = Path(args.out_dir)
     (out_dir).mkdir(parents=True, exist_ok=True)
@@ -519,7 +516,7 @@ def cmd_pipeline(args) -> int:
             _diag("warning", "rate controller dropped events", n_dropped=dropped, cap_evps=cfg.cap_evps)
         stream = EventStream(stream.header, kept, stream.triggers)
 
-    _, wins = _build_windows(stream, args.windows, args.channel, args.custom or args.method)
+    _, wins = _build_windows(stream, args.windows, args.channel, args.method)
     per_window = sync.assign_events(stream.events, wins)
 
     # Homography mapping RGB-frame coordinates into event coordinates.
@@ -653,9 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sync", cmd_sync, "pair trigger edges into exposures and build event windows")
     p.add_argument("esf")
-    p.add_argument("--method", type=_method, default="m3", help="m1|m2|m3|m4 or exposure|frame_leading|centered|midpoint")
-    p.add_argument("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST",
-                   help="custom window, e.g. midpoint:5000:5000")
+    p.add_argument("--method", type=_method, default="m3", help=METHOD_HELP)
     p.add_argument("--channel", type=_channel, default=0, help="trigger channel 0-15 (default 0)")
     p.add_argument("--exposures-out", default=None, metavar="CSV", help="also write the exposure table")
     p.add_argument("-o", "--out", default=None, help="windows CSV output (default: stdout)")
@@ -663,8 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("accumulate", cmd_accumulate, "accumulate events into per-frame images")
     p.add_argument("esf")
     p.add_argument("--windows", default=None, metavar="CSV", help="window CSV (frame_id,t0_us,t1_us)")
-    p.add_argument("--method", type=_method, default="m3", help="sync method when --windows is not given")
-    p.add_argument("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST")
+    p.add_argument("--method", type=_method, default="m3", help=METHOD_HELP)
     p.add_argument("--channel", type=_channel, default=0)
     p.add_argument("--mode", default="polarity", choices=["count", "polarity", "binary"])
     p.add_argument("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count for rendering")
@@ -729,8 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + f.name.replace("_", "-"), type=_pair if pair else type(f.default), default=f.default,
                        choices=synth.PATTERNS if f.name == "pattern" else None, metavar="X,Y" if pair else None,
                        help=f"SceneSpec.{f.name} (default: %(default)s)")
-    p.add_argument("--homography", default=None, metavar="H.json", help="render a second view through this homography")
-    p.add_argument("--translate", type=_pair, default=None, metavar="DX,DY", help="shortcut: second view offset in px")
+    view = p.add_mutually_exclusive_group()
+    view.add_argument("--homography", default=None, metavar="H.json", help="render a second view through this homography")
+    view.add_argument("--translate", type=_pair, default=None, metavar="DX,DY", help="shortcut: second view offset in px")
     p.add_argument("--warped-dir", default=None, help="output directory for the second view")
     p.add_argument("-o", "--out", default=None)
 
@@ -749,19 +744,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", default=None, metavar="CSV", help="explicit windows instead of trigger pairing")
     p.add_argument("--no-meta", action="store_true", help="omit the provenance block for byte-identical output")
     o = p.add_argument_group("config options", "also --config keys: the flag name without '--', '-' as '_'")
+    h_source = o.add_mutually_exclusive_group()
     config_options = {}
 
-    def opt(*flags, **kwargs):
-        action = o.add_argument(*flags, **kwargs)
+    def opt(*flags, group=o, **kwargs):
+        action = group.add_argument(*flags, **kwargs)
         config_options[action.dest] = action
 
     opt("--frames-dir", default=None, help="directory of RGB frame_<id>.pgm images")
     opt("--labels", default=None, metavar="JSON", help="RGB-side boxes to transfer")
-    opt("--homography", default=None, metavar="H.json", help="maps RGB coords to event coords")
+    opt("--homography", group=h_source, default=None, metavar="H.json", help="maps RGB coords to event coords")
+    opt("--points", group=h_source, default=None, metavar="CSV", help="estimate the homography from correspondences")
     opt("--invert-homography", action="store_true", help="the file stores event->RGB; invert it")
-    opt("--points", default=None, metavar="CSV", help="estimate the homography from correspondences")
-    opt("--method", type=_method, default="m3", help="sync method (default: %(default)s)")
-    opt("--custom", type=_custom, default=None, metavar="ANCHOR:PRE:POST")
+    opt("--method", type=_method, default="m3", help=METHOD_HELP)
     opt("--channel", type=_channel, default=0, help="trigger channel 0-15 (default: %(default)s)")
     opt("--mode", default="polarity", choices=["count", "polarity", "binary"], help="(default: %(default)s)")
     opt("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
@@ -788,8 +783,6 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = parser.parse_args(_config_argv(args, argv))
         return args.func(args)
-    except SystemExit:
-        raise
     except _DATA_ERRORS as exc:
         msg = str(exc) or exc.__class__.__name__
         _diag("error", msg, kind=exc.__class__.__name__)

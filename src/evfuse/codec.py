@@ -68,6 +68,7 @@ from .streams import (
     make_events,
     make_triggers,
     read_rows,
+    rule_breaks,
 )
 
 MAGIC = b"ESF1"
@@ -419,29 +420,20 @@ def parse_csv(text: str, width: int, height: int) -> EventStream:
     not parse raises :class:`MalformedLine`; the stream rules are then checked
     as the encoder checks them, and a break names its CSV line.
     """
-    rows = [row for _, row in read_rows(text, _parse_item, "events")]
-    ev_rows = [row for row in rows if len(row) == 4]  # (t, x, y, p)
-    tr_rows = [row for row in rows if len(row) == 3]  # (t, edge, channel)
+    numbered = list(read_rows(text, _parse_item, "events"))
+    rows = [row for _, row in numbered]
+    is_trigger = np.array([len(row) == 3 for row in rows], dtype=bool)  # (t, edge, channel), else (t, x, y, p)
+    ev_rows = [row for row in rows if len(row) == 4]
+    tr_rows = [row for row in rows if len(row) == 3]
     events = make_events(*zip(*ev_rows)) if ev_rows else make_events([], [], [], [])
     triggers = make_triggers(*zip(*tr_rows)) if tr_rows else make_triggers([], [], [])
-    trigger_pos = np.flatnonzero([len(row) == 3 for row in rows])
-    stream = EventStream(StreamHeader(width, height), events, triggers, trigger_pos)
-    try:
-        check_stream(stream, stream.merged_times())
-    except (CoordinateOutOfBounds, UnsortedInput) as exc:
-        raise _at_line(exc, stream, text) from None
+    stream = EventStream(StreamHeader(width, height), events, triggers, np.flatnonzero(is_trigger))
+    item_lines = np.array([line_no for line_no, _ in numbered], dtype=np.int64)
+    for rule, values, bad in rule_breaks(stream, stream.merged_times())[:1]:  # _parse_item rejects a bad channel
+        i = int(bad[0])  # order indexes the items, x and y the events
+        lead = f"events CSV line {(item_lines if rule == 'order' else item_lines[~is_trigger])[i]}: "
+        raise UnsortedInput(i, lead) if rule == "order" else CoordinateOutOfBounds(rule, int(values[i]), lead=lead)
     return stream
-
-
-def _at_line(exc, stream: EventStream, text: str) -> StreamError:
-    """The rule break ``exc`` of the stream parsed from ``text``, its message led by the CSV line that broke it."""
-    if isinstance(exc, UnsortedInput):
-        item = exc.index
-    else:  # x or y: the first event holding the offending value is the first to break the rule
-        event = int(np.argmax(stream.events[exc.axis] == exc.value))
-        item = int(np.delete(np.arange(stream.n_items), stream.trigger_pos)[event])
-    msg = f"events CSV line {[n for n, _ in read_rows(text, len, 'events')][item]}: {exc}"
-    return UnsortedInput(exc.index, msg) if isinstance(exc, UnsortedInput) else CoordinateOutOfBounds(exc.axis, exc.value, message=msg)
 
 
 def read_esf(path) -> EventStream:

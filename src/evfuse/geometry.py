@@ -53,16 +53,12 @@ def _as_points(pts) -> np.ndarray:
 
 def _normalization(pts: np.ndarray) -> np.ndarray:
     """Similarity transform sending the cloud to zero mean, mean radius sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    dist = np.linalg.norm(pts - centroid, axis=1).mean()
-    scale = math.sqrt(2.0) / dist if dist > 1e-12 else 1.0
-    return np.array(
-        [
-            [scale, 0.0, -scale * centroid[0]],
-            [0.0, scale, -scale * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # huge points overflow; estimate_homography rejects that
+        centroid = pts.mean(axis=0)
+        dist = np.linalg.norm(pts - centroid, axis=1).mean()
+        scale = math.sqrt(2.0) / dist if dist > 1e-12 else 1.0
+        tx, ty = -scale * centroid
+    return np.array([[scale, 0.0, tx], [0.0, scale, ty], [0.0, 0.0, 1.0]])
 
 
 def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -41,20 +41,20 @@ class StreamError(EvfuseError):
 class UnsortedInput(StreamError):
     """Items handed to the encoder are not in non-decreasing time order."""
 
-    def __init__(self, index: int, message: str = ""):
+    def __init__(self, index: int, lead: str = ""):
         self.index = index
-        super().__init__(message or f"item {index} breaks time order")
+        super().__init__(f"{lead}item {index} breaks time order")
 
 
 class CoordinateOutOfBounds(StreamError):
     """An event coordinate does not fit the sensor geometry."""
 
-    def __init__(self, axis: str, value: int, offset: int | None = None, message: str = ""):
+    def __init__(self, axis: str, value: int, offset: int | None = None, lead: str = ""):
         self.axis = axis
         self.value = value
         self.offset = offset
         at = f" at byte {offset}" if offset is not None else ""
-        super().__init__(message or f"{axis}={value} out of bounds{at}")
+        super().__init__(f"{lead}{axis}={value} out of bounds{at}")
 
 
 class MalformedLine(StreamError, ValueError):

@@ -60,9 +60,6 @@ class SyncWindow:
     t0: int
     t1: int
 
-    def to_json(self) -> dict:
-        return {"frame_id": self.frame_id, "t0": self.t0, "t1": self.t1}
-
 
 class SyncMethod(Enum):
     EXPOSURE = "exposure"
@@ -85,11 +82,29 @@ METHOD_ALIASES = {
 }
 
 
-def parse_method(text: str) -> SyncMethod:
+def parse_method(text: str) -> SyncMethod | CustomWindow:
+    """The one parser of a window rule, as ``--method`` and config files spell it.
+
+    A preset name or alias (``m1``-``m4``, ``exposure``, ``frame_leading``,
+    ``centered``, ``midpoint``; any case) gives a :class:`SyncMethod`;
+    ``ANCHOR:PRE_US:POST_US`` (e.g. ``midpoint:5000:5000``) gives a
+    :class:`CustomWindow`.  Either result is accepted by :func:`windows`.  A
+    bad value raises ``ValueError`` naming it; for a custom window the
+    message ends with :class:`CustomWindow`'s own.
+    """
+    anchor, *bounds = text.strip().split(":")
+    if not bounds:
+        try:
+            return METHOD_ALIASES[anchor.lower()]
+        except KeyError:
+            raise ValueError(f"unknown sync method {text!r}; choose from {sorted(set(METHOD_ALIASES))} "
+                             "or ANCHOR:PRE_US:POST_US") from None
     try:
-        return METHOD_ALIASES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown sync method {text!r}; choose from {sorted(set(METHOD_ALIASES))}") from None
+        if len(bounds) != 2:
+            raise ValueError("expects 'anchor:pre_us:post_us'")
+        return CustomWindow(anchor, int(bounds[0]), int(bounds[1]))
+    except ValueError as exc:
+        raise ValueError(f"custom window {text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from evfuse.codec import MalformedLine, parse_csv, read_esf
 from evfuse.errors import EvfuseError
 from evfuse.streams import CoordinateOutOfBounds, EventStream, StreamHeader, UnsortedInput, make_events, make_triggers
 from evfuse.labels import iou, read_labels_json
-from evfuse.sync import read_exposures_csv, read_windows_csv, triggers_to_exposures
+from evfuse.sync import (CustomWindow, read_exposures_csv, read_windows_csv, triggers_to_exposures, windows,
+                         write_windows_csv)
 from evfuse.synth import SceneSpec
 
 GOLDEN_SUMMARY = Path(__file__).with_name("golden_pipeline_summary.json")
@@ -131,12 +132,34 @@ def test_validate_clean_stream_exits_zero(scene, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def test_validate_stream_with_findings_is_data_error(tmp_path, capsys):
+    # two rising edges and no falling one: both are unpaired, and the stream still encodes
+    stream = EventStream(StreamHeader(32, 24), make_events([1, 2], [1, 2], [1, 2], [1, -1]),
+                         make_triggers([3, 4], [1, 1], [0, 0]))
+    esf = tmp_path / "open.esf"
+    codec.write_esf(str(esf), stream)
+    assert run(["validate", str(esf)]) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["ok"] is False and [f["kind"] for f in report["findings"]] == ["unpaired_trigger"] * 2
+    assert json.loads(captured.err) == {"level": "error", "msg": "stream has structural findings",
+                                        "counts": {"unpaired_trigger": 2}}
+
+
 def test_sync_writes_windows_csv(scene, tmp_path, capsys):
     out = tmp_path / "win.csv"
     assert run(["sync", str(scene / "a" / "events.esf"), "--method", "m4", "-o", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "frame_id,t0_us,t1_us"
     assert len(lines) == 8  # 7 frames + header
+
+
+def test_sync_method_takes_a_custom_window(scene, tmp_path):
+    esf = scene / "a" / "events.esf"
+    out = tmp_path / "win.csv"
+    assert run(["sync", str(esf), "--method", "midpoint:5000:5000", "-o", str(out)]) == 0
+    exposures = triggers_to_exposures(read_esf(str(esf)).triggers).exposures
+    assert out.read_text() == write_windows_csv(windows(exposures, CustomWindow("midpoint", 5000, 5000)))
 
 
 def test_sync_exposures_out_holds_the_pairing(scene, tmp_path):
@@ -299,6 +322,25 @@ def test_label_transfer_round_trip(scene, tmp_path, capsys):
     assert moved and all(iou(b, truth[b.frame_id]) > 0.99 for b in moved)
 
 
+def test_label_transfer_inverts_and_clips(tmp_path, capsys):
+    h_json = tmp_path / "H.json"
+    h_json.write_text(json.dumps({"h": [[1.0, 0.0, 100.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}))
+    boxes = tmp_path / "boxes.json"
+    boxes.write_text(json.dumps([{"frame_id": i, "class": "disk", "x": x, "y": y, "w": 20, "h": 20}
+                                 for i, (x, y) in enumerate([(110, 10), (150, 40), (10, 10)])]))
+    out = tmp_path / "moved.json"
+    argv = ["label-transfer", "--labels", str(boxes), "--homography", str(h_json), "--invert", "--clip", "64x48",
+            "-o", str(out)]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"n_in": 3, "n_out": 2, "out": str(out)}
+    # the inverse moves boxes 100 px left: the second is cut at the canvas edge, the third falls off it
+    assert [(b.frame_id, b.x, b.y, b.w, b.h) for b in read_labels_json(str(out))] == [(0, 10, 10, 20, 20),
+                                                                                    (1, 50, 40, 14, 8)]
+    assert json.loads(captured.err) == {"level": "warning", "msg": "boxes fell entirely outside the target canvas",
+                                        "n_dropped": 1}
+
+
 def test_pipeline_summary_schema_and_deviation(scene, tmp_path, capsys):
     out_dir = tmp_path / "pipe"
     code = run(
@@ -423,6 +465,35 @@ def test_pipeline_config_file_and_flag_override(scene, tmp_path):
     assert w["t1"] - w["t0"] == 50_000
 
 
+def test_pipeline_flag_method_beats_a_config_custom_window(scene, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "start:0:1000"}))
+    base = ["pipeline", "--events", str(scene / "a" / "events.esf"), "--config", str(cfg), "--no-meta"]
+    exposures = read_exposures_csv((scene / "a" / "exposures.csv").read_text())
+    for flags, bounds in [([], [(e.start, e.start + 1000) for e in exposures]),
+                          (["--method", "m1"], [(e.start, e.end) for e in exposures])]:  # m1: 5000 us exposures
+        out_dir = tmp_path / "-".join(["o"] + flags)
+        assert run(base + flags + ["-d", str(out_dir)]) == 0
+        doc = json.loads((out_dir / "summary.json").read_text())
+        assert [(f["window"]["t0"], f["window"]["t1"]) for f in doc["frames"]] == bounds
+    assert {e.end - e.start for e in exposures} == {5000}
+
+
+def test_pipeline_erc_cap_thins_events_before_the_rate_report(scene, tmp_path, capsys):
+    esf = str(scene / "a" / "events.esf")
+    cap = ["--cap-evps", "50000", "--period-us", "2000"]
+    assert run(["erc", esf] + cap + ["-o", str(tmp_path / "thin.esf")]) == 0
+    erc = json.loads(capsys.readouterr().out)
+    out_dir = tmp_path / "o"
+    assert run(["pipeline", "--events", esf, "--erc-cap-evps", "50000", "--erc-period-us", "2000",
+                "-d", str(out_dir), "--no-meta"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert {"level": "warning", "msg": "rate controller dropped events", "n_dropped": erc["n_dropped"],
+            "cap_evps": 50000} in records
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["rate"]["n_events"] == erc["n_out"] < erc["n_in"]
+
+
 def test_pipeline_unknown_config_key_is_usage_error(scene, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"methd": "m1"}))
@@ -503,6 +574,30 @@ def test_pipeline_config_not_an_object_is_data_error(scene, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, pair",
+    [(["pipeline", "--events", "{a}/events.esf", "-d", "{o}", "--homography", "{b}/homography.json",
+       "--points", "{pts}"], None, ("--homography", "--points")),
+     (["pipeline", "--events", "{a}/events.esf", "-d", "{o}", "--points", "{pts}"],
+      {"homography": "{b}/homography.json", "invert_homography": True}, ("--homography", "--points")),
+     (["synth", "-d", "{o}", "--duration-s", "0.1", "--homography", "{b}/homography.json", "--translate", "1,1",
+       "--warped-dir", "{o}/rgb"], None, ("--homography", "--translate"))],
+    ids=["pipeline flags", "pipeline config", "synth"],
+)
+def test_options_that_would_override_each_other_are_a_usage_error(scene, tmp_path, capsys, argv, config, pair):
+    # from flags or from config, giving both is refused naming both, not settled by a hidden precedence
+    fill = {"a": scene / "a", "b": scene / "b", "o": tmp_path / "o", "pts": _planted_points(tmp_path / "pts.csv")}
+    argv = [arg.format(**fill) for arg in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v.format(**fill) if isinstance(v, str) else v for k, v in config.items()}))
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 1
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "usage" and all(flag in diag["msg"] for flag in pair)
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_scene_json_round_trips_and_bad_velocity_is_usage_error(tmp_path):
     out_dir = tmp_path / "s"
     base = ["synth", "--duration-s", "0.1", "-o", str(tmp_path / "out.json")]
@@ -548,6 +643,8 @@ BAD_OPTION_ARGV = [
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--method", "m9"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--custom", "start:1"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--custom", "center:1:1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--method", "start:1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--method", "center:1:1"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--jobs", "0"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--bin-us", "0"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--erc-cap-evps", "0"],
@@ -558,6 +655,7 @@ BAD_OPTION_ARGV = [
     ["sync", "{missing}", "-o", "{out}", "--channel", "16"],
     ["accumulate", "{missing}", "-d", "{out}", "--channel", "16"],
     ["sync", "{missing}", "-o", "{out}", "--custom", "start:-5:5"],
+    ["sync", "{missing}", "-o", "{out}", "--method", "start:-5:5"],
     ["accumulate", "{missing}", "-d", "{out}", "--method", "m9"],
     ["accumulate", "{missing}", "-d", "{out}", "--clip", "0"],
     ["rate", "{missing}", "-o", "{out}", "--bin-us", "0"],
@@ -620,7 +718,7 @@ def test_bad_option_value_is_usage_error_before_input_is_read(tmp_path, capsys, 
 
 @pytest.mark.parametrize(
     "config",
-    [{"method": "m9"}, {"custom": "start:1"}, {"jobs": 0}, {"bin_us": 0}, {"erc_cap_evps": 0},
+    [{"method": "m9"}, {"method": "start:1"}, {"jobs": 0}, {"bin_us": 0}, {"erc_cap_evps": 0},
      {"erc_period_us": 0}, {"clip": -3}, {"channel": 16},
      {"smooth_sigma": -1.0}, {"smooth_sigma": "inf"}, {"smooth_sigma": float("nan")},
      {"radius": -1}, {"threshold_px": "nan"}],
@@ -733,8 +831,8 @@ PAST_U64 = "99999999999999999999999"
 @pytest.mark.parametrize(
     "argv",
     [["pipeline", "--events", "{a}/events.esf", "--windows", "{d}/windows.csv", "-d", "{d}/o"],
-     ["pipeline", "--events", "{a}/events.esf", "--custom", f"midpoint:0:{PAST_U64}", "-d", "{d}/o"],
-     ["sync", "{a}/events.esf", "--custom", f"midpoint:0:{2**64}", "-o", "{d}/windows_out.csv"]],
+     ["pipeline", "--events", "{a}/events.esf", "--method", f"midpoint:0:{PAST_U64}", "-d", "{d}/o"],
+     ["sync", "{a}/events.esf", "--method", f"midpoint:0:{2**64}", "-o", "{d}/windows_out.csv"]],
     ids=["pipeline windows CSV", "pipeline custom", "sync custom"],
 )
 def test_window_bound_past_u64_is_clamped(scene, tmp_path, argv):

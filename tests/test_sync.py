@@ -225,6 +225,29 @@ def test_parse_method_aliases():
         parse_method("m9")
 
 
+@pytest.mark.parametrize(
+    "text, method",
+    [("m1", SyncMethod.EXPOSURE), (" Midpoint ", SyncMethod.MIDPOINT), ("frame-leading", SyncMethod.FRAME_LEADING),
+     ("midpoint:5000:5000", CustomWindow("midpoint", 5000, 5000)), ("start:0:1000", CustomWindow("start", 0, 1000)),
+     ("end: 0 :7", CustomWindow("end", 0, 7))],
+)
+def test_parse_method_takes_presets_and_custom_windows(text, method):
+    assert parse_method(text) == method
+    windows(TWO, parse_method(text))  # either kind is a window rule
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("m9", "unknown sync method"), ("", "unknown sync method"), ("start:1", "anchor:pre_us:post_us"),
+     ("start:1:2:3", "anchor:pre_us:post_us"), ("center:1:1", "anchor must be start|midpoint|end"),
+     ("start:-5:5", "must be non-negative"), ("end:5:x", "invalid literal")],
+)
+def test_parse_method_rejects_naming_the_value(text, reason):
+    with pytest.raises(ValueError) as exc:
+        parse_method(text)
+    assert repr(text) in str(exc.value) and reason in str(exc.value)
+
+
 # -- assignment and partition properties ----------------------------------------
 
 
