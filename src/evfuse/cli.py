@@ -140,7 +140,7 @@ def _method(text: str):
 
 
 METHOD_HELP = ("window rule: a preset m1|m2|m3|m4 (exposure|frame_leading|centered|midpoint) "
-               "or a custom ANCHOR:PRE_US:POST_US window, e.g. midpoint:5000:5000 (default: %(default)s)")
+               "or a custom ANCHOR:PRE_US:POST_US window, e.g. midpoint:5000:5000 (default: m3)")
 
 
 def _read_points_csv(path: str):
@@ -156,6 +156,17 @@ def _read_points_csv(path: str):
     rows = [row for _, row in read_rows(read_text(path, "points CSV"), parse, "points")]
     pts = np.array(rows, dtype=np.float64).reshape(-1, 4)
     return pts[:, :2], pts[:, 2:]
+
+
+def _window_rule(args) -> tuple:
+    """``(method, channel)`` for ``accumulate`` and ``pipeline``. A
+    ``--windows`` CSV replaces the trigger windows, so an explicit
+    ``--method`` or ``--channel`` beside it, as a flag or through
+    ``--config``, is a usage error; otherwise they default to m3 and 0."""
+    given = [flag for flag, value in (("--method", args.method), ("--channel", args.channel)) if value is not None]
+    if args.windows and given:
+        raise _usage_fail(f"--windows replaces the trigger windows, so it takes no {' or '.join(given)}")
+    return args.method or sync.parse_method("m3"), args.channel or 0
 
 
 def _build_windows(stream: EventStream, windows_csv, channel: int, method, need_exposures=True):
@@ -252,8 +263,9 @@ def cmd_sync(args) -> int:
 
 
 def cmd_accumulate(args) -> int:
+    method, channel = _window_rule(args)
     stream = codec.read_esf(args.esf)
-    _, wins = _build_windows(stream, args.windows, args.channel, args.method)
+    _, wins = _build_windows(stream, args.windows, channel, method)
     width, height = stream.header.width, stream.header.height
     out_dir = Path(args.out_dir)
     (out_dir).mkdir(parents=True, exist_ok=True)
@@ -432,21 +444,19 @@ def _write_scene(out_dir: Path, result: synth.SceneResult) -> dict:
 
 
 def cmd_synth(args) -> int:
+    if bool(args.homography or args.translate) != bool(args.warped_dir):
+        raise _usage_fail("the second view needs both --warped-dir and one of --homography and --translate")
     spec = synth.SceneSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(synth.SceneSpec)})
-    result = synth.gen_scene(spec)
-    summary = {"scene": _write_scene(Path(args.out_dir), result)}
-
     h = None
     if args.homography:
         h = geometry.load_homography(args.homography)
     elif args.translate:
         dx, dy = args.translate
         h = np.array([[1.0, 0.0, dx], [0.0, 1.0, dy], [0.0, 0.0, 1.0]])
+
+    summary = {"scene": _write_scene(Path(args.out_dir), synth.gen_scene(spec))}
     if h is not None:
-        if not args.warped_dir:
-            raise _usage_fail("--homography/--translate needs --warped-dir for the second view")
-        warped = synth.warp_view(spec, h)
-        summary["warped"] = _write_scene(Path(args.warped_dir), warped)
+        summary["warped"] = _write_scene(Path(args.warped_dir), synth.warp_view(spec, h))
 
     # Reproducibility: record the generating parameters next to the data.
     Path(args.out_dir, "scene.json").write_text(_dump_json(dataclasses.asdict(spec)), encoding="utf-8")
@@ -505,6 +515,9 @@ def _config_argv(args, argv: list) -> list:
 
 def cmd_pipeline(args) -> int:
     _check_search(args.radius, args.margin)
+    if args.invert_homography and not args.homography:
+        raise _usage_fail("--invert-homography inverts the --homography file, so it needs --homography")
+    method, channel = _window_rule(args)
     stream = codec.read_esf(args.events)
     width, height = stream.header.width, stream.header.height
 
@@ -516,7 +529,7 @@ def cmd_pipeline(args) -> int:
             _diag("warning", "rate controller dropped events", n_dropped=dropped, cap_evps=cfg.cap_evps)
         stream = EventStream(stream.header, kept, stream.triggers)
 
-    _, wins = _build_windows(stream, args.windows, args.channel, args.method)
+    _, wins = _build_windows(stream, args.windows, channel, method)
     per_window = sync.assign_events(stream.events, wins)
 
     # Homography mapping RGB-frame coordinates into event coordinates.
@@ -658,8 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("accumulate", cmd_accumulate, "accumulate events into per-frame images")
     p.add_argument("esf")
     p.add_argument("--windows", default=None, metavar="CSV", help="window CSV (frame_id,t0_us,t1_us)")
-    p.add_argument("--method", type=_method, default="m3", help=METHOD_HELP)
-    p.add_argument("--channel", type=_channel, default=0)
+    p.add_argument("--method", type=_method, default=None, help=METHOD_HELP)
+    p.add_argument("--channel", type=_channel, default=None, help="trigger channel 0-15 (default: 0)")
     p.add_argument("--mode", default="polarity", choices=["count", "polarity", "binary"])
     p.add_argument("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count for rendering")
     p.add_argument("--format", default="pgm", choices=["pgm", "png"])
@@ -756,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt("--homography", group=h_source, default=None, metavar="H.json", help="maps RGB coords to event coords")
     opt("--points", group=h_source, default=None, metavar="CSV", help="estimate the homography from correspondences")
     opt("--invert-homography", action="store_true", help="the file stores event->RGB; invert it")
-    opt("--method", type=_method, default="m3", help=METHOD_HELP)
-    opt("--channel", type=_channel, default=0, help="trigger channel 0-15 (default: %(default)s)")
+    opt("--method", type=_method, default=None, help=METHOD_HELP)
+    opt("--channel", type=_channel, default=None, help="trigger channel 0-15 (default: 0)")
     opt("--mode", default="polarity", choices=["count", "polarity", "binary"], help="(default: %(default)s)")
     opt("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
     opt("--erc-cap-evps", type=_positive_int, default=None, help="pre-filter through the rate controller")

@@ -13,15 +13,15 @@ A second camera view is produced by mapping the *scene* through a homography
 before rasterization (``warp_view``), not by resampling pixels or events, so
 the ground-truth homography is exact by construction.
 
-Every view, the reference included, is rendered through its homography, and
-each time step evaluates only the pattern's box at both ends of the step,
-mapped through that homography. That is exact: the pattern's coverage is
-exactly 0 from ``pattern_size/2 + 0.5`` off its centre on, so outside the box
-the intensity is exactly ``background`` at both ends and the log-intensity
-change is exactly 0. A firing counts every crossing its pixel's residual still
-passes the firing test for, so after every step no pixel's residual can fire
-by itself, and a pixel whose change is 0 never fires. A step whose box
-crosses the homography's vanishing line runs on the full frame.
+Every view, the reference included, is rendered through its homography. A
+time step's box is the pattern's box at both ends of the step, mapped through
+that homography (the full frame where it crosses the vanishing line). That is
+exact: the pattern's coverage is exactly 0 from ``pattern_size/2 + 0.5`` off
+its centre on, so outside the box the intensity is exactly ``background`` at
+both ends and the log-intensity change is exactly 0. A firing counts every
+crossing its pixel's residual still passes the firing test for, so no residual
+can fire by itself, and a pixel whose change is 0 never fires: the generator
+works on the nonzero changes alone, per pixel, not step by step.
 """
 
 from __future__ import annotations
@@ -203,16 +203,96 @@ def _step_boxes(spec: SceneSpec, hm: np.ndarray, width: int, height: int, n_step
     return np.concatenate([np.zeros((1, 4), dtype=np.int64), bounds])
 
 
+_BATCH_ELEMENTS = 1 << 16  # union-box pixels x (steps + 1) per run of two or more steps: temporaries stay cache-sized
+
+
+def _batches(boxes: np.ndarray, height: int, width: int):
+    """Runs ``(k0, k1, union)`` of the steps ``k0 <= k < k1`` from step 1 on,
+    each with the ``(y0, y1, x0, x1)`` union of their boxes (an empty slice if
+    all are empty), whose pixels times (steps + 1) stay within ``_BATCH_ELEMENTS``."""
+    empty = (boxes[:, 0] >= boxes[:, 1]) | (boxes[:, 2] >= boxes[:, 3])
+    rows = np.where(empty[:, None], [height, 0, width, 0], boxes).tolist()  # an empty box adds nothing to a union
+    k0, union = 1, rows[0]
+    for k, row in enumerate(rows[1:], 1):
+        grown = [min(union[0], row[0]), max(union[1], row[1]), min(union[2], row[2]), max(union[3], row[3])]
+        if k > k0 and max(grown[1] - grown[0], 0) * max(grown[3] - grown[2], 0) * (k - k0 + 2) > _BATCH_ELEMENTS:
+            yield k0, k, union
+            k0, grown = k, row
+        union = grown
+    yield k0, len(rows), union
+
+
+def _changes(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, boxes: np.ndarray) -> tuple:
+    """Phase 1: the nonzero log(I+1) changes as ``(step, pixel, delta)``
+    arrays, step-major and pixel-ascending, and the 8-bit frames. The full
+    frames ``i_now`` and ``log_prev`` are updated inside each run's union box."""
+    height, width = xs.shape
+    # exposures never overlap (exposure <= period), and step 0 exposes frame 0
+    frame, phase = np.divmod(np.arange(boxes.shape[0]) * spec.dt_us, spec.period_us)
+    exposing = (frame < spec.n_frames) & (phase < spec.exposure_us)
+    intensity_sum = np.zeros((spec.n_frames, height, width), dtype=np.float64)
+    i_now = _intensity(spec, xs, ys, 0.0)
+    log_prev = np.log1p(i_now)
+    intensity_sum[0] += i_now
+    parts = []
+    for k0, k1, (y0, y1, x0, x1) in _batches(boxes, height, width):
+        box = np.s_[y0:y1, x0:x1]
+        i_box = _intensity(spec, xs[box], ys[box], np.arange(k0, k1)[:, None, None] * float(spec.dt_us))
+        log_now = np.log1p(i_box)
+        delta = np.diff(log_now, axis=0, prepend=log_prev[box][None]).ravel()
+        at = np.flatnonzero(delta != 0)
+        k, row, col = np.unravel_index(at, log_now.shape)
+        parts.append((k + k0, (row + y0) * width + (col + x0), delta[at]))
+        log_prev[box] = log_now[-1]
+        for k in np.flatnonzero(exposing[k0:k1]):
+            i_now[box] = i_box[k]
+            intensity_sum[frame[k0 + k]] += i_now
+        i_now[box] = i_box[-1]
+    intensity_sum /= np.bincount(frame[exposing], minlength=spec.n_frames)[:, None, None]
+    frames = np.clip(np.rint(intensity_sum, out=intensity_sum), 0, 255, out=intensity_sum).astype(np.uint8)
+    return *map(np.concatenate, zip(*parts)), frames
+
+
+def _fire(pix: np.ndarray, delta: np.ndarray, c: float) -> tuple:
+    """Phase 2: the firings, in change order, as the changes' indices, counts
+    ``m``, signs, residuals before the step and deltas."""
+    by_pixel = np.argsort(pix, kind="stable")
+    first = np.flatnonzero(np.diff(pix[by_pixel], prepend=-1))
+    count = np.diff(first, append=by_pixel.size)
+    acc = np.zeros(first.size)
+    parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0), np.empty(0))]
+    for r in range(count.max(initial=0)):
+        live = np.flatnonzero(count > r)  # the pixels with an r-th change
+        ids = by_pixel[first[live] + r]
+        d = delta[ids]
+        acc_r = acc[live] + d
+        m = np.floor(np.abs(acc_r) / c).astype(np.int64)
+        fired = np.flatnonzero(m)
+        m_f, acc_f = m[fired], acc_r[fired]
+        s = np.sign(acc_f).astype(np.int8)
+        # rounding can leave a residual that passes the firing test: one more crossing of this step
+        while (more := np.abs(acc_f - s * m_f * c) / c >= 1).any():
+            m_f = m_f + more
+        parts.append((ids[fired], m_f, s, acc_f - d[fired], d[fired]))
+        acc_r[fired] = acc_f - s * m_f * c
+        acc[live] = acc_r
+    ids, *rest = map(np.concatenate, zip(*parts))
+    order = np.argsort(ids)
+    return ids[order], *(x[order] for x in rest)
+
+
 def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) -> SceneResult:
     """Core generator. ``h`` maps source-view coordinates to this view
     (``None`` is the identity); the intensity field of this view is
-    I(H^-1(x,y), t), evaluated analytically. Each step updates the full-frame
-    ``i_now``, ``log_prev`` and ``acc`` in place inside its box from
-    :func:`_step_boxes`, so the frame integrals add what a full-frame
-    evaluation would. A pixel fires ``m`` events in a step: ``m`` is
-    ``floor(|acc| / c)``, raised while the residual ``acc - sign(acc)*m*c``
-    still passes the firing test ``|acc| / c >= 1``. Each event is stamped
-    inside that step."""
+    I(H^-1(x,y), t), evaluated analytically. Three phases: :func:`_changes`
+    evaluates log(I+1) once per run of steps over the run's union box, and
+    each delta is the same difference of the same floats as a per-step,
+    full-frame evaluation takes, so it is bit-identical. :func:`_fire` runs the
+    rule on every pixel's ``r``-th change at once: a pixel fires
+    ``m = floor(|acc| / c)`` events, raised while the residual
+    ``acc - sign(acc)*m*c`` still passes the firing test ``|acc| / c >= 1``.
+    The emission stamps each event inside its step by linear interpolation
+    and orders all of them with one sort."""
     hm = np.eye(3) if h is None else np.asarray(h, dtype=np.float64)
     ys_i, xs_i = np.mgrid[0:height, 0:width]
     pts = np.stack([xs_i.ravel(), ys_i.ravel()], axis=1).astype(np.float64)
@@ -222,63 +302,17 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
 
     exposures = _exposure_table(spec)
     n_steps = -(-spec.duration_us // spec.dt_us)  # ceil division
-    boxes = _step_boxes(spec, hm, width, height, n_steps)
-    dt = spec.dt_us
-    c = spec.contrast
-
-    acc = np.zeros((height, width), dtype=np.float64)
-    i_now = _intensity(spec, xs, ys, 0.0)
-    log_prev = np.log1p(i_now)
-    intensity_sum = np.zeros((spec.n_frames, height, width), dtype=np.float64)
-    intensity_n = np.zeros(spec.n_frames, dtype=np.int64)
-
-    flat_x = xs_i.ravel()
-    flat_y = ys_i.ravel()
-    ts_parts, xs_parts, ys_parts, ps_parts = [np.empty(0, np.uint64)], [flat_x[:0]], [flat_y[:0]], [np.empty(0, np.int8)]
-
-    for step in range(n_steps + 1):
-        t_now = step * dt
-        y0, y1, x0, x1 = boxes[step]
-        if y0 < y1 and x0 < x1:
-            box = np.s_[y0:y1, x0:x1]
-            i_box = _intensity(spec, xs[box], ys[box], float(t_now))
-            log_now = np.log1p(i_box)
-            delta = log_now - log_prev[box]
-            acc_box = acc[box] + delta
-            m = np.floor(np.abs(acc_box) / c).astype(np.int64)
-            fired = np.flatnonzero(m)
-            if fired.size:
-                m_f = m.ravel()[fired]
-                acc_f = acc_box.ravel()[fired]
-                s = np.sign(acc_f).astype(np.int8)
-                # rounding can leave a residual that passes the firing test: one more crossing of this step
-                while (more := np.abs(acc_f - s * m_f * c) / c >= 1).any():
-                    m_f = m_f + more
-                d = delta.ravel()[fired]
-                a = acc_f - d  # residual before this step
-                total = int(m_f.sum())
-                row, col = np.divmod(fired, x1 - x0)
-                pix = np.repeat((row + y0) * width + (col + x0), m_f)
-                j = np.arange(total) - np.repeat(np.cumsum(m_f) - m_f, m_f) + 1
-                frac = (np.repeat(s, m_f) * j * c - np.repeat(a, m_f)) / np.repeat(d, m_f)
-                frac = np.clip(frac, np.finfo(np.float64).tiny, 1.0)
-                t_ev = (t_now - dt) + np.floor(frac * dt).astype(np.int64)
-                order = np.lexsort((pix, t_ev))
-                ts_parts.append(t_ev[order].astype(np.uint64))
-                xs_parts.append(flat_x[pix[order]])
-                ys_parts.append(flat_y[pix[order]])
-                ps_parts.append(np.repeat(s, m_f)[order])
-                acc_box.ravel()[fired] = acc_f - s * m_f * c
-            acc[box] = acc_box
-            i_now[box] = i_box
-            log_prev[box] = log_now
-        # accumulate frame integrals; exposures never overlap (exposure <= period)
-        k, phase = divmod(t_now, spec.period_us)
-        if k < spec.n_frames and phase < spec.exposure_us:
-            intensity_sum[k] += i_now
-            intensity_n[k] += 1
-
-    events = make_events(*map(np.concatenate, (ts_parts, xs_parts, ys_parts, ps_parts)))
+    step, pix, delta, frames = _changes(spec, xs, ys, _step_boxes(spec, hm, width, height, n_steps))
+    ids, m_f, s, a, d = _fire(pix, delta, spec.contrast)
+    j = np.arange(int(m_f.sum())) - np.repeat(np.cumsum(m_f) - m_f, m_f) + 1
+    frac = (np.repeat(s, m_f) * j * spec.contrast - np.repeat(a, m_f)) / np.repeat(d, m_f)
+    frac = np.clip(frac, np.finfo(np.float64).tiny, 1.0)
+    t_ev = (np.repeat(step[ids], m_f) - 1) * spec.dt_us + np.floor(frac * spec.dt_us).astype(np.int64)
+    # In (step, pixel, crossing) order, with step k's stamps in [t_k - dt, t_k], a stable
+    # sort by time gives each step's (time, pixel) order, step after step.
+    order = np.argsort(t_ev, kind="stable")
+    ev_y, ev_x = np.divmod(np.repeat(pix[ids], m_f)[order], width)
+    events = make_events(t_ev[order], ev_x, ev_y, np.repeat(s, m_f)[order])
 
     tr_t = np.repeat([e.start for e in exposures], 2).astype(np.uint64)
     tr_t[1::2] = [e.end for e in exposures]
@@ -286,10 +320,6 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
     triggers = make_triggers(tr_t, tr_edge, np.zeros(2 * spec.n_frames))
 
     stream = EventStream(StreamHeader(width, height), events, triggers)
-
-    frames = np.clip(
-        np.rint(intensity_sum / intensity_n[:, None, None]), 0, 255
-    ).astype(np.uint8)
 
     labels = []
     for exp in exposures:

@@ -598,6 +598,58 @@ def test_options_that_would_override_each_other_are_a_usage_error(scene, tmp_pat
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, names",
+    [(["synth", "-d", "{o}", "--duration-s", "0.1", "--warped-dir", "{o}/rgb"], None,
+      ("--warped-dir", "--homography", "--translate")),
+     (["synth", "-d", "{o}", "--duration-s", "0.1", "--translate", "1,1"], None, ("--warped-dir", "--translate")),
+     (["pipeline", "--events", "{a}/events.esf", "-d", "{o}", "--points", "{pts}", "--invert-homography"], None,
+      ("--invert-homography", "--homography")),
+     (["pipeline", "--events", "{a}/events.esf", "-d", "{o}", "--points", "{pts}"], {"invert_homography": True},
+      ("--invert-homography", "--homography")),
+     (["accumulate", "{a}/events.esf", "-d", "{o}", "--windows", "{w}", "--method", "m3"], None,
+      ("--windows", "--method")),
+     (["accumulate", "{a}/events.esf", "-d", "{o}", "--windows", "{w}", "--channel", "0"], None,
+      ("--windows", "--channel")),
+     (["pipeline", "--events", "{a}/events.esf", "-d", "{o}", "--windows", "{w}", "--channel", "5"], None,
+      ("--windows", "--channel")),
+     (["pipeline", "--events", "{a}/events.esf", "-d", "{o}", "--windows", "{w}"], {"method": "m3"},
+      ("--windows", "--method"))],
+    ids=["synth warped-dir alone", "synth translate alone", "pipeline invert without homography",
+         "pipeline invert without homography in config", "accumulate windows and method",
+         "accumulate windows and channel", "pipeline windows and channel", "pipeline windows and config method"],
+)
+def test_options_that_would_be_ignored_are_a_usage_error(scene, tmp_path, capsys, argv, config, names):
+    # an option the command would silently drop is refused naming it, before anything is read or written
+    fill = {"a": scene / "a", "o": tmp_path / "o", "pts": _planted_points(tmp_path / "pts.csv"),
+            "w": tmp_path / "w.csv"}
+    assert run(["sync", str(scene / "a" / "events.esf"), "--method", "m1", "-o", str(fill["w"])]) == 0
+    argv = [arg.format(**fill) for arg in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "usage" and all(flag in diag["msg"] for flag in names), diag
+    assert not (tmp_path / "o").exists()
+
+
+def test_windows_csv_alone_and_trigger_windows_keep_their_defaults(scene, tmp_path, capsys):
+    esf, w1 = str(scene / "a" / "events.esf"), tmp_path / "w1.csv"
+    assert run(["sync", esf, "--method", "m1", "-o", str(w1)]) == 0
+    assert run(["accumulate", esf, "--windows", str(w1), "-d", str(tmp_path / "by_csv")]) == 0
+    by_csv = json.loads(capsys.readouterr().out)
+    m1 = read_windows_csv(w1.read_text())
+    assert [f["window"] for f in by_csv["frames"]] == [{"t0": w.t0, "t1": w.t1} for w in m1]
+    assert run(["accumulate", esf, "-d", str(tmp_path / "default")]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert run(["accumulate", esf, "--method", "m3", "--channel", "0", "-d", str(tmp_path / "explicit")]) == 0
+    assert json.loads(capsys.readouterr().out)["frames"] == [
+        {**f, "path": f["path"].replace("default", "explicit")} for f in default["frames"]]
+
+
 def test_synth_scene_json_round_trips_and_bad_velocity_is_usage_error(tmp_path):
     out_dir = tmp_path / "s"
     base = ["synth", "--duration-s", "0.1", "-o", str(tmp_path / "out.json")]

@@ -1,15 +1,21 @@
 """Scene-generator tests: conservation against a scalar reimplementation of
 the threshold-with-carry rule, byte equality with a full-frame reference
-generator, stream validity, and warped-view geometry."""
+generator at any batch budget, pinned bench-scene bytes and memory, stream
+validity, and warped-view geometry."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from evfuse import cli, synth
 from evfuse.geometry import warp_points
 from evfuse.labels import BoundingBox, iou
 from evfuse.streams import EventStream, StreamHeader, make_events, make_triggers, validate_stream
@@ -18,6 +24,7 @@ from evfuse.synth import (
     InvalidSpec,
     SceneResult,
     SceneSpec,
+    _batches,
     _boundary_points,
     _exposure_table,
     _intensity,
@@ -208,14 +215,26 @@ def _assert_same_scene(got: SceneResult, want: SceneResult) -> None:
     assert np.array_equal(got.homography, want.homography)
 
 
-@pytest.mark.parametrize("h_name", sorted(ORACLE_H))
-@pytest.mark.parametrize("velocity", [(300.0, 0.0), (0.0, -250.0), (220.0, 180.0)], ids=["horizontal", "vertical", "diagonal"])
-@pytest.mark.parametrize(
-    "pattern, contrast",
-    [pytest.param(pattern, ORACLE.contrast, id=pattern) for pattern in ("disk", "rectangle", "checker")]
+ORACLE_PATTERNS = {  # id -> (pattern, contrast)
+    "disk": ("disk", ORACLE.contrast),
+    "rectangle": ("rectangle", ORACLE.contrast),
+    "checker": ("checker", ORACLE.contrast),
     # the checker's sharp cell edges leave residuals of a whole threshold at this contrast
-    + [pytest.param("checker", REFIRE_CONTRAST, id="checker-refire")],
-)
+    "checker-refire": ("checker", REFIRE_CONTRAST),
+}
+ORACLE_VELOCITIES = {"horizontal": (300.0, 0.0), "vertical": (0.0, -250.0), "diagonal": (220.0, 180.0)}
+ORACLE_CHANGES = {
+    "leaves": {"start": (40.0, 24.0), "velocity": (500.0, 100.0)},  # leaves the canvas
+    "enters": {"start": (-30.0, 24.0), "velocity": (600.0, 0.0)},  # starts off it, then enters
+    "off-canvas": {"start": (-200.0, -200.0), "velocity": (10.0, 10.0)},  # never on it
+    "dt-700": {"dt_us": 700, "exposure_us": 2100, "fps": 30.0, "velocity": (180.0, -90.0)},
+    "checker-dt-1000": {"pattern": "checker", "dt_us": 1000, "exposure_us": 3000, "pattern_size": 21.0, "width": 70},
+}
+
+
+@pytest.mark.parametrize("h_name", sorted(ORACLE_H))
+@pytest.mark.parametrize("velocity", list(ORACLE_VELOCITIES.values()), ids=list(ORACLE_VELOCITIES))
+@pytest.mark.parametrize("pattern, contrast", list(ORACLE_PATTERNS.values()), ids=list(ORACLE_PATTERNS))
 def test_simulate_matches_full_frame_reference(pattern, contrast, velocity, h_name):
     spec = replace(ORACLE, pattern=pattern, velocity=velocity, contrast=contrast)
     h = ORACLE_H[h_name]
@@ -234,23 +253,89 @@ def test_projective_oracle_case_runs_the_full_frame_fallback():
     assert not (translated[1:] == full).all(axis=1).any()
 
 
-@pytest.mark.parametrize(
-    "changes",
-    [
-        {"start": (40.0, 24.0), "velocity": (500.0, 100.0)},  # leaves the canvas
-        {"start": (-30.0, 24.0), "velocity": (600.0, 0.0)},  # starts off it, then enters
-        {"start": (-200.0, -200.0), "velocity": (10.0, 10.0)},  # never on it
-        {"dt_us": 700, "exposure_us": 2100, "fps": 30.0, "velocity": (180.0, -90.0)},
-        {"pattern": "checker", "dt_us": 1000, "exposure_us": 3000, "pattern_size": 21.0, "width": 70},
-    ],
-    ids=["leaves", "enters", "off-canvas", "dt-700", "checker-dt-1000"],
-)
+@pytest.mark.parametrize("changes", list(ORACLE_CHANGES.values()), ids=list(ORACLE_CHANGES))
 @pytest.mark.parametrize("h_name", sorted(ORACLE_H))
 def test_simulate_matches_reference_at_canvas_edges_and_other_steps(changes, h_name):
     spec = replace(ORACLE, **changes)
     h = ORACLE_H[h_name]
     got = _simulate(spec, h, spec.width, spec.height)
     _assert_same_scene(got, _ref_simulate(spec, h, spec.width, spec.height))
+
+
+ORACLE_CASES = [  # both oracle tests' cases, with their ids
+    pytest.param(replace(ORACLE, pattern=pattern, contrast=contrast, velocity=velocity), h_name,
+                 id=f"{pattern_id}-{velocity_id}-{h_name}")
+    for pattern_id, (pattern, contrast) in ORACLE_PATTERNS.items()
+    for velocity_id, velocity in ORACLE_VELOCITIES.items()
+    for h_name in sorted(ORACLE_H)
+] + [
+    pytest.param(replace(ORACLE, **changes), h_name, id=f"{h_name}-{changes_id}")
+    for changes_id, changes in ORACLE_CHANGES.items()
+    for h_name in sorted(ORACLE_H)
+]
+# one step per run, and an odd budget whose runs end mid-sweep and hold three full-frame (64x48) samples
+BATCH_BUDGETS = (1, 9999)
+
+
+@pytest.mark.parametrize("spec, h_name", ORACLE_CASES)
+def test_simulate_matches_reference_at_any_batch_budget(monkeypatch, spec, h_name):
+    h = ORACLE_H[h_name]
+    want = _ref_simulate(spec, h, spec.width, spec.height)
+    for budget in BATCH_BUDGETS:
+        monkeypatch.setattr(synth, "_BATCH_ELEMENTS", budget)
+        _assert_same_scene(_simulate(spec, h, spec.width, spec.height), want)
+
+
+@pytest.mark.parametrize("budget", BATCH_BUDGETS)
+def test_batches_cover_every_step_within_the_budget(monkeypatch, budget):
+    monkeypatch.setattr(synth, "_BATCH_ELEMENTS", budget)
+    spec = replace(ORACLE, velocity=(300.0, 0.0))
+    n_steps = -(-spec.duration_us // spec.dt_us)
+    full = [0, spec.height, 0, spec.width]
+    boxes = _step_boxes(spec, PROJECTIVE_H, spec.width, spec.height, n_steps)
+    runs = list(_batches(boxes, spec.height, spec.width))
+    assert [k0 for k0, _, _ in runs] == [1] + [k1 for _, k1, _ in runs[:-1]] and runs[-1][1] == n_steps + 1
+    for k0, k1, (y0, y1, x0, x1) in runs:
+        assert k1 - k0 == 1 or max(y1 - y0, 0) * max(x1 - x0, 0) * (k1 - k0 + 1) <= budget
+    if budget > 1:  # runs of several steps, on the full frame and off it
+        assert any(k1 - k0 > 1 and union == full for k0, k1, union in runs)
+        assert any(k1 - k0 > 1 and union != full for k0, k1, union in runs)
+
+
+# sha256 of `evfuse synth -d a --width 240 --height 180 --duration-s 1 --translate 5,0 --warped-dir b`:
+# each view's events.esf, and its 20 frame PGMs in frame order
+BENCH_SCENE_SHA256 = {
+    ("a", "events"): "6276ccb78e90a1ad18e194e938881d833f33ab56dc5bf704de698043aab0e731",
+    ("a", "frames"): "6c0220211ce0c0dc0b9cadfda8a41f827b7f69772bf270bdee72143122016b62",
+    ("b", "events"): "2bcc1e4d5eb1a789b582e547a8d60724a84b07ee2f888783cbf282959f0c52eb",
+    ("b", "frames"): "a1dbd617390b531a420bbbaa1ce92044abf881905f4357cdec1563460d84d04e",
+}
+
+
+def test_bench_scene_outputs_are_pinned(tmp_path):
+    argv = ["synth", "-d", str(tmp_path / "a"), "--width", "240", "--height", "180", "--duration-s", "1",
+            "--translate", "5,0", "--warped-dir", str(tmp_path / "b")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    got = {}
+    for view in "ab":
+        got[view, "events"] = hashlib.sha256((tmp_path / view / "events.esf").read_bytes()).hexdigest()
+        frames = hashlib.sha256()
+        for k in range(20):
+            frames.update((tmp_path / view / "frames" / f"frame_{k}.pgm").read_bytes())
+        got[view, "frames"] = frames.hexdigest()
+    assert got == BENCH_SCENE_SHA256
+
+
+def test_bench_scene_memory_peak():
+    spec = SceneSpec(duration_s=1.0)  # the bench scene's reference view
+    tracemalloc.start()
+    try:
+        gen_scene(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * 2**20
 
 
 def test_simulate_matches_reference_when_a_residual_reaches_the_threshold():
