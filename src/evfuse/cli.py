@@ -14,8 +14,8 @@ Conventions shared by every subcommand:
   both is a usage error naming both: ``optics``' modes and sensor sources,
   ``pipeline --homography``/``--points`` and ``synth --homography``/``--translate``;
 * results go to stdout (or to files named by ``-o``/``--out-dir``);
-* diagnostics are single-line JSON records on stderr, e.g.
-  ``{"level": "warning", "msg": "..."}`` — never free-form prose;
+* diagnostics are single-line JSON records on stderr, ``{"level": ..., "msg": ...}``,
+  never free-form prose, in a deterministic order (frame order at any ``--jobs``);
 * report JSON is serialized with sorted keys so identical inputs produce
   byte-identical bytes; ``--no-meta`` drops the provenance block (tool
   version, creation time, input paths) from reports that carry one.
@@ -36,13 +36,12 @@ import datetime as _dt
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from . import alignment, codec, frames, geometry, labels, optics, rate, sync, synth
+from . import alignment, codec, frames, fuse, geometry, labels, optics, rate, sync, synth
 from .errors import EvfuseError, InvalidInput, read_json, read_text
 from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, LineRule, read_rows, validate_stream
 
@@ -266,24 +265,15 @@ def cmd_accumulate(args) -> int:
     method, channel = _window_rule(args)
     stream = codec.read_esf(args.esf)
     _, wins = _build_windows(stream, args.windows, channel, method)
-    width, height = stream.header.width, stream.header.height
     out_dir = Path(args.out_dir)
-    (out_dir).mkdir(parents=True, exist_ok=True)
-    per_window = sync.assign_events(stream.events, wins)
+    out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for w, sub in zip(wins, per_window):
-        acc = frames.accumulate(sub, width, height, args.mode)
-        image = frames.render_gray(acc, args.mode, args.clip)
+    for f in fuse.fuse(stream, wins, mode=args.mode, clip=args.clip):
+        w = f.window
         path = out_dir / f"frame_{w.frame_id}.{args.format}"
-        frames.write_image(str(path), image)
-        entries.append(
-            {
-                "frame_id": w.frame_id,
-                "window": {"t0": w.t0, "t1": w.t1},
-                "n_events": int(sub.shape[0]),
-                "path": str(path),
-            }
-        )
+        frames.write_image(str(path), f.image)
+        entries.append({"frame_id": w.frame_id, "window": {"t0": w.t0, "t1": w.t1}, "n_events": f.n_events,
+                        "path": str(path)})
     _emit({"mode": args.mode, "frames": entries}, args.out)
     return OK
 
@@ -517,6 +507,8 @@ def cmd_pipeline(args) -> int:
     _check_search(args.radius, args.margin)
     if args.invert_homography and not args.homography:
         raise _usage_fail("--invert-homography inverts the --homography file, so it needs --homography")
+    if args.labels and not (args.homography or args.points):
+        raise _usage_fail("--labels needs a homography (--homography or --points)")
     method, channel = _window_rule(args)
     stream = codec.read_esf(args.events)
     width, height = stream.header.width, stream.header.height
@@ -530,7 +522,6 @@ def cmd_pipeline(args) -> int:
         stream = EventStream(stream.header, kept, stream.triggers)
 
     _, wins = _build_windows(stream, args.windows, channel, method)
-    per_window = sync.assign_events(stream.events, wins)
 
     # Homography mapping RGB-frame coordinates into event coordinates.
     h = None
@@ -544,73 +535,37 @@ def cmd_pipeline(args) -> int:
         h, mask = geometry.estimate_homography_ransac(src, dst, threshold_px=args.threshold_px, seed=args.seed)
         calibration = geometry.reprojection_stats(h, src, dst, mask).to_json()
 
-    rgb_boxes = {}
-    if args.labels:
-        if h is None:
-            raise _usage_fail("--labels needs a homography (--homography or --points)")
-        for box in labels.read_labels_json(args.labels):
-            rgb_boxes.setdefault(box.frame_id, []).append(box)
+    boxes = labels.read_labels_json(args.labels) if args.labels else []
+    frames_dir = Path(args.frames_dir) if args.frames_dir else None
+    if frames_dir and not frames_dir.is_dir():
+        raise InvalidInput(f"--frames-dir {args.frames_dir!r} is not a directory")
+
+    def rgb(frame_id):
+        path = frames_dir / f"frame_{frame_id}.pgm"
+        if not path.exists():
+            return None
+        image = frames.read_image(str(path)).astype(np.float64)
+        if h is None and image.shape != (height, width):
+            raise InvalidInput(f"RGB frame {str(path)!r} is {image.shape[1]}x{image.shape[0]}, not the event "
+                               f"sensor's {width}x{height}: map it with --homography or --points")
+        return image
 
     out_dir = Path(args.out_dir)
     frame_dir = out_dir / "frames"
     frame_dir.mkdir(parents=True, exist_ok=True)
-    frames_dir = Path(args.frames_dir) if args.frames_dir else None
-
-    def _one(pair):
-        w, sub = pair
-        activity = frames.accumulate(sub, width, height, "count")
-        render_acc = activity if args.mode == "count" else frames.accumulate(sub, width, height, args.mode)
-        image = frames.render_gray(render_acc, args.mode, args.clip)
-        frames.write_pgm(str(frame_dir / f"frame_{w.frame_id}.pgm"), image)
-
-        entry = {
-            "frame_id": w.frame_id,
-            "window": {"t0": w.t0, "t1": w.t1},
-            "n_events": int(sub.shape[0]),
-            "labels_out": [],
-        }
-
-        rgb = None
-        if frames_dir is not None:
-            rgb_path = frames_dir / f"frame_{w.frame_id}.pgm"
-            if rgb_path.exists():
-                rgb = frames.read_image(str(rgb_path)).astype(np.float64)
-                if h is None and rgb.shape != (height, width):
-                    raise InvalidInput(f"RGB frame {str(rgb_path)!r} is {rgb.shape[1]}x{rgb.shape[0]}, not the event "
-                                       f"sensor's {width}x{height}: map it with --homography or --points")
-            else:
-                _diag("warning", "no RGB frame for window", frame_id=w.frame_id, path=str(rgb_path))
-        if rgb is not None:
-            target = rgb if h is None else geometry.warp_image(h, rgb, out_shape=(height, width))
-            try:
-                res = alignment.event_frame_deviation(
-                    activity,
-                    target,
-                    search_radius=args.radius,
-                    margin=args.margin,
-                    smooth_sigma=args.smooth_sigma,
-                )
-                entry["deviation_px"] = round(res.deviation, 3)
-                entry["offset"] = {"dx": round(res.dx, 3), "dy": round(res.dy, 3), "score": round(res.score, 4)}
-            except alignment.AlignmentError as exc:
-                _diag("warning", "alignment check unusable for frame", frame_id=w.frame_id, reason=str(exc))
-
-        for box in rgb_boxes.get(w.frame_id, ()):
-            moved = labels.clip_box(labels.transfer_box(h, box), width, height)
-            if moved is not None:
-                entry["labels_out"].append(moved.to_json())
-        return entry
-
-    work = list(zip(wins, per_window))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            entries = list(pool.map(_one, work))  # map() preserves frame order
-    else:
-        entries = [_one(p) for p in work]
-
-    all_boxes = [labels.BoundingBox.from_json(b) for e in entries for b in e["labels_out"]]
-    if rgb_boxes:
-        labels.write_labels_json(str(out_dir / "labels.json"), all_boxes)
+    entries, moved = [], []
+    for f in fuse.fuse(stream, wins, rgb if frames_dir else None, h, boxes, args.mode, args.clip,
+                       args.radius, args.margin, args.smooth_sigma, args.jobs):
+        frame_id = f.window.frame_id
+        frames.write_pgm(str(frame_dir / f"frame_{frame_id}.pgm"), f.image)
+        if f.skipped == fuse.NO_RGB:
+            _diag("warning", "no RGB frame for window", frame_id=frame_id, path=str(frames_dir / f"frame_{frame_id}.pgm"))
+        elif f.skipped:
+            _diag("warning", "alignment check unusable for frame", frame_id=frame_id, reason=f.skipped)
+        entries.append(f.to_json())
+        moved += f.boxes
+    if boxes:
+        labels.write_labels_json(str(out_dir / "labels.json"), moved)
 
     summary = {
         "frames": entries,

@@ -6,6 +6,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -391,6 +392,28 @@ def test_pipeline_parallel_matches_serial(scene, tmp_path):
     assert run(base + ["-d", str(d1), "--jobs", "1"]) == 0
     assert run(base + ["-d", str(d2), "--jobs", "4"]) == 0
     assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("kept", [range(0, 7, 2), range(0)], ids=["every other RGB frame", "no RGB frame"])
+def test_pipeline_warnings_come_out_in_frame_order_at_any_jobs(scene, tmp_path, capsys, kept):
+    rgb = tmp_path / "rgb"
+    rgb.mkdir()
+    for i in kept:
+        (rgb / f"frame_{i}.pgm").write_bytes((scene / "b" / "frames" / f"frame_{i}.pgm").read_bytes())
+    argv = ["pipeline", "--events", str(scene / "a" / "events.esf"), "--frames-dir", str(rgb),
+            "-d", str(tmp_path / "out"), "--no-meta"]
+    assert run(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().err
+    ids = [json.loads(line)["frame_id"] for line in serial.splitlines()]
+    assert ids == [i for i in range(7) if i not in kept]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that writes from the workers would interleave
+    try:
+        for _ in range(3):
+            assert run(argv + ["--jobs", "4"]) == 0
+            assert capsys.readouterr().err == serial
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_pipeline_labels_through_homography(scene, tmp_path):
@@ -1031,6 +1054,10 @@ BAD_INPUTS = [
     pytest.param(["verify", "{d}/p2.pgm", "{d}/p2.pgm"], "InvalidInput", "{d}/p2.pgm", id="verify ASCII PGM"),
     pytest.param(PIPELINE + ["--frames-dir", "{d}/trunc_frames"], "InvalidInput", "{d}/trunc_frames/frame_0.pgm",
                  id="pipeline truncated RGB frame"),
+    pytest.param(PIPELINE + ["--frames-dir", "{d}/no_such_dir"], "InvalidInput", "{d}/no_such_dir",
+                 id="pipeline frames dir missing"),
+    pytest.param(PIPELINE + ["--frames-dir", "{a}/events.esf"], "InvalidInput", "{a}/events.esf",
+                 id="pipeline frames dir is a file"),
     pytest.param(_label_transfer(homography="{d}/singular.json") + ["--invert"], "InvalidInput",
                  "{d}/singular.json", id="label-transfer singular homography"),
     pytest.param(PIPELINE + ["--homography", "{d}/singular.json"], "InvalidInput", "{d}/singular.json",
