@@ -72,27 +72,11 @@ def sobel_gradients(image: np.ndarray) -> tuple:
     return gx, gy
 
 
-# |gy|/|gx| just below and above tan(22.5 deg) and tan(67.5 deg), and the bin of each band among them
-_EDGES = [math.tan(a) * (1.0 + e) for a in (math.pi / 8, 3 * math.pi / 8) for e in (-1e-9, 1e-9)]
-_SECTOR = np.array([0, 0, 1, 0, 2, 0, 0, 3, 0, 2])  # band + 5 for gx, gy of opposite signs
-
-
 def _sectors(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Direction bin of each gradient (0-3: 0, 45, 90, 135 degrees), exactly
-    ``floor((mod(arctan2(gy, gx), pi) + pi/8) / (pi/4)) % 4``: from sign tests
-    and the ratio's band, as cv::Canny does, but from the formula itself where
-    the ratio is within 1e-9 of a bin edge (odd bands) or NaN (0/0, inf/inf)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(gy) / np.abs(gx)
-    band = (~(ratio < _EDGES[0])).view(np.uint8)  # NaN stays in band 1
-    for edge in _EDGES[1:]:
-        band += ratio >= edge
-    near = np.flatnonzero(band & 1)
-    band += ((gx < 0) != (gy < 0)).view(np.uint8) * np.uint8(5)
-    sector = _SECTOR[band]
-    angle = np.mod(np.arctan2(gy[near], gx[near]), math.pi)
-    sector[near] = ((angle + math.pi / 8) // (math.pi / 4)).astype(np.int64) % 4
-    return sector
+    """Direction bin of each gradient (0-3: 0, 45, 90, 135 degrees),
+    ``floor((mod(arctan2(gy, gx), pi) + pi/8) / (pi/4)) % 4``."""
+    angle = np.mod(np.arctan2(gy, gx), math.pi)
+    return ((angle + math.pi / 8) // (math.pi / 4)).astype(np.int64) % 4
 
 
 def canny(

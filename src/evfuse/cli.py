@@ -344,13 +344,12 @@ def cmd_rate(args) -> int:
 def cmd_erc(args) -> int:
     stream = codec.read_esf(args.esf)
     cfg = rate.ErcConfig(cap_evps=args.cap_evps, period_us=args.period_us)
-    kept = rate.erc_filter(stream.events, cfg)
-    filtered = EventStream(stream.header, kept, stream.triggers)
+    filtered = rate.erc_thin(stream, cfg)
     n_bytes = codec.write_esf(args.out, filtered)
     doc = {
-        "n_in": int(stream.events.shape[0]),
-        "n_out": int(kept.shape[0]),
-        "n_dropped": int(stream.events.shape[0] - kept.shape[0]),
+        "n_in": stream.n_events,
+        "n_out": filtered.n_events,
+        "n_dropped": stream.n_events - filtered.n_events,
         "cap_evps": args.cap_evps,
         "period_us": args.period_us,
         "out_bytes": n_bytes,
@@ -515,11 +514,11 @@ def cmd_pipeline(args) -> int:
 
     if args.erc_cap_evps:
         cfg = rate.ErcConfig(cap_evps=args.erc_cap_evps, period_us=args.erc_period_us)
-        kept = rate.erc_filter(stream.events, cfg)
-        dropped = int(stream.events.shape[0] - kept.shape[0])
+        thinned = rate.erc_thin(stream, cfg)
+        dropped = stream.n_events - thinned.n_events
         if dropped:
             _diag("warning", "rate controller dropped events", n_dropped=dropped, cap_evps=cfg.cap_evps)
-        stream = EventStream(stream.header, kept, stream.triggers)
+        stream = thinned
 
     _, wins = _build_windows(stream, args.windows, channel, method)
 

@@ -40,8 +40,10 @@ def fuse(stream: streams.EventStream, windows, rgb=None, h=None, boxes=(), mode=
          clip=frames.DEFAULT_CLIP, radius=16, margin=32, smooth_sigma=2.0, jobs=1):
     """Yield one :class:`FusedFrame` per window, in window order, fused on ``jobs`` threads.
     ``rgb(frame_id)`` gives that RGB frame as a float array, or None; without ``rgb`` no
-    window is checked. ``h`` maps RGB to event coordinates (None: they agree) and moves ``boxes``."""
+    window is checked. ``h`` maps RGB to event coordinates (None: they agree): it moves ``boxes``,
+    and its one pull-back per run, read-only and shared by the threads, warps every RGB frame."""
     width, height = stream.header.width, stream.header.height
+    coords = geometry.pull_back(h, (height, width)) if rgb and h is not None else None
     by_frame = {}
     for box in boxes:
         by_frame.setdefault(box.frame_id, []).append(box)
@@ -52,12 +54,13 @@ def fuse(stream: streams.EventStream, windows, rgb=None, h=None, boxes=(), mode=
         check, skipped = None, NO_RGB if rgb and target is None else None
         if target is not None:
             activity = acc if mode == "count" else frames.accumulate(sub, width, height, "count")
-            target = target if h is None else geometry.warp_image(h, target, out_shape=(height, width))
+            target = target if coords is None else geometry.resample(target, coords)
             try:
                 check = alignment.event_frame_deviation(activity, target, radius, margin, smooth_sigma)
             except alignment.AlignmentError as exc:
                 skipped = str(exc)
-        moved = (labels.clip_box(labels.transfer_box(h, b), width, height) for b in by_frame.get(w.frame_id, ()))
+        moved = (labels.clip_box(b if h is None else labels.transfer_box(h, b), width, height)
+                 for b in by_frame.get(w.frame_id, ()))
         return FusedFrame(w, int(sub.shape[0]), frames.render_gray(acc, mode, clip),
                           tuple(b for b in moved if b is not None), check, skipped)
 

@@ -62,8 +62,7 @@ def _normalization(pts: np.ndarray) -> np.ndarray:
 
 
 def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    ones = np.ones((pts.shape[0], 1))
-    proj = np.hstack([pts, ones]) @ h.T
+    proj = np.hstack([pts, np.ones((pts.shape[0], 1))]) @ h.T
     w = proj[:, 2]
     bad = np.abs(w) <= 1e-12
     if bad.any():
@@ -234,26 +233,52 @@ def warp_points(h: np.ndarray, pts) -> np.ndarray:
     return _apply_h(np.asarray(h, dtype=np.float64), _as_points(pts))
 
 
+def box_images(h: np.ndarray, boxes) -> tuple:
+    """The ``(x0, y0, x1, y1)`` hulls of the corner images of ``(n, 4)`` such boxes
+    through ``h`` (one ``(4n, 3) @ h.T`` product, as in ``_apply_h``), and a flag
+    per box whose image is unbounded: ``h``'s denominator is within 1e-12 of 0
+    on a corner or changes sign, so the box reaches ``h``'s vanishing line."""
+    x0, y0, x1, y1 = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    one = np.ones_like(x0)
+    corners = np.stack([x0, y0, one, x1, y0, one, x0, y1, one, x1, y1, one], axis=1).reshape(-1, 3)
+    proj = (corners @ h.T).reshape(-1, 4, 3)
+    w = proj[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xy = proj[..., :2] / w[..., None]
+    unbounded = ~((w > 1e-12).all(axis=1) | (w < -1e-12).all(axis=1))
+    return np.concatenate([xy.min(axis=1), xy.max(axis=1)], axis=1), unbounded
+
+
 def warp_box(h: np.ndarray, x: float, y: float, w: float, bh: float) -> tuple:
     """Map an axis-aligned box through ``h``; returns the bounding box of the
-    warped corners as ``(x, y, w, h)``.
+    warped corners as ``(x, y, w, h)``, or raises :class:`PointAtInfinity`
+    where :func:`box_images` finds the image unbounded."""
+    (bounds,), (unbounded,) = box_images(np.asarray(h, dtype=np.float64), [x, y, x + w, y + bh])
+    if unbounded:
+        raise PointAtInfinity(f"box (x={x}, y={y}, w={w}, h={bh}) reaches the vanishing line: its image is unbounded")
+    lx, ly, hx, hy = bounds.tolist()
+    return lx, ly, hx - lx, hy - ly
 
-    Raises :class:`PointAtInfinity` unless ``h``'s denominator has one sign
-    on all four corners: otherwise the box crosses ``h``'s vanishing line
-    and its image is unbounded."""
-    h = np.asarray(h, dtype=np.float64)
-    corners = np.array(
-        [[x, y], [x + w, y], [x, y + bh], [x + w, y + bh]], dtype=np.float64
-    )
-    denom = corners @ h[2, :2] + h[2, 2]
-    if not ((denom > 0).all() or (denom < 0).all()):
-        raise PointAtInfinity(
-            f"box (x={x}, y={y}, w={w}, h={bh}) crosses the homography's vanishing line: its image is unbounded"
-        )
-    warped = _apply_h(h, corners)
-    lo = warped.min(axis=0)
-    hi = warped.max(axis=0)
-    return float(lo[0]), float(lo[1]), float(hi[0] - lo[0]), float(hi[1] - lo[1])
+
+def pull_back(h: np.ndarray, shape) -> np.ndarray:
+    """Where each pixel of a ``(height, width)`` ``shape`` destination of ``h``
+    comes from, ``H^-1 (x, y)``: a read-only ``(2, height, width)`` array of
+    its source rows ``ys`` and columns ``xs``, the layout :func:`resample` reads."""
+    hy, wx = shape
+    ys, xs = np.indices((hy, wx), dtype=np.float64).reshape(2, -1)
+    back = _apply_h(np.linalg.inv(np.asarray(h, dtype=np.float64)), np.stack([xs, ys], axis=1))
+    coords = back.T[::-1].reshape(2, hy, wx)
+    coords.flags.writeable = False
+    return coords
+
+
+def resample(image: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Sample ``image`` bilinearly at the :func:`pull_back` ``coords``, 0 outside
+    it; a uint8 image gives a rounded uint8 result."""
+    out = ndimage.map_coordinates(np.asarray(image, dtype=np.float64), coords, order=1, mode="constant", cval=0.0)
+    if image.dtype == np.uint8:
+        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    return out
 
 
 def warp_image(h: np.ndarray, image: np.ndarray, out_shape=None) -> np.ndarray:
@@ -262,19 +287,7 @@ def warp_image(h: np.ndarray, image: np.ndarray, out_shape=None) -> np.ndarray:
     Each destination pixel is pulled from ``H^-1 (x, y)`` in the source;
     pixels that map outside it are 0.
     """
-    h = np.asarray(h, dtype=np.float64)
-    src = np.asarray(image, dtype=np.float64)
-    if out_shape is None:
-        out_shape = src.shape
-    hy, wx = out_shape
-    ys, xs = np.mgrid[0:hy, 0:wx]
-    pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    back = _apply_h(np.linalg.inv(h), pts)
-    coords = np.stack([back[:, 1].reshape(hy, wx), back[:, 0].reshape(hy, wx)])
-    out = ndimage.map_coordinates(src, coords, order=1, mode="constant", cval=0.0)
-    if image.dtype == np.uint8:
-        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return out
+    return resample(image, pull_back(h, np.shape(image) if out_shape is None else out_shape))
 
 
 # -- serialization -------------------------------------------------------------------

@@ -110,14 +110,10 @@ class ErcConfig:
         return self.cap_evps * self.period_us // 1_000_000
 
 
-def erc_filter(events: np.ndarray, cfg: ErcConfig = ErcConfig()) -> np.ndarray:
-    """Simulate the rate controller: within each period (anchored at t = 0),
-    keep at most the period budget, thinning uniformly by index.
-
-    When a period holds ``n > B`` events, the survivors are the events at
-    indices ``round(i*n/B)`` for ``i = 0..B-1`` — deterministic, evenly
-    spread, and order-preserving. Applying the filter twice changes nothing.
-    """
+def _erc_keep(events: np.ndarray, cfg: ErcConfig) -> np.ndarray:
+    """The rate controller's mask: a period (anchored at t = 0) within the
+    budget ``B`` keeps all its events; one of ``n > B`` events keeps those at
+    indices ``round(i*n/B)`` for ``i = 0..B-1``."""
     # runs of equal period id (no order check: shuffled input is thinned run by run)
     _, starts = _occupied_bins(events["t"], cfg.period_us)
     lengths = np.diff(starts, append=events.shape[0])
@@ -131,7 +127,22 @@ def erc_filter(events: np.ndarray, cfg: ErcConfig = ErcConfig()) -> np.ndarray:
     n = np.repeat(lengths[over], budget)
     i = np.arange(s.shape[0], dtype=np.int64) % budget
     keep[s + (2 * i * n + budget) // (2 * budget)] = True
-    return events[keep]
+    return keep
+
+
+def erc_filter(events: np.ndarray, cfg: ErcConfig = ErcConfig()) -> np.ndarray:
+    """Simulate the rate controller: the events :func:`_erc_keep` keeps, evenly
+    spread and in order. Applying the filter twice changes nothing."""
+    return events[_erc_keep(events, cfg)]
+
+
+def erc_thin(stream: EventStream, cfg: ErcConfig = ErcConfig()) -> EventStream:
+    """``stream`` with its events through :func:`erc_filter`; every trigger
+    keeps its place among the kept events, ties with them included."""
+    keep = _erc_keep(stream.events, cfg)
+    ahead = stream.trigger_pos - np.arange(stream.n_triggers)  # the events ahead of each trigger
+    dropped_ahead = np.searchsorted(np.flatnonzero(~keep), ahead)
+    return EventStream(stream.header, stream.events[keep], stream.triggers, stream.trigger_pos - dropped_ahead)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EvfuseError
-from .geometry import warp_points
+from .geometry import box_images, pull_back, warp_points
 from .labels import BoundingBox
 from .streams import MAX_SENSOR_DIM, EventStream, StreamHeader, make_events, make_triggers
 from .sync import ExposureInterval
@@ -187,17 +187,9 @@ def _step_boxes(spec: SceneSpec, hm: np.ndarray, width: int, height: int, n_step
     r = spec.pattern_size / 2.0 + 1.5
     x0, x1 = np.minimum(cx[:-1], cx[1:]) - r, np.maximum(cx[:-1], cx[1:]) + r
     y0, y1 = np.minimum(cy[:-1], cy[1:]) - r, np.maximum(cy[:-1], cy[1:]) + r
-    one = np.ones(n_steps)
-    corners = np.stack([np.stack([x, y, one], axis=1) for x, y in ((x0, y0), (x1, y0), (x0, y1), (x1, y1))])
-    proj = corners @ hm.T  # (4, n_steps, 3)
-    w = proj[..., 2]
-    # With one sign of H's denominator on all four corners the box maps into
-    # the bounding box of their images; otherwise it crosses H's vanishing line.
-    mappable = (w > 0).all(axis=0) | (w < 0).all(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px, py = proj[..., 0] / w, proj[..., 1] / w
-    bounds = np.stack([py.min(axis=0) - 1.0, py.max(axis=0) + 1.0, px.min(axis=0) - 1.0, px.max(axis=0) + 1.0], axis=1)
-    mappable &= np.isfinite(bounds).all(axis=1)
+    bounds, unbounded = box_images(hm, np.stack([x0, y0, x1, y1], axis=1))
+    bounds = bounds[:, [1, 3, 0, 2]] + [-1.0, 1.0, -1.0, 1.0]
+    mappable = ~unbounded & np.isfinite(bounds).all(axis=1)
     bounds = np.where(mappable[:, None], np.floor(bounds) + [0, 1, 0, 1], [0, height, 0, width])
     bounds = np.clip(bounds, 0, [height, height, width, width]).astype(np.int64)
     return np.concatenate([np.zeros((1, 4), dtype=np.int64), bounds])
@@ -294,11 +286,7 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
     The emission stamps each event inside its step by linear interpolation
     and orders all of them with one sort."""
     hm = np.eye(3) if h is None else np.asarray(h, dtype=np.float64)
-    ys_i, xs_i = np.mgrid[0:height, 0:width]
-    pts = np.stack([xs_i.ravel(), ys_i.ravel()], axis=1).astype(np.float64)
-    back = warp_points(np.linalg.inv(hm), pts)
-    xs = back[:, 0].reshape(height, width)
-    ys = back[:, 1].reshape(height, width)
+    ys, xs = pull_back(hm, (height, width))
 
     exposures = _exposure_table(spec)
     n_steps = -(-spec.duration_us // spec.dt_us)  # ceil division
@@ -323,13 +311,9 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
 
     labels = []
     for exp in exposures:
-        mid = (exp.start + exp.end) / 2.0
-        pts = warp_points(hm, _boundary_points(spec, mid))
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        labels.append(
-            BoundingBox(exp.frame_id, spec.pattern, float(lo[0]), float(lo[1]), float(hi[0] - lo[0]), float(hi[1] - lo[1]))
-        )
+        pts = warp_points(hm, _boundary_points(spec, (exp.start + exp.end) / 2.0))
+        (lx, ly), (hx, hy) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+        labels.append(BoundingBox(exp.frame_id, spec.pattern, lx, ly, hx - lx, hy - ly))
 
     return SceneResult(stream, frames, exposures, labels, spec, hm)
 

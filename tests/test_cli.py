@@ -257,6 +257,32 @@ def test_erc_thins_and_output_decodes(scene, tmp_path, capsys):
     assert thinned.triggers.shape[0] == 14  # triggers pass through untouched
 
 
+def _encode_csv(tmp_path, name, lines):
+    (tmp_path / f"{name}.csv").write_text("".join(f"{line}\n" for line in lines))
+    assert run(["encode", "--csv", str(tmp_path / f"{name}.csv"), "--width", "8", "--height", "8",
+                "-o", str(tmp_path / f"{name}.esf")]) == 0
+    return tmp_path / f"{name}.esf"
+
+
+def test_erc_that_drops_nothing_gives_the_input_bytes(tmp_path, capsys):
+    # triggers tied with the events after them: their place must survive the rate controller
+    esf = _encode_csv(tmp_path, "in", ["trig,10,r,0", "cd,10,1,1,+1", "cd,10,2,1,+1", "trig,20,f,0", "cd,20,3,1,-1"])
+    assert run(["erc", str(esf), "-o", str(tmp_path / "out.esf")]) == 0
+    assert json.loads(capsys.readouterr().out)["n_dropped"] == 0
+    assert (tmp_path / "out.esf").read_bytes() == esf.read_bytes()
+
+
+def test_erc_drops_only_the_thinned_events_and_keeps_every_trigger_in_place(tmp_path, capsys):
+    # a budget of 2 per 1 ms period keeps events 0 and 2 of the 4 in period 0 (round(i * 4 / 2))
+    lines = ["trig,10,r,0", "cd,10,1,1,+1", "cd,10,2,1,+1", "trig,10,f,0", "cd,10,3,1,-1", "cd,10,4,1,-1",
+             "trig,1500,r,1", "cd,1500,5,5,+1", "trig,1500,f,1"]
+    esf = _encode_csv(tmp_path, "in", lines)
+    assert run(["erc", str(esf), "--cap-evps", "2000", "--period-us", "1000", "-o", str(tmp_path / "out.esf")]) == 0
+    assert json.loads(capsys.readouterr().out)["n_dropped"] == 2
+    kept = _encode_csv(tmp_path, "kept", [line for line in lines if line not in ("cd,10,2,1,+1", "cd,10,4,1,-1")])
+    assert (tmp_path / "out.esf").read_bytes() == kept.read_bytes()
+
+
 def test_optics_extent_string(capsys):
     assert run(["optics", "--object-m", "0.30", "--distance-m", "100", "--focal-mm", "8", "--sensor", "evk4"]) == 0
     assert capsys.readouterr().out == "4.94 px\n"

@@ -8,6 +8,7 @@ Rayleigh spread ~0.655*sigma. The tests pin both behaviors separately.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -218,6 +219,32 @@ def test_warp_box_across_the_vanishing_line_raises(x):
     # a box entirely on either side maps to a finite box
     assert warp_box(h, 0.0, 10.0, 50.0, 20.0) == pytest.approx((0.0, 10.0, 100.0, 50.0))
     assert warp_box(h, 150.0, 10.0, 50.0, 20.0) == pytest.approx((-300.0, -60.0, 100.0, 50.0))
+
+
+def test_warp_box_results_are_pinned():
+    # Seeded boxes and homographies, about one in seven crossing the vanishing line, plus boxes
+    # with corners on it and within 1e-12 of it: the digest pins every float and every raise.
+    rng = np.random.default_rng(20231103)
+    scale = np.array([[0.3, 0.3, 50.0], [0.3, 0.3, 50.0], [3e-3, 3e-3, 0.3]])
+    cases = []
+    for _ in range(1000):
+        h = np.eye(3) + rng.normal(size=(3, 3)) * scale
+        x, y = rng.uniform(-200.0, 600.0, 2)
+        w, bh = rng.uniform(0.0, 300.0, 2)
+        cases.append((h, x, y, w, bh))
+    line = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.01, 0.0, 1.0]])  # vanishing line x = 100
+    cases += [(line, x, 10.0, 100.0 - x, 20.0) for x in (0.0, 99.9999999999, 100.0 - 1e-10, 100.0 - 1e-14)]
+    cases += [(line, 100.0 + d, 10.0, 50.0, 20.0) for d in (0.0, 1e-14, 1e-10, 1e-8)]
+    sha = hashlib.sha256()
+    n_raised = 0
+    for h, x, y, w, bh in cases:
+        try:
+            sha.update(np.array(warp_box(h, x, y, w, bh)).tobytes())
+        except PointAtInfinity:
+            n_raised += 1
+            sha.update(b"raised")
+    assert (n_raised, len(cases)) == (140, 1008)
+    assert sha.hexdigest() == "c567408d46d562fdf3baab9522af62211cc4f9148f7319f0dc8af1500c1b01bb"
 
 
 def test_warp_image_translation():

@@ -11,11 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from evfuse.codec import encode_stats
+from evfuse.codec import encode_stats, write_csv
 from evfuse.rate import (
     ErcConfig,
     TooFewEvents,
     erc_filter,
+    erc_thin,
     rate_report,
     rate_series,
 )
@@ -218,6 +219,28 @@ def test_erc_matches_reference_loop():
         out = erc_filter(events, cfg)
         assert out.dtype == events.dtype
         assert np.array_equal(out, _ref_erc_filter(events, cfg))
+
+
+def test_erc_thin_removes_only_the_dropped_event_lines():
+    # Random interleavings with many ties: the thinned stream's debug CSV is the input's
+    # with the lines of the events erc_filter drops taken out, triggers all in place.
+    rng = np.random.default_rng(12)
+    for k in range(50):
+        n_ev, n_tr = int(rng.integers(0, 300)), int(rng.integers(0, 20))
+        t = np.sort(rng.integers(0, 5_000, size=n_ev + n_tr)).astype(np.uint64)
+        is_trigger = np.zeros(t.shape[0], dtype=bool)
+        is_trigger[rng.choice(t.shape[0], n_tr, replace=False)] = True
+        ids = np.arange(n_ev)  # each event at its own pixel, so the kept ones are known by pixel
+        events = make_events(t[~is_trigger], ids % 64, ids // 64, rng.choice([-1, 1], n_ev))
+        triggers = make_triggers(t[is_trigger], rng.integers(0, 2, n_tr), rng.integers(0, 16, n_tr))
+        stream = EventStream(StreamHeader(64, 64), events, triggers, np.flatnonzero(is_trigger))
+        cfg = ErcConfig(int(rng.integers(1, 20)) * 1_000_000 // 500 + 1, 500)
+        out = erc_filter(events, cfg)
+        kept = np.isin(ids, out["x"].astype(np.int64) + 64 * out["y"].astype(np.int64))
+        lines = write_csv(stream).splitlines()
+        item_kept = stream.merge_items(kept, True)
+        want = [line for line, keep in zip(lines, item_kept) if keep]
+        assert write_csv(erc_thin(stream, cfg)).splitlines() == want
 
 
 def test_erc_idempotent():
