@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import ndimage
 
 from .errors import EvfuseError, InvalidInput
 
@@ -55,6 +53,8 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (xs / sigma) ** 2)
     kernel /= kernel.sum()
+    from scipy import ndimage  # SciPy loads on first use: `import evfuse.cli` stays light
+
     out = ndimage.convolve1d(img, kernel, axis=0, mode="reflect")
     return ndimage.convolve1d(out, kernel, axis=1, mode="reflect")
 
@@ -119,6 +119,8 @@ def canny(
     # Hysteresis. A suppressed pixel counts as 0, so with low == 0 all are weak.
     weak = np.full(mag.shape, low == 0.0)
     weak.ravel()[edges] = True
+    from scipy import ndimage
+
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
     kept = np.unique(labels.ravel()[strong])
     return np.isin(labels, kept[kept != 0])
@@ -222,6 +224,8 @@ def _zncc_map(template: np.ndarray, image: np.ndarray, r: int) -> np.ndarray:
     largest = float(np.abs(region).max())
     if (energy * (1.0 + (g.size + 4) * eps) + n * (n * eps * largest) ** 2) * (1.0 + (n + 3) * eps) <= VAR_EPS:
         return np.full((size, size), np.nan)
+
+    from scipy import fft as sp_fft
 
     # Valid offsets never wrap, so the region's own size is enough padding.
     shape = tuple(sp_fft.next_fast_len(k, real=True) for k in g.shape)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EvfuseError, InvalidInput, read_json
 
@@ -275,6 +274,8 @@ def pull_back(h: np.ndarray, shape) -> np.ndarray:
 def resample(image: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Sample ``image`` bilinearly at the :func:`pull_back` ``coords``, 0 outside
     it; a uint8 image gives a rounded uint8 result."""
+    from scipy import ndimage  # SciPy loads on first use: `import evfuse.cli` stays light
+
     out = ndimage.map_coordinates(np.asarray(image, dtype=np.float64), coords, order=1, mode="constant", cval=0.0)
     if image.dtype == np.uint8:
         return np.clip(np.rint(out), 0, 255).astype(np.uint8)

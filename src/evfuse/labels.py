@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,16 @@ def write_labels_json(path: str, boxes) -> None:
 
 
 def read_labels_json(path: str) -> list:
-    """Read a JSON list of box objects; anything else is :class:`InvalidInput`
-    naming the file."""
+    """Read a JSON list of box objects; anything else, or a box with a
+    non-finite coordinate or score, is :class:`InvalidInput` naming the file."""
     data = read_json(path, "labels")
     try:
-        return [BoundingBox.from_json(obj) for obj in data]
+        boxes = [BoundingBox.from_json(obj) for obj in data]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"labels {path!r} must hold a JSON list of box objects ({exc!r})") from None
+    for i, box in enumerate(boxes):
+        for name in ("x", "y", "w", "h", "score"):
+            value = getattr(box, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidInput(f"labels {path!r} box {i}: {name} must be finite, got {value!r}")
+    return boxes

@@ -18,7 +18,12 @@ time step's box is the pattern's box at both ends of the step, mapped through
 that homography (the full frame where it crosses the vanishing line). That is
 exact: the pattern's coverage is exactly 0 from ``pattern_size/2 + 0.5`` off
 its centre on, so outside the box the intensity is exactly ``background`` at
-both ends and the log-intensity change is exactly 0. A firing counts every
+both ends and the log-intensity change is exactly 0. Inside the box only the
+outline band changes: coverage is exactly 1 up to ``pattern_size/2 - 0.5`` off
+the centre (per axis for the rectangle), and a distance to the straight-moving
+centre is convex in time, so over a run of steps a pixel inside at both ends
+stays inside, and one whose end distances sum to more than ``pattern_size + 1``
+plus the travel stays outside; only the other pixels are evaluated. A firing counts every
 crossing its pixel's residual still passes the firing test for, so no residual
 can fire by itself, and a pixel whose change is 0 never fires: the generator
 works on the nonzero changes alone, per pixel, not step by step.
@@ -195,53 +200,86 @@ def _step_boxes(spec: SceneSpec, hm: np.ndarray, width: int, height: int, n_step
     return np.concatenate([np.zeros((1, 4), dtype=np.int64), bounds])
 
 
-_BATCH_ELEMENTS = 1 << 16  # union-box pixels x (steps + 1) per run of two or more steps: temporaries stay cache-sized
+def _saturated(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, ca: tuple, cb: tuple) -> np.ndarray:
+    """Where the coverage is exactly 1 or exactly 0 at every step while the
+    centre moves straight from ``ca`` to ``cb`` (the module docstring says
+    why); a small margin errs toward evaluating."""
+    half = spec.pattern_size / 2.0
+    tol = 1e-6 + 1e-12 * max(map(abs, ca + cb))  # the centre's rounding off the straight line
+    if spec.pattern == "disk":
+        axes = [(np.hypot(xs - ca[0], ys - ca[1]), np.hypot(xs - cb[0], ys - cb[1]), math.dist(ca, cb))]
+    else:  # the rectangle's coverage is a product of one factor per axis
+        axes = [(np.abs(v - a), np.abs(v - b), abs(b - a)) for v, a, b in ((xs, ca[0], cb[0]), (ys, ca[1], cb[1]))]
+    inside = spec.pattern != "checker"  # the checker's cells move inside the pattern
+    outside = False
+    for da, db, travel in axes:
+        inside = inside & (np.maximum(da, db) <= half - 0.5 - tol)
+        outside = outside | ((da + db - travel) / 2.0 >= half + 0.5 + tol)
+    return inside | outside
 
 
-def _batches(boxes: np.ndarray, height: int, width: int):
-    """Runs ``(k0, k1, union)`` of the steps ``k0 <= k < k1`` from step 1 on,
-    each with the ``(y0, y1, x0, x1)`` union of their boxes (an empty slice if
-    all are empty), whose pixels times (steps + 1) stay within ``_BATCH_ELEMENTS``."""
+_RUN_STEPS = 16  # steps per run at most: a run pays for one band test over its union box
+_RUN_TRAVEL = 0.1  # of the pattern size, the centre's travel per run at most: the band widens with it
+_BATCH_ELEMENTS = 1 << 16  # band pixels x (steps + 1) per batch of two or more steps: temporaries stay cache-sized
+
+
+def _batches(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, boxes: np.ndarray):
+    """Batches ``(k0, k1, at)`` of the steps ``k0 <= k < k1`` from step 1 on,
+    each with the ascending ``(rows, cols)`` index ``at`` of the pixels of its
+    run's union box that are not :func:`_saturated` over the run, or whose
+    source coordinates are not finite: every pixel that can change in it."""
+    height, width = xs.shape
+    travel, step_travel = _RUN_TRAVEL * spec.pattern_size, math.hypot(*spec.velocity) * spec.dt_us / 1e6
+    n = _RUN_STEPS if step_travel * _RUN_STEPS <= travel else max(int(travel / step_travel), 1)
     empty = (boxes[:, 0] >= boxes[:, 1]) | (boxes[:, 2] >= boxes[:, 3])
-    rows = np.where(empty[:, None], [height, 0, width, 0], boxes).tolist()  # an empty box adds nothing to a union
-    k0, union = 1, rows[0]
-    for k, row in enumerate(rows[1:], 1):
-        grown = [min(union[0], row[0]), max(union[1], row[1]), min(union[2], row[2]), max(union[3], row[3])]
-        if k > k0 and max(grown[1] - grown[0], 0) * max(grown[3] - grown[2], 0) * (k - k0 + 2) > _BATCH_ELEMENTS:
-            yield k0, k, union
-            k0, grown = k, row
-        union = grown
-    yield k0, len(rows), union
+    rows = np.where(empty[:, None], [height, 0, width, 0], boxes)  # an empty box adds nothing to a union
+    starts = np.arange(1, len(rows), n)
+    lo, hi = np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
+    nonfinite = ~(np.isfinite(xs) & np.isfinite(ys))
+    for k0, y0, y1, x0, x1 in zip(starts.tolist(), lo[:, 0], hi[:, 1], lo[:, 2], hi[:, 3]):
+        k1, box = min(k0 + n, len(rows)), np.s_[y0:y1, x0:x1]
+        ca, cb = (spec.center_at((k - 1) * float(spec.dt_us)) for k in (k0, k1))
+        row, col = np.nonzero(~_saturated(spec, xs[box], ys[box], ca, cb) | nonfinite[box])
+        steps = max(_BATCH_ELEMENTS // max(row.size, 1) - 1, 1)
+        for s0 in range(k0, k1, steps):
+            yield s0, min(s0 + steps, k1), (row + y0, col + x0)
 
 
 def _changes(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, boxes: np.ndarray) -> tuple:
     """Phase 1: the nonzero log(I+1) changes as ``(step, pixel, delta)``
-    arrays, step-major and pixel-ascending, and the 8-bit frames. The full
-    frames ``i_now`` and ``log_prev`` are updated inside each run's union box."""
+    arrays, step-major and pixel-ascending, and the 8-bit frames. A batch
+    evaluates its pixels alone: ``i_now`` and ``log_prev`` already hold the
+    others' values, which its steps leave as they are."""
     height, width = xs.shape
     # exposures never overlap (exposure <= period), and step 0 exposes frame 0
     frame, phase = np.divmod(np.arange(boxes.shape[0]) * spec.dt_us, spec.period_us)
     exposing = (frame < spec.n_frames) & (phase < spec.exposure_us)
-    intensity_sum = np.zeros((spec.n_frames, height, width), dtype=np.float64)
+    closing = exposing & np.append(~exposing[1:] | (frame[1:] != frame[:-1]), True)  # a frame's last step
+    n_exposing = np.bincount(frame[exposing], minlength=spec.n_frames)
+    frames = np.zeros((spec.n_frames, height, width), dtype=np.uint8)
     i_now = _intensity(spec, xs, ys, 0.0)
     log_prev = np.log1p(i_now)
-    intensity_sum[0] += i_now
+    intensity_sum = np.zeros((height, width))  # one frame's integral at a time
+
+    def expose(k: int) -> None:
+        np.add(intensity_sum, i_now, out=intensity_sum)
+        if closing[k]:
+            frames[frame[k]] = np.clip(np.rint(intensity_sum / n_exposing[frame[k]]), 0, 255).astype(np.uint8)
+            intensity_sum.fill(0.0)
+
+    expose(0)
     parts = []
-    for k0, k1, (y0, y1, x0, x1) in _batches(boxes, height, width):
-        box = np.s_[y0:y1, x0:x1]
-        i_box = _intensity(spec, xs[box], ys[box], np.arange(k0, k1)[:, None, None] * float(spec.dt_us))
-        log_now = np.log1p(i_box)
-        delta = np.diff(log_now, axis=0, prepend=log_prev[box][None]).ravel()
-        at = np.flatnonzero(delta != 0)
-        k, row, col = np.unravel_index(at, log_now.shape)
-        parts.append((k + k0, (row + y0) * width + (col + x0), delta[at]))
-        log_prev[box] = log_now[-1]
+    for k0, k1, at in _batches(spec, xs, ys, boxes):
+        i_band = _intensity(spec, xs[at], ys[at], np.arange(k0, k1)[:, None] * float(spec.dt_us))
+        log_now = np.log1p(i_band)
+        delta = np.diff(log_now, axis=0, prepend=log_prev[at][None])
+        k, j = np.nonzero(delta)
+        parts.append((k + k0, at[0][j] * width + at[1][j], delta[k, j]))
+        log_prev[at] = log_now[-1]
         for k in np.flatnonzero(exposing[k0:k1]):
-            i_now[box] = i_box[k]
-            intensity_sum[frame[k0 + k]] += i_now
-        i_now[box] = i_box[-1]
-    intensity_sum /= np.bincount(frame[exposing], minlength=spec.n_frames)[:, None, None]
-    frames = np.clip(np.rint(intensity_sum, out=intensity_sum), 0, 255, out=intensity_sum).astype(np.uint8)
+            i_now[at] = i_band[k]
+            expose(k0 + k)
+        i_now[at] = i_band[-1]
     return *map(np.concatenate, zip(*parts)), frames
 
 
@@ -277,9 +315,10 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
     """Core generator. ``h`` maps source-view coordinates to this view
     (``None`` is the identity); the intensity field of this view is
     I(H^-1(x,y), t), evaluated analytically. Three phases: :func:`_changes`
-    evaluates log(I+1) once per run of steps over the run's union box, and
-    each delta is the same difference of the same floats as a per-step,
-    full-frame evaluation takes, so it is bit-identical. :func:`_fire` runs the
+    evaluates log(I+1) once per batch of steps, on the pixels whose coverage
+    is not saturated over the batch's run; each delta is the same difference
+    of the same floats as a per-step, full-frame evaluation takes, and each
+    delta it skips is exactly 0, so the changes are bit-identical. :func:`_fire` runs the
     rule on every pixel's ``r``-th change at once: a pixel fires
     ``m = floor(|acc| / c)`` events, raised while the residual
     ``acc - sign(acc)*m*c`` still passes the firing test ``|acc| / c >= 1``.

@@ -6,8 +6,11 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -849,6 +852,21 @@ def test_label_transfer_across_the_vanishing_line_is_data_error(scene, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("x", float("nan")), ("w", float("inf")), ("score", float("-inf"))])
+def test_label_transfer_rejects_non_finite_boxes_naming_file_and_box(scene, tmp_path, capsys, field, value):
+    good = {"frame_id": 0, "class": "disk", "x": 10, "y": 10, "w": 20, "h": 20, "score": 0.5}
+    bad = tmp_path / "labels.json"
+    bad.write_text(json.dumps([good, {**good, field: value}]))  # json writes NaN, Infinity and -Infinity
+    out = tmp_path / "moved.json"
+    argv = ["label-transfer", "--labels", str(bad), "--homography", str(scene / "b" / "homography.json"), "-o", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic on the box
+        assert run(argv) == 2
+    rec = _last_diag(capsys)
+    assert rec["kind"] == "InvalidInput" and str(bad) in rec["msg"] and f"box 1: {field} must be finite" in rec["msg"]
+    assert not out.exists()
+
+
 def test_label_transfer_rejects_labels_that_are_not_a_list(scene, tmp_path, capsys):
     bad = tmp_path / "labels.json"
     bad.write_text(json.dumps({"a": 1}))
@@ -993,6 +1011,15 @@ def test_events_csv_rule_break_names_its_line(text, error, line):
     with pytest.raises(error) as exc:
         parse_csv(text, 32, 24)
     assert str(exc.value).startswith(f"events CSV line {line}: ")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # SciPy is most of the import time; only alignment and resampling load it, on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, evfuse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # -- every bad input is a typed data error (exit 2) that names the input ------------

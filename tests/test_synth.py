@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from evfuse import cli, synth
-from evfuse.geometry import warp_points
+from evfuse.geometry import pull_back, warp_points
 from evfuse.labels import BoundingBox, iou
 from evfuse.streams import EventStream, StreamHeader, make_events, make_triggers, validate_stream
 from evfuse.sync import triggers_to_exposures
@@ -229,6 +229,13 @@ ORACLE_CHANGES = {
     "off-canvas": {"start": (-200.0, -200.0), "velocity": (10.0, 10.0)},  # never on it
     "dt-700": {"dt_us": 700, "exposure_us": 2100, "fps": 30.0, "velocity": (180.0, -90.0)},
     "checker-dt-1000": {"pattern": "checker", "dt_us": 1000, "exposure_us": 3000, "pattern_size": 21.0, "width": 70},
+    # 0.5 px per step from x = 20.5: at steps 0, 6, 12, ... pixels of the centre row (of every row, for the
+    # rectangle) lie exactly pattern_size/2 -+ 0.5 off the centre, where coverage just reaches 1 and 0
+    "outline-on-pixels": {"start": (20.5, 24.0), "velocity": (1000.0, 0.0)},
+    "rectangle-outline-on-pixels": {"pattern": "rectangle", "start": (20.5, 24.0), "velocity": (1000.0, 0.0)},
+    "larger-than-canvas": {"pattern_size": 100.0, "start": (-20.0, 30.0), "velocity": (300.0, -60.0)},
+    # union boxes of about 84 x 87 px: runs of 16 steps, longer than union pixels x (steps + 1) <= 2^16 allows
+    "long-runs": {"width": 120, "height": 90, "pattern_size": 80.0, "velocity": (300.0, 100.0)},
 }
 
 
@@ -291,15 +298,43 @@ def test_batches_cover_every_step_within_the_budget(monkeypatch, budget):
     monkeypatch.setattr(synth, "_BATCH_ELEMENTS", budget)
     spec = replace(ORACLE, velocity=(300.0, 0.0))
     n_steps = -(-spec.duration_us // spec.dt_us)
-    full = [0, spec.height, 0, spec.width]
+    ys, xs = pull_back(PROJECTIVE_H, (spec.height, spec.width))
     boxes = _step_boxes(spec, PROJECTIVE_H, spec.width, spec.height, n_steps)
-    runs = list(_batches(boxes, spec.height, spec.width))
-    assert [k0 for k0, _, _ in runs] == [1] + [k1 for _, k1, _ in runs[:-1]] and runs[-1][1] == n_steps + 1
-    for k0, k1, (y0, y1, x0, x1) in runs:
-        assert k1 - k0 == 1 or max(y1 - y0, 0) * max(x1 - x0, 0) * (k1 - k0 + 1) <= budget
-    if budget > 1:  # runs of several steps, on the full frame and off it
-        assert any(k1 - k0 > 1 and union == full for k0, k1, union in runs)
-        assert any(k1 - k0 > 1 and union != full for k0, k1, union in runs)
+    full = (boxes == [0, spec.height, 0, spec.width]).all(axis=1)
+    assert full.any()
+    batches = list(_batches(spec, xs, ys, boxes))
+    assert [k0 for k0, _, _ in batches] == [1] + [k1 for _, k1, _ in batches[:-1]] and batches[-1][1] == n_steps + 1
+    before = _intensity(spec, xs, ys, 0.0)
+    for k0, k1, (rows, cols) in batches:
+        assert k1 - k0 == 1 or rows.size * (k1 - k0 + 1) <= budget
+        pixels = rows * spec.width + cols
+        assert (np.diff(pixels) > 0).all()
+        if full[k0:k1].any():  # past the vanishing line a box is the full frame, but the band is not
+            assert rows.size < spec.width * spec.height / 4
+        for k in range(k0, k1):  # every pixel whose intensity changes in a step is in the step's batch
+            now = _intensity(spec, xs, ys, k * float(spec.dt_us))
+            assert np.isin(np.flatnonzero(now != before), pixels).all()
+            before = now
+    assert any(k1 - k0 > 1 for k0, k1, _ in batches) == (budget > 1)
+
+
+def test_bench_scene_evaluates_the_outline_band(monkeypatch):
+    spec = SceneSpec(duration_s=1.0)  # the bench scene's reference view
+    n_steps = -(-spec.duration_us // spec.dt_us)
+    boxes = _step_boxes(spec, np.eye(3), spec.width, spec.height, n_steps)
+    box_elements = spec.width * spec.height + int((np.clip(boxes[:, 1] - boxes[:, 0], 0, None)
+                                                   * np.clip(boxes[:, 3] - boxes[:, 2], 0, None)).sum())
+    evaluated = []
+
+    def counted(*args):
+        out = _intensity(*args)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(synth, "_intensity", counted)
+    gen_scene(spec)
+    # evaluating every pixel of each run's union box reads 1.0 or more
+    assert sum(evaluated) <= 0.35 * box_elements
 
 
 # sha256 of `evfuse synth -d a --width 240 --height 180 --duration-s 1 --translate 5,0 --warped-dir b`:
