@@ -553,16 +553,20 @@ def cmd_pipeline(args) -> int:
     frame_dir = out_dir / "frames"
     frame_dir.mkdir(parents=True, exist_ok=True)
     entries, moved = [], []
-    for f in fuse.fuse(stream, wins, rgb if frames_dir else None, h, boxes, args.mode, args.clip,
-                       args.radius, args.margin, args.smooth_sigma, args.jobs):
-        frame_id = f.window.frame_id
-        frames.write_pgm(str(frame_dir / f"frame_{frame_id}.pgm"), f.image)
-        if f.skipped == fuse.NO_RGB:
-            _diag("warning", "no RGB frame for window", frame_id=frame_id, path=str(frames_dir / f"frame_{frame_id}.pgm"))
-        elif f.skipped:
-            _diag("warning", "alignment check unusable for frame", frame_id=frame_id, reason=f.skipped)
-        entries.append(f.to_json())
-        moved += f.boxes
+    try:
+        for f in fuse.fuse(stream, wins, rgb if frames_dir else None, h, boxes, args.mode, args.clip,
+                           args.radius, args.margin, args.smooth_sigma, args.jobs):
+            frame_id = f.window.frame_id
+            frames.write_pgm(str(frame_dir / f"frame_{frame_id}.pgm"), f.image)
+            if f.skipped == fuse.NO_RGB:
+                _diag("warning", "no RGB frame for window", frame_id=frame_id, path=str(frames_dir / f"frame_{frame_id}.pgm"))
+            elif f.skipped:
+                _diag("warning", "alignment check unusable for frame", frame_id=frame_id, reason=f.skipped)
+            entries.append(f.to_json())
+            moved += f.boxes
+    except geometry.PointAtInfinity as exc:  # a sensor pixel's pull-back or a box reaches the vanishing line
+        source = f"--homography {args.homography!r}" if args.homography else f"--points {args.points!r}"
+        raise geometry.PointAtInfinity(f"{source} on the {width}x{height} sensor: {exc}") from exc
     if boxes:
         labels.write_labels_json(str(out_dir / "labels.json"), moved)
 

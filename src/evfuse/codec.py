@@ -28,9 +28,12 @@ starts at time_high = time_low = 0, epoch = 0, row unset; a CD_X word before
 any CD_Y is an error.
 
 ``decode_esf`` runs one vectorized slice decoder over cache-sized word slices
-in order, carrying those registers from slice to slice.  A first pass counts
-each slice's events and triggers, so the output is allocated once and each
-slice writes its own part: decode memory follows the output, not the file.
+in order, carrying those registers from slice to slice.  In a slice, a CD_X or
+EXT_TRIGGER word reads the row after the CD_Y words ahead of it (one scan) and
+the timestamp after the TIME words ahead of it: its position less those CD_Y
+words and the items ahead of it.  A first pass counts each slice's events and
+triggers, so the output is allocated once and each slice writes its own part:
+decode memory follows the output, not the file.
 
 The encoder emits state words only when the corresponding register changes,
 so the byte count (16 + 2 * words) is the honest wire footprint used by the
@@ -190,13 +193,15 @@ def _decode_slice(words, state, start, width, height, events, triggers):
     types = (words >> 12).astype(np.uint8)
 
     is_th = types == TYPE_TIME_HIGH
-    is_tl = types == TYPE_TIME_LOW
+    is_time = is_th | (types == TYPE_TIME_LOW)
     is_y = types == TYPE_CD_Y
     is_x = types == TYPE_CD_X
     is_trig = types == TYPE_EXT_TRIGGER
 
-    y_idx = np.nonzero(is_y)[0]
-    x_idx = np.nonzero(is_x)[0]
+    time_idx = np.flatnonzero(is_time)
+    y_idx = np.flatnonzero(is_y)
+    x_idx = np.flatnonzero(is_x)
+    trig_idx = np.flatnonzero(is_trig)
     y_vals_all = words.take(y_idx) & 0xFFF
     x_words = words.take(x_idx)
     x_vals = x_words & 0x7FF
@@ -206,10 +211,10 @@ def _decode_slice(words, state, start, width, height, events, triggers):
     # ``bad`` mask built: its argmax is the word a sequential decoder stops at,
     # and that word alone picks the error (a column out of range wins over an
     # unset row).
-    all_known = bool((is_th | is_tl | is_y | is_x | is_trig).all())
+    all_known = time_idx.shape[0] + y_idx.shape[0] + x_idx.shape[0] + trig_idx.shape[0] == n
     cd_x_too_early = x_idx.shape[0] and int(x_idx[0]) < first_y
     if (not all_known) or (y_vals_all >= height).any() or (x_vals >= width).any() or cd_x_too_early:
-        bad = ~(is_th | is_tl | is_y | is_x | is_trig)
+        bad = ~(is_time | is_y | is_x | is_trig)
         bad |= is_y & ((words & 0xFFF) >= height)
         bad |= is_x & ((words & 0x7FF) >= width)
         bad[:first_y] |= is_x[:first_y]
@@ -223,39 +228,39 @@ def _decode_slice(words, state, start, width, height, events, triggers):
         raise CdXBeforeCdY(offset) if kind == TYPE_CD_X else UnknownWordType(kind, offset)
 
     # Timestamp state.  Both TIME word kinds update the same 64-bit register,
-    # so build one table of its value after each TIME word; cnt_time[i] then
-    # indexes it (slot 0 = the carried registers).  Within the TIME-word
-    # subsequence the high part forward-fills across low-word updates and vice
-    # versa, and the epoch increments at each strict TIME_HIGH decrease
-    # (24-bit rollover), the carried TIME_HIGH included.
-    is_time = is_th | is_tl
-    time_idx = np.nonzero(is_time)[0]
+    # so build one table of its value after each TIME word (slot 0 = the
+    # carried registers).  Within the TIME-word subsequence the high part
+    # forward-fills across low-word updates and vice versa, and the epoch
+    # increments at each strict TIME_HIGH decrease (24-bit rollover), the
+    # carried TIME_HIGH included.
     time_is_high = is_th.take(time_idx)
     time_vals = (words.take(time_idx) & 0xFFF).astype(np.uint64)
-    th_tab = np.insert(time_vals[time_is_high], 0, state.time_high)
-    ep_tab = np.insert(np.cumsum(th_tab[1:] < th_tab[:-1], dtype=np.uint64), 0, 0) + np.uint64(state.epoch)
-    tl_tab = np.insert(time_vals[~time_is_high], 0, state.time_low)
-    jth = np.insert(np.cumsum(time_is_high, dtype=np.int32), 0, 0)
-    jtl = np.insert(np.cumsum(~time_is_high, dtype=np.int32), 0, 0)
-    t_tab = (ep_tab[jth] << np.uint64(24)) + (th_tab[jth] << np.uint64(12)) + tl_tab[jtl]
+    th_tab = np.concatenate((np.array([state.time_high], dtype=np.uint64), time_vals[time_is_high]))
+    ep_tab = np.cumsum(np.concatenate(([state.epoch], th_tab[1:] < th_tab[:-1])), dtype=np.uint64)
+    tl_tab = np.concatenate((np.array([state.time_low], dtype=np.uint64), time_vals[~time_is_high]))
+    jth = np.cumsum(np.concatenate(([0], time_is_high)))  # TIME_HIGH slot of each table slot; the rest are TIME_LOW
+    t_tab = ((ep_tab << np.uint64(24)) + (th_tab << np.uint64(12)))[jth] + tl_tab[np.arange(jth.shape[0]) - jth]
 
-    cnt_time = np.cumsum(is_time, dtype=np.int32)
+    # Each item reads the table at the count of TIME words ahead of it.  Every word is one of
+    # the five kinds, so that is its position less the CD_Y words (one scan) and the items
+    # ahead of it; the triggers ahead of each CD_X word are one repeat over the few triggers.
     cnt_y = np.cumsum(is_y, dtype=np.int32)
-    y_tab = np.insert(y_vals_all.astype(np.uint16), 0, state.row or 0)
+    y_tab = np.concatenate((np.array([state.row or 0], dtype=np.uint16), y_vals_all))
+    x_ahead = np.searchsorted(x_idx, trig_idx)  # the CD_X words ahead of each trigger
+    trig_ahead = np.repeat(np.arange(trig_idx.shape[0] + 1), np.diff(x_ahead, prepend=0, append=x_idx.shape[0]))
+    trigger_pos = x_ahead + np.arange(trig_idx.shape[0])  # the items ahead of each trigger
+    y_ahead = cnt_y.take(x_idx)
 
-    events["t"] = t_tab[cnt_time.take(x_idx)]
+    events["t"] = t_tab[x_idx - np.arange(x_idx.shape[0]) - trig_ahead - y_ahead]
     events["x"] = x_vals
-    events["y"] = y_tab[cnt_y.take(x_idx)]
+    events["y"] = y_tab[y_ahead]
     events["p"] = ((x_words >> 11) & 1).astype(np.int8) * 2 - 1  # bit set -> +1, clear -> -1
 
-    trig_idx = np.nonzero(is_trig)[0]
     trig_words = words.take(trig_idx)
-    triggers["t"] = t_tab[cnt_time.take(trig_idx)]
+    triggers["t"] = t_tab[trig_idx - trigger_pos - cnt_y.take(trig_idx)]
     triggers["edge"] = trig_words & 1
     triggers["channel"] = (trig_words >> 8) & 0xF
 
-    # Position of each trigger among the slice's items: events before it plus triggers before it.
-    trigger_pos = np.searchsorted(x_idx, trig_idx) + np.arange(trig_idx.shape[0])
     row = int(y_tab[-1]) if y_idx.shape[0] else state.row
     return trigger_pos, _Registers(int(ep_tab[-1]), int(th_tab[-1]), int(tl_tab[-1]), row)
 

@@ -65,7 +65,8 @@ def _apply_h(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
     w = proj[:, 2]
     bad = np.abs(w) <= 1e-12
     if bad.any():
-        raise PointAtInfinity(f"{int(bad.sum())} point(s) mapped to infinity")
+        x, y = pts[np.argmax(bad)]
+        raise PointAtInfinity(f"{int(bad.sum())} point(s) mapped to infinity, the first at (x={x:g}, y={y:g})")
     return proj[:, :2] / w[:, None]
 
 
@@ -262,7 +263,9 @@ def warp_box(h: np.ndarray, x: float, y: float, w: float, bh: float) -> tuple:
 def pull_back(h: np.ndarray, shape) -> np.ndarray:
     """Where each pixel of a ``(height, width)`` ``shape`` destination of ``h``
     comes from, ``H^-1 (x, y)``: a read-only ``(2, height, width)`` array of
-    its source rows ``ys`` and columns ``xs``, the layout :func:`resample` reads."""
+    its source rows ``ys`` and columns ``xs``, the layout :func:`resample` reads.
+    A pixel on the vanishing line of ``H^-1`` raises :class:`PointAtInfinity`
+    naming the first such pixel in row-major order."""
     hy, wx = shape
     ys, xs = np.indices((hy, wx), dtype=np.float64).reshape(2, -1)
     back = _apply_h(np.linalg.inv(np.asarray(h, dtype=np.float64)), np.stack([xs, ys], axis=1))

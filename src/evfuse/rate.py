@@ -119,30 +119,27 @@ def _erc_keep(events: np.ndarray, cfg: ErcConfig) -> np.ndarray:
     lengths = np.diff(starts, append=events.shape[0])
     budget = cfg.budget
     keep = np.repeat(lengths <= budget, lengths)
-    # Each over-budget run keeps `budget` indices (none when budget == 0), so
-    # these temporaries never exceed the event count. With budget == 0 they are
-    # empty, and NumPy divides empty arrays by zero without complaint.
+    # Each over-budget run's kept offsets, one (runs x budget) array no larger than the events; with
+    # budget == 0 it is empty, and NumPy divides empty arrays by zero without complaint.
     over = lengths > budget
-    s = np.repeat(starts[over], budget)
-    n = np.repeat(lengths[over], budget)
-    i = np.arange(s.shape[0], dtype=np.int64) % budget
-    keep[s + (2 * i * n + budget) // (2 * budget)] = True
+    i2 = 2 * np.arange(budget, dtype=np.int64)
+    keep[(starts[over][:, None] + (i2 * lengths[over][:, None] + budget) // (2 * budget)).ravel()] = True
     return keep
 
 
 def erc_filter(events: np.ndarray, cfg: ErcConfig = ErcConfig()) -> np.ndarray:
-    """Simulate the rate controller: the events :func:`_erc_keep` keeps, evenly
-    spread and in order. Applying the filter twice changes nothing."""
-    return events[_erc_keep(events, cfg)]
+    """Simulate the rate controller: a copy of the events :func:`_erc_keep`
+    keeps, evenly spread and in order. Applying the filter twice changes nothing."""
+    return events.take(np.flatnonzero(_erc_keep(events, cfg)))  # gathering by index beats a mask on 13-byte records
 
 
 def erc_thin(stream: EventStream, cfg: ErcConfig = ErcConfig()) -> EventStream:
     """``stream`` with its events through :func:`erc_filter`; every trigger
     keeps its place among the kept events, ties with them included."""
-    keep = _erc_keep(stream.events, cfg)
-    ahead = stream.trigger_pos - np.arange(stream.n_triggers)  # the events ahead of each trigger
-    dropped_ahead = np.searchsorted(np.flatnonzero(~keep), ahead)
-    return EventStream(stream.header, stream.events[keep], stream.triggers, stream.trigger_pos - dropped_ahead)
+    kept = np.flatnonzero(_erc_keep(stream.events, cfg))
+    triggers_ahead = np.arange(stream.n_triggers)
+    kept_ahead = np.searchsorted(kept, stream.trigger_pos - triggers_ahead)  # kept events ahead of each trigger
+    return EventStream(stream.header, stream.events.take(kept), stream.triggers, kept_ahead + triggers_ahead)
 
 
 @dataclass(frozen=True)

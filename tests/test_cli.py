@@ -1243,3 +1243,15 @@ def test_rate_report_memory_follows_events_not_a_2_31_us_span(tmp_path):
         tracemalloc.stop()
     assert code == 0 and peak < 50 * 2**20
     assert json.loads(report.read_text())["n_events"] == 2
+
+
+def test_pipeline_homography_whose_inverse_vanishes_on_the_sensor_names_file_and_pixel(scene, tmp_path, capsys):
+    # H^-1 sends sensor pixel (x, y) to w = 1 - x/100: all 180 pixels of column 100 pull back to infinity
+    h_json = tmp_path / "H.json"
+    h_json.write_text(json.dumps({"h": [[1, 0, 0], [0, 1, 0], [0.01, 0, 1]]}))
+    argv = ["pipeline", "--events", str(scene / "a" / "events.esf"), "--frames-dir", str(scene / "b" / "frames"),
+            "--homography", str(h_json), "-d", str(tmp_path / "out"), "--no-meta"]
+    assert run(argv) == 2
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "PointAtInfinity"
+    assert f"--homography {str(h_json)!r}" in diag["msg"] and "the first at (x=100, y=0)" in diag["msg"], diag

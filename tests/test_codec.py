@@ -632,6 +632,19 @@ def test_slices_count_earlier_events_in_trigger_positions(monkeypatch):
     assert [s.trigger_pos.tolist() for s in streams] == [[3, 5]] * len(words)
 
 
+def test_slices_find_each_items_time_words_by_position(monkeypatch):
+    # An item's timestamp is read after the TIME words ahead of it, counted as its position less
+    # the CD_Y words and the items ahead of it. Across the slicings, triggers open and close slices.
+    words = [build_cd_y(3), build_time_low(5), build_cd_x(1, 1),  # a CD_X word before any trigger
+             build_trigger(1, 2), build_trigger(0, 2),  # back-to-back triggers between two CD_X words
+             build_cd_x(2, 0), build_trigger(1, 0), build_time_low(9),  # TIME_LOW right after a trigger
+             build_cd_y(4), build_trigger(0, 3), build_cd_x(3, 1), build_time_high(1), build_trigger(0, 1)]
+    items, streams = _decode_every_slicing(monkeypatch, words)
+    assert items == [("cd", 5, 1, 3, 1), ("trig", 5, 1, 2), ("trig", 5, 0, 2), ("cd", 5, 2, 3, -1),
+                     ("trig", 5, 1, 0), ("trig", 9, 0, 3), ("cd", 9, 3, 4, 1), ("trig", 4096 + 9, 0, 1)]
+    assert [s.trigger_pos.tolist() for s in streams] == [[1, 2, 4, 5, 7]] * len(words)
+
+
 def test_slices_of_time_words_only(monkeypatch):
     words = [build_cd_y(1), build_cd_x(1, 1), build_time_high(2), build_time_low(3), build_time_high(4),
              build_time_low(5), build_cd_x(2, 0)]
