@@ -12,6 +12,7 @@ from .errors import EvfuseError, InvalidInput
 from .streams import (
     EVENT_DTYPE,
     TRIGGER_DTYPE,
+    Columns,
     EventStream,
     StreamHeader,
     ValidationReport,

@@ -445,7 +445,12 @@ def cmd_synth(args) -> int:
 
     summary = {"scene": _write_scene(Path(args.out_dir), synth.gen_scene(spec))}
     if h is not None:
-        summary["warped"] = _write_scene(Path(args.warped_dir), synth.warp_view(spec, h))
+        try:
+            warped = synth.warp_view(spec, h)
+        except geometry.PointAtInfinity as exc:  # only a --homography file has a vanishing line
+            raise geometry.PointAtInfinity(
+                f"--homography {args.homography!r} on the {spec.width}x{spec.height} sensor: {exc}") from exc
+        summary["warped"] = _write_scene(Path(args.warped_dir), warped)
 
     # Reproducibility: record the generating parameters next to the data.
     Path(args.out_dir, "scene.json").write_text(_dump_json(dataclasses.asdict(spec)), encoding="utf-8")

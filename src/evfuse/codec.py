@@ -32,20 +32,21 @@ in order, carrying those registers from slice to slice.  In a slice, a CD_X or
 EXT_TRIGGER word reads the row after the CD_Y words ahead of it (one scan) and
 the timestamp after the TIME words ahead of it: its position less those CD_Y
 words and the items ahead of it.  A first pass counts each slice's events and
-triggers, so the output is allocated once and each slice writes its own part:
-decode memory follows the output, not the file.
+triggers, so the output columns are allocated once and each slice writes its
+own part of each: decode memory follows the output, not the file.
 
 The encoder emits state words only when the corresponding register changes,
 so the byte count (16 + 2 * words) is the honest wire footprint used by the
-rate-budget module.  One forced-word mask, built from the merged timestamps
-and the event rows alone, says which of four words in wire order (TIME_HIGH,
-TIME_LOW, CD_Y, payload) each item forces; epoch rollovers, the one case that
-needs a variable number of TIME_HIGH words, carry a separate short run of
-words.  ``encode_esf`` gathers the masked slots of a per-item word table in
-row-major order and inserts the runs; ``encode_stats`` counts the mask's rows
-and the run lengths, so counting never builds a word or a slot.  The stream
-rules, the merged item order and the CSV line reader come from
-:mod:`evfuse.streams`.
+rate-budget module.  Three 1-D forced-word masks, built from the merged
+timestamps and the event rows alone, say whether each item forces a
+TIME_HIGH, a TIME_LOW and a CD_Y word; its payload word always is.  Epoch
+rollovers, the one case that needs a variable number of TIME_HIGH words,
+carry a separate run of words.  ``encode_esf`` stacks the masks in wire order
+(TIME_HIGH, TIME_LOW, CD_Y, payload), gathers the masked slots of a per-item
+word table row by row and inserts the runs; ``encode_stats`` adds the masks
+up as uint8 and counts each run by formula, so counting never builds a word,
+a slot or a run.  The stream rules, the merged item order and the CSV line
+reader come from :mod:`evfuse.streams`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .streams import (
     MAX_SENSOR_DIM,
     N_CHANNELS,
     TRIGGER_DTYPE,
+    Columns,
     CoordinateOutOfBounds,
     EventStream,
     MalformedLine,  # parse_csv's error, still importable from this module
@@ -162,8 +164,8 @@ def decode_esf(data: bytes) -> EventStream:
         types = words[s : s + _SLICE_WORDS] >> 12
         at[k + 1] = np.count_nonzero(types == TYPE_CD_X), np.count_nonzero(types == TYPE_EXT_TRIGGER)
     ev_at, tr_at = np.cumsum(at, axis=0).T
-    events = np.empty(ev_at[-1], dtype=EVENT_DTYPE)
-    triggers = np.empty(tr_at[-1], dtype=TRIGGER_DTYPE)
+    events = Columns.empty(EVENT_DTYPE, ev_at[-1])
+    triggers = Columns.empty(TRIGGER_DTYPE, tr_at[-1])
     trigger_pos = np.empty(tr_at[-1], dtype=np.int64)
     state = _Registers()
     for k, s in enumerate(starts):
@@ -185,9 +187,9 @@ class _Registers(NamedTuple):
 def _decode_slice(words, state, start, width, height, events, triggers):
     """Decode the slice ``words``, which starts at word ``start`` of the file, from the registers ``state``.
 
-    Writes its items into ``events`` and ``triggers``, sized by its CD_X and
-    EXT_TRIGGER words.  Returns the triggers' positions among the slice's
-    items and the registers after the slice.
+    Writes its items into the column views ``events`` and ``triggers``, sized
+    by its CD_X and EXT_TRIGGER words.  Returns the triggers' positions among
+    the slice's items and the registers after the slice.
     """
     n = words.shape[0]
     types = (words >> 12).astype(np.uint8)
@@ -204,7 +206,7 @@ def _decode_slice(words, state, start, width, height, events, triggers):
     trig_idx = np.flatnonzero(is_trig)
     y_vals_all = words.take(y_idx) & 0xFFF
     x_words = words.take(x_idx)
-    x_vals = x_words & 0x7FF
+    x_vals = np.bitwise_and(x_words, 0x7FF, out=events["x"])
     first_y = 0 if state.row is not None else int(y_idx[0]) if y_idx.shape[0] else n  # row unset before it
 
     # Screen for malformed words cheaply.  Only on failure is a per-word
@@ -251,15 +253,15 @@ def _decode_slice(words, state, start, width, height, events, triggers):
     trigger_pos = x_ahead + np.arange(trig_idx.shape[0])  # the items ahead of each trigger
     y_ahead = cnt_y.take(x_idx)
 
-    events["t"] = t_tab[x_idx - np.arange(x_idx.shape[0]) - trig_ahead - y_ahead]
-    events["x"] = x_vals
-    events["y"] = y_tab[y_ahead]
-    events["p"] = ((x_words >> 11) & 1).astype(np.int8) * 2 - 1  # bit set -> +1, clear -> -1
+    # Every index below is in its table by construction; mode="clip" skips the buffered bounds check.
+    np.take(t_tab, x_idx - np.arange(x_idx.shape[0]) - trig_ahead - y_ahead, out=events["t"], mode="clip")
+    np.take(y_tab, y_ahead, out=events["y"], mode="clip")
+    np.subtract(2 * ((x_words >> 11) & 1), 1, out=events["p"], casting="unsafe")  # bit set -> +1, clear -> -1
 
     trig_words = words.take(trig_idx)
-    triggers["t"] = t_tab[trig_idx - trigger_pos - cnt_y.take(trig_idx)]
-    triggers["edge"] = trig_words & 1
-    triggers["channel"] = (trig_words >> 8) & 0xF
+    np.take(t_tab, trig_idx - trigger_pos - cnt_y.take(trig_idx), out=triggers["t"], mode="clip")
+    np.bitwise_and(trig_words, 1, out=triggers["edge"], casting="unsafe")
+    np.bitwise_and(trig_words >> 8, 0xF, out=triggers["channel"], casting="unsafe")
 
     row = int(y_tab[-1]) if y_idx.shape[0] else state.row
     return trigger_pos, _Registers(int(ep_tab[-1]), int(th_tab[-1]), int(tl_tab[-1]), row)
@@ -307,45 +309,57 @@ def _rollover_words(cur_v: int, d: int, v_tgt: int) -> list:
     return ws
 
 
-def _forced_words(stream: EventStream) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list]:
+def _rollover_count(prev: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """``len(_rollover_words(p & 0xFFF, (h >> 12) - (p >> 12), h & 0xFFF))`` for each ``p, h`` of
+    ``prev, high`` (``t >> 12`` before and at a rollover), without building a word: two per
+    epoch, one fewer from a nonzero TIME_HIGH, one more onto a nonzero one."""
+    twice_d = ((high >> np.uint64(12)) - (prev >> np.uint64(12))).astype(np.int64) * 2
+    return twice_d - ((prev & np.uint64(0xFFF)) != 0) + ((high & np.uint64(0xFFF)) != 0)
+
+
+def _forced_words(stream: EventStream) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray, np.ndarray]:
     """Which words each merged item forces, from the timestamps and event rows alone.
 
-    Returns ``(high, low, emit, rows, runs)``: each item's ``t >> 12`` (epoch
-    and TIME_HIGH, uint64) and TIME_LOW (uint16), and ``emit[i, k]``, whether
-    item ``i`` forces word ``k`` of TIME_HIGH, TIME_LOW, CD_Y and payload.  A
-    register word is forced where it differs from the decoder's register after
-    the previous item (all-zero registers, row unset, before the first); the
-    payload always is.  An epoch rollover is the one variable-length case: its
-    item's TIME_HIGH slot is not emitted and ``runs[j]`` holds the TIME_HIGH
-    words that item ``rows[j]`` forces instead.
+    Returns ``(high, low, masks, rows, prev)``: each item's ``t >> 12`` (epoch
+    and TIME_HIGH, uint64) and TIME_LOW (uint16), and ``masks``, three 1-D
+    bool arrays that say whether each item forces a TIME_HIGH, a TIME_LOW and
+    a CD_Y word.  A register word is forced where it differs from the
+    decoder's register after the previous item (all-zero registers, row
+    unset, before the first); the payload word always is.  An epoch rollover
+    is the one variable-length case: the TIME_HIGH mask is clear at the items
+    ``rows``, which force the :func:`_rollover_words` from ``prev`` (``high``
+    before each of them) instead.
     """
     high = stream.merged_times()
     check_stream(stream, high)
 
-    emit = np.ones((high.shape[0], 4), dtype=bool)
     y = stream.events["y"]  # only events use the row register; the first one always sets it
-    emit[:, 2] = stream.merge_items(np.concatenate(([True], y[1:] != y[:-1]))[: y.shape[0]], False)
+    cd_y = stream.merge_items(np.concatenate(([True], y[1:] != y[:-1]))[: y.shape[0]], False)
     low = high.astype(np.uint16)
     low &= 0xFFF
     high >>= np.uint64(12)
-    for k, register in enumerate((high, low)):
-        emit[:1, k] = register[:1] != 0
-        np.not_equal(register[1:], register[:-1], out=emit[1:, k])
+    time_high, time_low = np.empty(high.shape[0], dtype=bool), np.empty(high.shape[0], dtype=bool)
+    for mask, register in ((time_high, high), (time_low, low)):
+        mask[:1] = register[:1] != 0
+        np.not_equal(register[1:], register[:-1], out=mask[1:])
     # The epoch (high >> 12) changes only where ``high`` does, so rollovers are
-    # looked for among those rows alone: at most one per 4,096 µs of stream.
-    changed = np.flatnonzero(emit[:, 0])
+    # looked for among those items alone: at most one per 4,096 µs of stream.
+    changed = np.flatnonzero(time_high)
     prev = np.where(changed > 0, high[changed - 1], 0)
     rolls = (high[changed] >> np.uint64(12)) != (prev >> np.uint64(12))
     rows = changed[rolls]
-    runs = [_rollover_words(p & 0xFFF, (c >> 12) - (p >> 12), c & 0xFFF)
-            for p, c in zip(prev[rolls].tolist(), high[rows].tolist())]
-    emit[rows, 0] = False  # a rollover item carries its run instead
-    return high, low, emit, rows, runs
+    time_high[rows] = False  # a rollover item carries its run instead
+    return high, low, (time_high, time_low, cd_y), rows, prev[rolls]
 
 
 def encode_esf(stream: EventStream) -> bytes:
     """Encode a stream to ESF-1 bytes; state words are emitted minimally."""
-    high, low, emit, rows, runs = _forced_words(stream)
+    high, low, masks, rows, prev = _forced_words(stream)
+    runs = [_rollover_words(p & 0xFFF, (c >> 12) - (p >> 12), c & 0xFFF)
+            for p, c in zip(prev.tolist(), high[rows].tolist())]
+    # one row per item, in wire order: TIME_HIGH, TIME_LOW, CD_Y, payload
+    emit = np.stack(masks + (np.ones(high.shape[0], dtype=bool),), axis=1)
+    del masks
     # The slot table reuses ``high``'s memory: each item's little-endian u64 holds its four u16 word slots.
     slots = high.astype("<u8", copy=False).view("<u2").reshape(-1, 4)
     slots[:, 0] &= 0xFFF
@@ -367,10 +381,14 @@ def encode_esf(stream: EventStream) -> bytes:
 
 
 def encode_stats(stream: EventStream) -> EncodeStats:
-    """Word/byte accounting for the encoded form, counted from the forced-word mask."""
-    _, _, emit, rows, runs = _forced_words(stream)  # the timestamps are dropped here
-    item_words = np.einsum("ij->i", emit.view(np.uint8)).astype(np.int64)  # row sums, 3x faster than sum()
-    item_words[rows] += np.array([len(r) for r in runs], dtype=np.int64)
+    """Word/byte accounting for the encoded form, counted from the forced-word masks and the
+    rollover formula, so counting never builds a word or a slot."""
+    high, _, (time_high, time_low, cd_y), rows, prev = _forced_words(stream)
+    words = np.add(time_high, time_low, dtype=np.uint8)
+    words += cd_y
+    words += 1  # the payload
+    item_words = words.astype(np.int64)
+    item_words[rows] += _rollover_count(prev, high[rows])
     return EncodeStats(item_words=item_words, n_words=int(item_words.sum()))
 
 

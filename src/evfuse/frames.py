@@ -24,10 +24,10 @@ ACCUMULATION_MODES = ("count", "polarity", "binary")
 DEFAULT_CLIP = 3
 
 
-def accumulate(events: np.ndarray, width: int, height: int, mode: str = "polarity") -> np.ndarray:
+def accumulate(events, width: int, height: int, mode: str = "polarity") -> np.ndarray:
     """Rasterize events onto a ``(height, width)`` int32 grid.
 
-    ``events`` is any array with ``x``, ``y`` and ``p`` fields (a slice of an
+    ``events`` is anything with ``x``, ``y`` and ``p`` columns (a slice of an
     EventStream's events). Coordinates must already be in range.
     """
     if mode not in ACCUMULATION_MODES:
@@ -35,7 +35,8 @@ def accumulate(events: np.ndarray, width: int, height: int, mode: str = "polarit
     n_cells = width * height
     if events.shape[0] == 0:
         return np.zeros((height, width), dtype=np.int32)
-    flat = events["y"].astype(np.int64) * width + events["x"]
+    flat = np.multiply(events["y"], width, dtype=np.int64)
+    flat += events["x"]
     if mode == "count":
         cells = np.bincount(flat, minlength=n_cells)
     elif mode == "polarity":

@@ -20,7 +20,7 @@ import numpy as np
 
 from .codec import encode_stats
 from .errors import EvfuseError
-from .streams import EventStream, check_order
+from .streams import Columns, EventStream, check_order
 
 DEFAULT_ERC_CAP_EVPS = 100_000_000  # explicit rate-controller cap
 DEFAULT_ERC_PERIOD_US = 1000
@@ -59,11 +59,27 @@ class RateSeries:
         for lo in range(int(self.index[0]), end, _CSV_CHUNK_BINS):
             hi = min(lo + _CSV_CHUNK_BINS, end)
             b = int(np.searchsorted(self.index, np.uint64(hi - 1), side="right"))  # occupied bins [a, b) are in [lo, hi)
-            chunk = np.zeros(hi - lo, dtype=np.int64)
+            chunk = np.zeros(hi - lo, dtype=np.uint64)
             chunk[(self.index[a:b] - np.uint64(lo)).astype(np.int64)] = self.counts[a:b]
-            starts = range(lo * self.bin_us, hi * self.bin_us, self.bin_us)
-            fh.write("".join(f"{s},{c}\n" for s, c in zip(starts, chunk.tolist())))
+            starts = (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)) * np.uint64(self.bin_us)
+            fh.write(_csv_rows(starts, chunk))
             a = b
+
+
+def _csv_rows(starts: np.ndarray, counts: np.ndarray) -> str:
+    """One ``start,count`` line per pair of uint64 values, runs of empty bins included, built as
+    one table: each line's row holds the right-aligned ASCII digits of both numbers, and the
+    zero bytes left of a shorter number are dropped."""
+    widths = [len(str(int(v.max()))) for v in (starts, counts)]
+    table = np.zeros((starts.shape[0], widths[0] + widths[1] + 2), dtype=np.uint8)
+    table[:, widths[0]] = ord(",")
+    table[:, -1] = ord("\n")
+    for v, width, last in zip((starts, counts), widths, (widths[0] - 1, table.shape[1] - 2)):
+        for k in range(width):
+            v, digit = np.divmod(v, np.uint64(10))
+            # a number has digit k where the digit or what is left above it is nonzero; every number has digit 0
+            table[:, last - k] = np.where((v != 0) | (digit != 0) | (k == 0), digit + ord("0"), 0)
+    return table[table != 0].tobytes().decode("ascii")
 
 
 def _occupied_bins(t: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +92,7 @@ def _occupied_bins(t: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
     return bins[first], first
 
 
-def _event_bins(events: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
+def _event_bins(events: Columns, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
     """The bins that hold events (checked to be time-sorted): each one's index and event count."""
     if bin_us <= 0:
         raise ValueError("bin width must be positive")
@@ -86,7 +102,7 @@ def _event_bins(events: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray
     return index, np.diff(first, append=t.shape[0])
 
 
-def rate_series(events: np.ndarray, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
+def rate_series(events: Columns, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
     """Count event timestamps per fixed bin anchored at t = 0, over the
     occupied bins only; unsorted events raise
     :class:`~evfuse.streams.UnsortedInput`."""
@@ -110,7 +126,7 @@ class ErcConfig:
         return self.cap_evps * self.period_us // 1_000_000
 
 
-def _erc_keep(events: np.ndarray, cfg: ErcConfig) -> np.ndarray:
+def _erc_keep(events: Columns, cfg: ErcConfig) -> np.ndarray:
     """The rate controller's mask: a period (anchored at t = 0) within the
     budget ``B`` keeps all its events; one of ``n > B`` events keeps those at
     indices ``round(i*n/B)`` for ``i = 0..B-1``."""
@@ -127,10 +143,10 @@ def _erc_keep(events: np.ndarray, cfg: ErcConfig) -> np.ndarray:
     return keep
 
 
-def erc_filter(events: np.ndarray, cfg: ErcConfig = ErcConfig()) -> np.ndarray:
+def erc_filter(events: Columns, cfg: ErcConfig = ErcConfig()) -> Columns:
     """Simulate the rate controller: a copy of the events :func:`_erc_keep`
     keeps, evenly spread and in order. Applying the filter twice changes nothing."""
-    return events.take(np.flatnonzero(_erc_keep(events, cfg)))  # gathering by index beats a mask on 13-byte records
+    return events.take(np.flatnonzero(_erc_keep(events, cfg)))  # one index array gathers every column
 
 
 def erc_thin(stream: EventStream, cfg: ErcConfig = ErcConfig()) -> EventStream:

@@ -4,7 +4,8 @@ An event camera reports per-pixel brightness changes ("CD events") with
 microsecond timestamps, alongside external trigger edges that mark the
 exposure window of a companion frame camera.  Both kinds of items share a
 single time-ordered stream.  This module holds the in-memory representation
-used throughout the package: compact NumPy record arrays plus a tiny header.
+used throughout the package: one contiguous NumPy column per field, held by
+:class:`Columns`, plus a tiny header.
 
 Events and triggers are stored in separate arrays; the original interleaving
 is preserved via ``trigger_pos`` (the index of each trigger within the merged
@@ -18,6 +19,7 @@ values out in that order.  The stream rules (``x < width``, ``y < height``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -117,33 +119,112 @@ class StreamHeader:
                 raise CoordinateOutOfBounds(axis, value)
 
 
-def make_events(t, x, y, p) -> np.ndarray:
-    """Build a CD-event record array from parallel sequences."""
-    t = np.asarray(t, dtype=np.uint64)
-    out = np.empty(t.shape[0], dtype=EVENT_DTYPE)
-    out["t"] = t
-    out["x"] = np.asarray(x, dtype=np.uint16)
-    out["y"] = np.asarray(y, dtype=np.uint16)
-    out["p"] = np.asarray(p, dtype=np.int8)
-    return out
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Items stored column-wise: one equal-length 1-D array per field of the record ``dtype``.
+
+    ``c["t"]`` is the ``t`` column itself, writable in place.  A slice (steps
+    included) gives views of every column, and a mask or an index array,
+    like :meth:`take` and :meth:`copy`, new ones.  Anything that asks for
+    records (``np.asarray(c)``, :meth:`tobytes`, iteration, one int index)
+    gets ``dtype`` records, byte for byte as a record array holds them.
+    Equality compares the values of every column.
+    """
+
+    dtype: np.dtype  # EVENT_DTYPE or TRIGGER_DTYPE
+    columns: dict  # field name -> 1-D array of the field's type, in dtype order
+
+    def __post_init__(self):
+        names, shapes = tuple(self.columns), {c.shape for c in self.columns.values()}
+        if names != self.dtype.names or len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError(f"need one 1-D column of equal length per field of {self.dtype.names}, got {names}")
+        for name, col in self.columns.items():
+            if col.dtype != self.dtype[name]:
+                raise ValueError(f"column {name!r} is {col.dtype}, expected {self.dtype[name]}")
+
+    @classmethod
+    def empty(cls, dtype: np.dtype, n: int = 0) -> Columns:
+        return cls(dtype, {name: np.empty(n, dtype=dtype[name]) for name in dtype.names})
+
+    @classmethod
+    def of(cls, items, dtype: np.dtype) -> Columns:
+        """``items`` as columns of ``dtype``: a :class:`Columns` of that dtype as it is, anything
+        else (a record array, a sequence of records) through ``np.asarray`` into new columns."""
+        if isinstance(items, Columns) and items.dtype == dtype:
+            return items
+        records = np.asarray(items, dtype=dtype)
+        return cls(dtype, {name: records[name].copy() for name in dtype.names})
+
+    def _each(self, fn) -> Columns:
+        return Columns(self.dtype, {name: fn(col) for name, col in self.columns.items()})
+
+    def __len__(self) -> int:
+        return self.columns["t"].shape[0]
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self),)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(col.nbytes for col in self.columns.values())
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            return self.columns[key]
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]  # IndexError out of range, as for a record array
+            return np.asarray(self[i : i + 1])[0]
+        return self._each(lambda col: col[key])
+
+    def take(self, indices) -> Columns:
+        return self._each(lambda col: col.take(indices))
+
+    def copy(self) -> Columns:
+        return self._each(np.copy)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("columns are not records: converting them copies")
+        out = np.empty(len(self), dtype=self.dtype)
+        for name, col in self.columns.items():
+            out[name] = col
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def tobytes(self) -> bytes:
+        return np.asarray(self).tobytes()
+
+    def __iter__(self):
+        return iter(np.asarray(self))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Columns):
+            return NotImplemented
+        return self.dtype == other.dtype and all(
+            np.array_equal(col, other.columns[name]) for name, col in self.columns.items()
+        )
+
+    __hash__ = None
 
 
-def make_triggers(t, edge, channel) -> np.ndarray:
-    """Build a trigger record array. ``edge`` is 1 for rising, 0 for falling."""
-    t = np.asarray(t, dtype=np.uint64)
-    out = np.empty(t.shape[0], dtype=TRIGGER_DTYPE)
-    out["t"] = t
-    out["edge"] = np.asarray(edge, dtype=np.uint8)
-    out["channel"] = np.asarray(channel, dtype=np.uint8)
-    return out
+def _make(dtype: np.dtype, t, *values) -> Columns:
+    """Columns of ``dtype`` from parallel sequences, each copied; a scalar is repeated for every item."""
+    t = np.array(t, dtype=np.uint64)
+    cols = {"t": t}
+    for name, v in zip(dtype.names[1:], values):
+        cols[name] = np.empty(t.shape[0], dtype=dtype[name])
+        cols[name][...] = v
+    return Columns(dtype, cols)
 
 
-def _empty_events() -> np.ndarray:
-    return np.empty(0, dtype=EVENT_DTYPE)
+def make_events(t, x, y, p) -> Columns:
+    """CD events from parallel sequences."""
+    return _make(EVENT_DTYPE, t, x, y, p)
 
 
-def _empty_triggers() -> np.ndarray:
-    return np.empty(0, dtype=TRIGGER_DTYPE)
+def make_triggers(t, edge, channel) -> Columns:
+    """Triggers from parallel sequences. ``edge`` is 1 for rising, 0 for falling."""
+    return _make(TRIGGER_DTYPE, t, edge, channel)
 
 
 @dataclass
@@ -156,13 +237,13 @@ class EventStream:
     """
 
     header: StreamHeader
-    events: np.ndarray = field(default_factory=_empty_events)
-    triggers: np.ndarray = field(default_factory=_empty_triggers)
+    events: Columns = field(default_factory=partial(Columns.empty, EVENT_DTYPE))
+    triggers: Columns = field(default_factory=partial(Columns.empty, TRIGGER_DTYPE))
     trigger_pos: np.ndarray | None = None
 
     def __post_init__(self):
-        self.events = np.asarray(self.events, dtype=EVENT_DTYPE)
-        self.triggers = np.asarray(self.triggers, dtype=TRIGGER_DTYPE)
+        self.events = Columns.of(self.events, EVENT_DTYPE)
+        self.triggers = Columns.of(self.triggers, TRIGGER_DTYPE)
         if self.trigger_pos is None:
             # Default interleaving: stable merge by timestamp, events first on ties.
             pos = np.searchsorted(self.events["t"], self.triggers["t"], side="right")
@@ -204,8 +285,8 @@ class EventStream:
             return NotImplemented
         return (
             self.header == other.header
-            and np.array_equal(self.events, other.events)
-            and np.array_equal(self.triggers, other.triggers)
+            and self.events == other.events
+            and self.triggers == other.triggers
             and np.array_equal(self.trigger_pos, other.trigger_pos)
         )
 

@@ -146,7 +146,7 @@ class PairingResult:
     anomalies: list
 
 
-def triggers_to_exposures(triggers: np.ndarray, channel: int = 0) -> PairingResult:
+def triggers_to_exposures(triggers: streams.Columns, channel: int = 0) -> PairingResult:
     """Pair consecutive (rising, falling) edges on one channel into exposures.
 
     Anomalous edges — a falling edge with nothing open, a rising edge while
@@ -232,8 +232,8 @@ def _bounds4(exposures, method) -> list:
     raise ValueError(f"unknown sync method {method!r}")
 
 
-def assign_events(events: np.ndarray, window_list) -> list:
-    """Slice a time-sorted event array into per-window views via binary search.
+def assign_events(events: streams.Columns, window_list) -> list:
+    """Slice time-sorted events into per-window views via binary search.
 
     Returns one (possibly empty) view per window; an event is included when
     ``t0 <= t < t1``.  Windows may overlap, in which case events appear in
@@ -241,13 +241,13 @@ def assign_events(events: np.ndarray, window_list) -> list:
     event times.  Unsorted events raise :class:`~evfuse.streams.UnsortedInput`
     at the first one out of order.
     """
-    t = np.ascontiguousarray(events["t"])
+    t = events["t"]
     streams.check_order(t)
     bounds = np.array([[min(max(b, 0), 2**64 - 1) for b in (w.t0, w.t1)] for w in window_list], dtype=np.uint64)
     return [events[i0:i1] for i0, i1 in np.searchsorted(t, bounds.reshape(-1, 2), side="left").tolist()]
 
 
-def window_counts(events: np.ndarray, window_list) -> np.ndarray:
+def window_counts(events: streams.Columns, window_list) -> np.ndarray:
     """Number of events falling in each window."""
     return np.array([s.shape[0] for s in assign_events(events, window_list)], dtype=np.int64)
 

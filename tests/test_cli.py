@@ -1255,3 +1255,17 @@ def test_pipeline_homography_whose_inverse_vanishes_on_the_sensor_names_file_and
     diag = _last_diag(capsys)
     assert diag["kind"] == "PointAtInfinity"
     assert f"--homography {str(h_json)!r}" in diag["msg"] and "the first at (x=100, y=0)" in diag["msg"], diag
+
+
+def test_synth_homography_whose_inverse_vanishes_on_the_sensor_names_file_and_sensor(tmp_path, capsys):
+    # the same H as above, through synth's second view on its default 240x180 sensor
+    h_json = tmp_path / "H.json"
+    h_json.write_text(json.dumps({"h": [[1, 0, 0], [0, 1, 0], [0.01, 0, 1]]}))
+    argv = ["synth", "-d", str(tmp_path / "c"), "--homography", str(h_json), "--warped-dir", str(tmp_path / "d"),
+            "--duration-s", "0.1"]
+    assert run(argv) == 2
+    diag = _last_diag(capsys)
+    assert diag["kind"] == "PointAtInfinity"
+    assert f"--homography {str(h_json)!r} on the 240x180 sensor: " in diag["msg"], diag
+    assert "the first at (x=100, y=0)" in diag["msg"], diag
+    assert not (tmp_path / "d").exists()

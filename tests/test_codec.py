@@ -3,6 +3,7 @@ round trips, and decoder totality under fuzzing."""
 
 from __future__ import annotations
 
+import signal
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evfuse import codec
+from evfuse.rate import rate_report
 from evfuse.codec import (
     HEADER_SIZE,
     TYPE_CD_X,
@@ -355,6 +357,40 @@ def test_word_count_accounting():
     assert stats.item_words.sum() == stats.n_words
     # item 0 forces TH+TL+CDY+CDX, item 1 just CDX, item 2 TL+CDY+CDX.
     assert list(stats.item_words) == [4, 1, 3]
+
+
+def test_rollover_count_matches_the_words_built():
+    # Gaps of 1-4 epochs from and onto zero and nonzero TIME_HIGH values.
+    prev, high, want = [], [], []
+    for epoch in range(3):
+        for d in range(1, 5):
+            for cur_v in (0, 1, 0xFFF):
+                for v_tgt in (0, 1, 0xFFF):
+                    prev.append(epoch << 12 | cur_v)
+                    high.append((epoch + d) << 12 | v_tgt)
+                    want.append(len(codec._rollover_words(cur_v, d, v_tgt)))
+    got = codec._rollover_count(np.array(prev, dtype=np.uint64), np.array(high, dtype=np.uint64))
+    assert got.tolist() == want
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("took longer than the limit")
+
+
+def test_word_count_at_the_last_timestamp_returns_promptly():
+    # 2^40 - 1 epochs lie between the two events: 2^41 - 1 TIME_HIGH words, to be counted, not built.
+    # The timer stops a word-building count long before its list outgrows memory.
+    s = EventStream(StreamHeader(4, 4), make_events([0, 2**64 - 1], [1, 1], [1, 1], [1, 1]))
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        stats = encode_stats(s)
+        report = rate_report(s, encoding="esf1")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert stats.item_words.tolist() == [2, 2 + 2**41 - 1]  # CD_Y + CD_X; TIME_LOW + CD_X + the run
+    assert report.mean_bps == stats.n_bytes * 1_000_000 / (2**64 - 1)
 
 
 # -- typed decode errors ---------------------------------------------------------

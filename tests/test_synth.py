@@ -379,7 +379,7 @@ def test_simulate_matches_reference_when_a_residual_reaches_the_threshold():
     ev = want.stream.events
     # the 3x3 pixels the pattern covered at t=0 change fully in step 1
     covered = ev[(abs(ev["x"].astype(int) - 10) <= 1) & (abs(ev["y"].astype(int) - 24) <= 1)]
-    pixels, counts = np.unique(covered[["x", "y"]], return_counts=True)
+    pixels, counts = np.unique(np.asarray(covered)[["x", "y"]], return_counts=True)
     assert len(pixels) == 9 and (counts == 215).all()
     assert covered["t"].max() <= spec.dt_us
     assert not (covered["t"] == 2 * spec.dt_us).any()
