@@ -192,39 +192,26 @@ def _build_windows(stream: EventStream, windows_csv, channel: int, method, need_
 def cmd_decode(args) -> int:
     stream = codec.read_esf(args.esf)
     _write_text(codec.write_csv(stream), args.csv)
-    _diag(
-        "info",
-        "decoded stream",
-        n_events=int(stream.events.shape[0]),
-        n_triggers=int(stream.triggers.shape[0]),
-        width=stream.header.width,
-        height=stream.header.height,
-    )
+    _diag("info", "decoded stream", n_events=stream.n_events, n_triggers=stream.n_triggers,
+          width=stream.header.width, height=stream.header.height)
     return OK
 
 
 def cmd_encode(args) -> int:
     stream = codec.parse_csv(read_text(args.csv, "events CSV"), args.width, args.height)
     n_bytes = codec.write_esf(args.out, stream)
-    _diag(
-        "info",
-        "encoded stream",
-        n_events=int(stream.events.shape[0]),
-        n_triggers=int(stream.triggers.shape[0]),
-        n_bytes=n_bytes,
-    )
+    _diag("info", "encoded stream", n_events=stream.n_events, n_triggers=stream.n_triggers, n_bytes=n_bytes)
     return OK
 
 
 def cmd_info(args) -> int:
     stream = codec.read_esf(args.esf)
-    ev, tr = stream.events, stream.triggers
     times = stream.merged_times()
     doc = {
         "width": stream.header.width,
         "height": stream.header.height,
-        "n_events": int(ev.shape[0]),
-        "n_triggers": int(tr.shape[0]),
+        "n_events": stream.n_events,
+        "n_triggers": stream.n_triggers,
         "t_first_us": int(times[0]) if times.size else None,
         "t_last_us": int(times[-1]) if times.size else None,
         "duration_us": int(times[-1] - times[0]) if times.size else 0,
@@ -313,17 +300,9 @@ def cmd_verify(args) -> int:
     _check_search(args.radius, args.margin)
     ref = frames.read_image(args.reference).astype(np.float64)
     tgt = frames.read_image(args.target).astype(np.float64)
-    if args.mode == "edges":
-        res = alignment.edge_deviation(
-            ref, tgt, args.radius, args.margin, smooth_sigma=args.smooth_sigma
-        )
-    elif args.mode == "intensity":
-        res = alignment.match_deviation(ref, tgt, args.radius, args.margin, args.smooth_sigma)
-    else:  # activity: reference is an accumulated event frame
-        res = alignment.event_frame_deviation(
-            ref, tgt, args.radius, args.margin, smooth_sigma=args.smooth_sigma
-        )
-    _emit(res.to_json(), args.out)
+    measure = {"edges": alignment.edge_deviation, "intensity": alignment.match_deviation,
+               "activity": alignment.event_frame_deviation}[args.mode]  # activity: reference is an event frame
+    _emit(measure(ref, tgt, args.radius, args.margin, args.smooth_sigma).to_json(), args.out)
     return OK
 
 
@@ -424,8 +403,8 @@ def _write_scene(out_dir: Path, result: synth.SceneResult) -> dict:
     geometry.save_homography(str(out_dir / "homography.json"), result.homography)
     return {
         "dir": str(out_dir),
-        "n_events": int(result.stream.events.shape[0]),
-        "n_triggers": int(result.stream.triggers.shape[0]),
+        "n_events": result.stream.n_events,
+        "n_triggers": result.stream.n_triggers,
         "n_frames": int(result.frames.shape[0]),
         "n_labels": len(result.labels),
         "esf_bytes": n_bytes,
@@ -572,7 +551,7 @@ def cmd_pipeline(args) -> int:
     except geometry.PointAtInfinity as exc:  # a sensor pixel's pull-back or a box reaches the vanishing line
         source = f"--homography {args.homography!r}" if args.homography else f"--points {args.points!r}"
         raise geometry.PointAtInfinity(f"{source} on the {width}x{height} sensor: {exc}") from exc
-    if boxes:
+    if args.labels:
         labels.write_labels_json(str(out_dir / "labels.json"), moved)
 
     summary = {
@@ -596,164 +575,168 @@ def cmd_pipeline(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``evfuse`` parser, with only ``command``'s subparser when it names one; otherwise (None,
+    an unknown name or an option) with every subcommand, so help and "invalid choice" name all."""
     parser = _Parser(prog="evfuse", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"evfuse {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def add(name, func, help_text):
+        if command not in (None, name):
+            return None
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
         return p
 
-    p = add("decode", cmd_decode, "decode an ESF-1 file to debug CSV")
-    p.add_argument("esf", help="input .esf file")
-    p.add_argument("--csv", default=None, metavar="PATH", help="CSV output path (default: stdout)")
+    if p := add("decode", cmd_decode, "decode an ESF-1 file to debug CSV"):
+        p.add_argument("esf", help="input .esf file")
+        p.add_argument("--csv", default=None, metavar="PATH", help="CSV output path (default: stdout)")
 
-    p = add("encode", cmd_encode, "encode debug CSV back into an ESF-1 file")
-    p.add_argument("--csv", required=True, metavar="PATH", help="CSV input path")
-    p.add_argument("--width", type=_sensor_dim, required=True, help="sensor width in pixels")
-    p.add_argument("--height", type=_sensor_dim, required=True, help="sensor height in pixels")
-    p.add_argument("-o", "--out", required=True, help="output .esf path")
+    if p := add("encode", cmd_encode, "encode debug CSV back into an ESF-1 file"):
+        p.add_argument("--csv", required=True, metavar="PATH", help="CSV input path")
+        p.add_argument("--width", type=_sensor_dim, required=True, help="sensor width in pixels")
+        p.add_argument("--height", type=_sensor_dim, required=True, help="sensor height in pixels")
+        p.add_argument("-o", "--out", required=True, help="output .esf path")
 
-    p = add("info", cmd_info, "print stream geometry, counts, and time span as JSON")
-    p.add_argument("esf")
-    p.add_argument("-o", "--out", default=None)
+    if p := add("info", cmd_info, "print stream geometry, counts, and time span as JSON"):
+        p.add_argument("esf")
+        p.add_argument("-o", "--out", default=None)
 
-    p = add("validate", cmd_validate, "check time order, bounds, and trigger pairing")
-    p.add_argument("esf")
-    p.add_argument("-o", "--out", default=None)
+    if p := add("validate", cmd_validate, "check time order, bounds, and trigger pairing"):
+        p.add_argument("esf")
+        p.add_argument("-o", "--out", default=None)
 
-    p = add("sync", cmd_sync, "pair trigger edges into exposures and build event windows")
-    p.add_argument("esf")
-    p.add_argument("--method", type=_method, default="m3", help=METHOD_HELP)
-    p.add_argument("--channel", type=_channel, default=0, help="trigger channel 0-15 (default 0)")
-    p.add_argument("--exposures-out", default=None, metavar="CSV", help="also write the exposure table")
-    p.add_argument("-o", "--out", default=None, help="windows CSV output (default: stdout)")
+    if p := add("sync", cmd_sync, "pair trigger edges into exposures and build event windows"):
+        p.add_argument("esf")
+        p.add_argument("--method", type=_method, default="m3", help=METHOD_HELP)
+        p.add_argument("--channel", type=_channel, default=0, help="trigger channel 0-15 (default 0)")
+        p.add_argument("--exposures-out", default=None, metavar="CSV", help="also write the exposure table")
+        p.add_argument("-o", "--out", default=None, help="windows CSV output (default: stdout)")
 
-    p = add("accumulate", cmd_accumulate, "accumulate events into per-frame images")
-    p.add_argument("esf")
-    p.add_argument("--windows", default=None, metavar="CSV", help="window CSV (frame_id,t0_us,t1_us)")
-    p.add_argument("--method", type=_method, default=None, help=METHOD_HELP)
-    p.add_argument("--channel", type=_channel, default=None, help="trigger channel 0-15 (default: 0)")
-    p.add_argument("--mode", default="polarity", choices=["count", "polarity", "binary"])
-    p.add_argument("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count for rendering")
-    p.add_argument("--format", default="pgm", choices=["pgm", "png"])
-    p.add_argument("-d", "--out-dir", required=True, help="directory for frame_<id> images")
-    p.add_argument("-o", "--out", default=None, help="summary JSON (default: stdout)")
+    if p := add("accumulate", cmd_accumulate, "accumulate events into per-frame images"):
+        p.add_argument("esf")
+        p.add_argument("--windows", default=None, metavar="CSV", help="window CSV (frame_id,t0_us,t1_us)")
+        p.add_argument("--method", type=_method, default=None, help=METHOD_HELP)
+        p.add_argument("--channel", type=_channel, default=None, help="trigger channel 0-15 (default: 0)")
+        p.add_argument("--mode", default="polarity", choices=["count", "polarity", "binary"])
+        p.add_argument("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count for rendering")
+        p.add_argument("--format", default="pgm", choices=["pgm", "png"])
+        p.add_argument("-d", "--out-dir", required=True, help="directory for frame_<id> images")
+        p.add_argument("-o", "--out", default=None, help="summary JSON (default: stdout)")
 
-    p = add("calibrate", cmd_calibrate, "fit a homography to point correspondences")
-    p.add_argument("--points", required=True, metavar="CSV", help="src_x,src_y,dst_x,dst_y per line")
-    p.add_argument("--no-ransac", action="store_true", help="plain least-squares fit on all points")
-    p.add_argument("--threshold-px", type=_positive_finite, default=2.0)
-    p.add_argument("--iterations", type=_positive_int, default=2000)
-    p.add_argument("--confidence", type=_probability, default=0.999)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-inliers", type=int, default=5)
-    p.add_argument("-o", "--out", default=None, metavar="H.json", help="write the fitted homography")
-    p.add_argument("--report-out", default=None, help="report JSON (default: stdout)")
+    if p := add("calibrate", cmd_calibrate, "fit a homography to point correspondences"):
+        p.add_argument("--points", required=True, metavar="CSV", help="src_x,src_y,dst_x,dst_y per line")
+        p.add_argument("--no-ransac", action="store_true", help="plain least-squares fit on all points")
+        p.add_argument("--threshold-px", type=_positive_finite, default=2.0)
+        p.add_argument("--iterations", type=_positive_int, default=2000)
+        p.add_argument("--confidence", type=_probability, default=0.999)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--min-inliers", type=int, default=5)
+        p.add_argument("-o", "--out", default=None, metavar="H.json", help="write the fitted homography")
+        p.add_argument("--report-out", default=None, help="report JSON (default: stdout)")
 
-    p = add("verify", cmd_verify, "measure alignment deviation between two images")
-    p.add_argument("reference", help="reference image (PGM/PNG)")
-    p.add_argument("target", help="target image (PGM/PNG)")
-    p.add_argument("--mode", default="edges", choices=["edges", "intensity", "activity"],
-                   help="edges: Canny both; intensity: raw; activity: reference is an event-count frame")
-    p.add_argument("--radius", type=_nonnegative_int, default=16, help="integer search radius in px")
-    p.add_argument("--margin", type=_nonnegative_int, default=32, help="template inset from the reference border")
-    p.add_argument("--smooth-sigma", type=_blur_sigma, default=1.0)
-    p.add_argument("-o", "--out", default=None)
+    if p := add("verify", cmd_verify, "measure alignment deviation between two images"):
+        p.add_argument("reference", help="reference image (PGM/PNG)")
+        p.add_argument("target", help="target image (PGM/PNG)")
+        p.add_argument("--mode", default="edges", choices=["edges", "intensity", "activity"],
+                       help="edges: Canny both; intensity: raw; activity: reference is an event-count frame")
+        p.add_argument("--radius", type=_nonnegative_int, default=16, help="integer search radius in px")
+        p.add_argument("--margin", type=_nonnegative_int, default=32, help="template inset from the reference border")
+        p.add_argument("--smooth-sigma", type=_blur_sigma, default=1.0)
+        p.add_argument("-o", "--out", default=None)
 
-    p = add("rate", cmd_rate, "report event rate and bandwidth under an encoding")
-    p.add_argument("esf")
-    p.add_argument("--encoding", default="esf1", choices=["esf1", "fixed8"])
-    p.add_argument("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US)
-    p.add_argument("--saturation-evps", type=_positive_float, default=rate.DEFAULT_SATURATION_EVPS)
-    p.add_argument("--series-out", default=None, metavar="CSV", help="per-bin counts (bin_start_us,count)")
-    p.add_argument("-o", "--out", default=None)
+    if p := add("rate", cmd_rate, "report event rate and bandwidth under an encoding"):
+        p.add_argument("esf")
+        p.add_argument("--encoding", default="esf1", choices=["esf1", "fixed8"])
+        p.add_argument("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US)
+        p.add_argument("--saturation-evps", type=_positive_float, default=rate.DEFAULT_SATURATION_EVPS)
+        p.add_argument("--series-out", default=None, metavar="CSV", help="per-bin counts (bin_start_us,count)")
+        p.add_argument("-o", "--out", default=None)
 
-    p = add("erc", cmd_erc, "simulate the event-rate controller and write the thinned stream")
-    p.add_argument("esf")
-    p.add_argument("--cap-evps", type=_positive_int, default=rate.DEFAULT_ERC_CAP_EVPS)
-    p.add_argument("--period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US)
-    p.add_argument("-o", "--out", required=True, help="output .esf path")
+    if p := add("erc", cmd_erc, "simulate the event-rate controller and write the thinned stream"):
+        p.add_argument("esf")
+        p.add_argument("--cap-evps", type=_positive_int, default=rate.DEFAULT_ERC_CAP_EVPS)
+        p.add_argument("--period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US)
+        p.add_argument("-o", "--out", required=True, help="output .esf path")
 
-    p = add("optics", cmd_optics, "lens/sensor resolvability math")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--object-m", type=_positive_finite, default=None, help="object size in meters (extent mode)")
-    mode.add_argument("--fov", action="store_true", help="report field of view")
-    mode.add_argument("--crop", action="store_true", help="report crop factor vs --reference")
-    mode.add_argument("--list", action="store_true", help="dump sensor/lens presets as JSON")
-    sensor = p.add_mutually_exclusive_group()
-    sensor.add_argument("--sensor", default=None, help="sensor preset name (see --list)")
-    sensor.add_argument("--pitch-um", type=_positive_finite, default=None, help="pixel pitch for a custom sensor")
-    p.add_argument("--size", type=_wh, default=None, metavar="WxH", help="custom sensor resolution (for --fov and --crop)")
-    p.add_argument("--distance-m", type=_positive_finite, default=None)
-    p.add_argument("--focal-mm", type=_positive_finite, default=None)
-    p.add_argument("--reference", default="ximea", help="reference sensor for --crop (default: ximea)")
-    p.add_argument("-o", "--out", default=None)
+    if p := add("optics", cmd_optics, "lens/sensor resolvability math"):
+        mode = p.add_mutually_exclusive_group(required=True)
+        mode.add_argument("--object-m", type=_positive_finite, default=None, help="object size in meters (extent mode)")
+        mode.add_argument("--fov", action="store_true", help="report field of view")
+        mode.add_argument("--crop", action="store_true", help="report crop factor vs --reference")
+        mode.add_argument("--list", action="store_true", help="dump sensor/lens presets as JSON")
+        sensor = p.add_mutually_exclusive_group()
+        sensor.add_argument("--sensor", default=None, help="sensor preset name (see --list)")
+        sensor.add_argument("--pitch-um", type=_positive_finite, default=None, help="pixel pitch for a custom sensor")
+        p.add_argument("--size", type=_wh, default=None, metavar="WxH", help="custom sensor resolution (for --fov and --crop)")
+        p.add_argument("--distance-m", type=_positive_finite, default=None)
+        p.add_argument("--focal-mm", type=_positive_finite, default=None)
+        p.add_argument("--reference", default="ximea", help="reference sensor for --crop (default: ximea)")
+        p.add_argument("-o", "--out", default=None)
 
-    p = add("synth", cmd_synth, "generate a synthetic scene (events, frames, labels)")
-    p.add_argument("-d", "--out-dir", required=True)
-    for f in dataclasses.fields(synth.SceneSpec):  # one flag per scene parameter
-        pair = f.default is None or isinstance(f.default, tuple)
-        p.add_argument("--" + f.name.replace("_", "-"), type=_pair if pair else type(f.default), default=f.default,
-                       choices=synth.PATTERNS if f.name == "pattern" else None, metavar="X,Y" if pair else None,
-                       help=f"SceneSpec.{f.name} (default: %(default)s)")
-    view = p.add_mutually_exclusive_group()
-    view.add_argument("--homography", default=None, metavar="H.json", help="render a second view through this homography")
-    view.add_argument("--translate", type=_pair, default=None, metavar="DX,DY", help="shortcut: second view offset in px")
-    p.add_argument("--warped-dir", default=None, help="output directory for the second view")
-    p.add_argument("-o", "--out", default=None)
+    if p := add("synth", cmd_synth, "generate a synthetic scene (events, frames, labels)"):
+        p.add_argument("-d", "--out-dir", required=True)
+        for f in dataclasses.fields(synth.SceneSpec):  # one flag per scene parameter
+            pair = f.default is None or isinstance(f.default, tuple)
+            p.add_argument("--" + f.name.replace("_", "-"), type=_pair if pair else type(f.default), default=f.default,
+                           choices=synth.PATTERNS if f.name == "pattern" else None, metavar="X,Y" if pair else None,
+                           help=f"SceneSpec.{f.name} (default: %(default)s)")
+        view = p.add_mutually_exclusive_group()
+        view.add_argument("--homography", default=None, metavar="H.json", help="render a second view through this homography")
+        view.add_argument("--translate", type=_pair, default=None, metavar="DX,DY", help="shortcut: second view offset in px")
+        p.add_argument("--warped-dir", default=None, help="output directory for the second view")
+        p.add_argument("-o", "--out", default=None)
 
-    p = add("label-transfer", cmd_label_transfer, "map bounding boxes through a homography")
-    p.add_argument("--labels", required=True, metavar="JSON")
-    p.add_argument("--homography", required=True, metavar="H.json")
-    p.add_argument("--invert", action="store_true", help="apply the inverse mapping")
-    p.add_argument("--clip", type=_wh, default=None, metavar="WxH", help="clip boxes to this canvas, drop outsiders")
-    p.add_argument("-o", "--out", required=True, help="output labels JSON")
+    if p := add("label-transfer", cmd_label_transfer, "map bounding boxes through a homography"):
+        p.add_argument("--labels", required=True, metavar="JSON")
+        p.add_argument("--homography", required=True, metavar="H.json")
+        p.add_argument("--invert", action="store_true", help="apply the inverse mapping")
+        p.add_argument("--clip", type=_wh, default=None, metavar="WxH", help="clip boxes to this canvas, drop outsiders")
+        p.add_argument("-o", "--out", required=True, help="output labels JSON")
 
-    p = add("pipeline", cmd_pipeline, "events + frames -> windows, renders, labels, checks, rate")
-    p.add_argument("--events", required=True, metavar="ESF")
-    p.add_argument("-d", "--out-dir", required=True)
-    p.add_argument("--config", default=None, metavar="JSON",
-                   help="JSON object of the options below, checked like flags; explicit flags win")
-    p.add_argument("--windows", default=None, metavar="CSV", help="explicit windows instead of trigger pairing")
-    p.add_argument("--no-meta", action="store_true", help="omit the provenance block for byte-identical output")
-    o = p.add_argument_group("config options", "also --config keys: the flag name without '--', '-' as '_'")
-    h_source = o.add_mutually_exclusive_group()
-    config_options = {}
+    if p := add("pipeline", cmd_pipeline, "events + frames -> windows, renders, labels, checks, rate"):
+        p.add_argument("--events", required=True, metavar="ESF")
+        p.add_argument("-d", "--out-dir", required=True)
+        p.add_argument("--config", default=None, metavar="JSON",
+                       help="JSON object of the options below, checked like flags; explicit flags win")
+        p.add_argument("--windows", default=None, metavar="CSV", help="explicit windows instead of trigger pairing")
+        p.add_argument("--no-meta", action="store_true", help="omit the provenance block for byte-identical output")
+        o = p.add_argument_group("config options", "also --config keys: the flag name without '--', '-' as '_'")
+        h_source = o.add_mutually_exclusive_group()
+        config_options = {}
 
-    def opt(*flags, group=o, **kwargs):
-        action = group.add_argument(*flags, **kwargs)
-        config_options[action.dest] = action
+        def opt(*flags, group=o, **kwargs):
+            action = group.add_argument(*flags, **kwargs)
+            config_options[action.dest] = action
 
-    opt("--frames-dir", default=None, help="directory of RGB frame_<id>.pgm images")
-    opt("--labels", default=None, metavar="JSON", help="RGB-side boxes to transfer")
-    opt("--homography", group=h_source, default=None, metavar="H.json", help="maps RGB coords to event coords")
-    opt("--points", group=h_source, default=None, metavar="CSV", help="estimate the homography from correspondences")
-    opt("--invert-homography", action="store_true", help="the file stores event->RGB; invert it")
-    opt("--method", type=_method, default=None, help=METHOD_HELP)
-    opt("--channel", type=_channel, default=None, help="trigger channel 0-15 (default: 0)")
-    opt("--mode", default="polarity", choices=["count", "polarity", "binary"], help="(default: %(default)s)")
-    opt("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
-    opt("--erc-cap-evps", type=_positive_int, default=None, help="pre-filter through the rate controller")
-    opt("--erc-period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US, help="ERC period (default: %(default)s)")
-    opt("--encoding", default="esf1", choices=["esf1", "fixed8"], help="bandwidth encoding (default: %(default)s)")
-    opt("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
-    opt("--radius", type=_nonnegative_int, default=16, help="integer search radius in px (default: %(default)s)")
-    opt("--margin", type=_nonnegative_int, default=32, help="template inset from the border (default: %(default)s)")
-    opt("--smooth-sigma", type=_blur_sigma, default=2.0, help="blur before matching (default: %(default)s)")
-    opt("--threshold-px", type=_positive_finite, default=2.0, help="RANSAC inlier threshold (default: %(default)s)")
-    opt("--seed", type=int, default=0, help="RANSAC seed (default: %(default)s)")
-    opt("--jobs", type=_positive_int, default=1, help="frame worker threads (default: %(default)s)")
-    p.set_defaults(config_options=config_options)
+        opt("--frames-dir", default=None, help="directory of RGB frame_<id>.pgm images")
+        opt("--labels", default=None, metavar="JSON", help="RGB-side boxes to transfer")
+        opt("--homography", group=h_source, default=None, metavar="H.json", help="maps RGB coords to event coords")
+        opt("--points", group=h_source, default=None, metavar="CSV", help="estimate the homography from correspondences")
+        opt("--invert-homography", action="store_true", help="the file stores event->RGB; invert it")
+        opt("--method", type=_method, default=None, help=METHOD_HELP)
+        opt("--channel", type=_channel, default=None, help="trigger channel 0-15 (default: 0)")
+        opt("--mode", default="polarity", choices=["count", "polarity", "binary"], help="(default: %(default)s)")
+        opt("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
+        opt("--erc-cap-evps", type=_positive_int, default=None, help="pre-filter through the rate controller")
+        opt("--erc-period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US, help="ERC period (default: %(default)s)")
+        opt("--encoding", default="esf1", choices=["esf1", "fixed8"], help="bandwidth encoding (default: %(default)s)")
+        opt("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
+        opt("--radius", type=_nonnegative_int, default=16, help="integer search radius in px (default: %(default)s)")
+        opt("--margin", type=_nonnegative_int, default=32, help="template inset from the border (default: %(default)s)")
+        opt("--smooth-sigma", type=_blur_sigma, default=2.0, help="blur before matching (default: %(default)s)")
+        opt("--threshold-px", type=_positive_finite, default=2.0, help="RANSAC inlier threshold (default: %(default)s)")
+        opt("--seed", type=int, default=0, help="RANSAC seed (default: %(default)s)")
+        opt("--jobs", type=_positive_int, default=1, help="frame worker threads (default: %(default)s)")
+        p.set_defaults(config_options=config_options)
 
-    return parser
+    return parser if sub.choices else build_parser()  # ``command`` named no subcommand
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):

@@ -291,30 +291,28 @@ def build_time_high(value: int) -> int:
     return (TYPE_TIME_HIGH << 12) | (value & 0xFFF)
 
 
-def _rollover_words(cur_v: int, d: int, v_tgt: int) -> list:
-    """TIME_HIGH words that advance the epoch ``d`` times and land on ``v_tgt``.
-
-    The decoder increments the epoch only on a strict decrease, so from a zero
-    register we first step up to 1 and back down.
-    """
-    ws = []
-    for _ in range(d):
-        if cur_v == 0:
-            ws.append(build_time_high(1))
-            cur_v = 1
-        ws.append(build_time_high(0))
-        cur_v = 0
-    if v_tgt != cur_v:
-        ws.append(build_time_high(v_tgt))
-    return ws
-
-
 def _rollover_count(prev: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """``len(_rollover_words(p & 0xFFF, (h >> 12) - (p >> 12), h & 0xFFF))`` for each ``p, h`` of
-    ``prev, high`` (``t >> 12`` before and at a rollover), without building a word: two per
-    epoch, one fewer from a nonzero TIME_HIGH, one more onto a nonzero one."""
+    """The length of each run of :func:`_rollover_runs`, without building a word: two per epoch,
+    one fewer from a nonzero TIME_HIGH, one more onto a nonzero one."""
     twice_d = ((high >> np.uint64(12)) - (prev >> np.uint64(12))).astype(np.int64) * 2
     return twice_d - ((prev & np.uint64(0xFFF)) != 0) + ((high & np.uint64(0xFFF)) != 0)
+
+
+def _rollover_runs(prev: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The TIME_HIGH words from each ``p`` of ``prev`` to each ``h`` of ``high`` (``t >> 12``
+    before and at a rollover), concatenated, and each run's length (:func:`_rollover_count`).
+
+    The decoder increments the epoch only on a strict decrease, so each epoch
+    is a step up to 1 and back down to 0, the first step up skipped from a
+    nonzero TIME_HIGH; the run's last word lands on ``h``'s TIME_HIGH.
+    """
+    lengths = _rollover_count(prev, high)
+    ends = np.cumsum(lengths)
+    run = np.repeat(np.arange(lengths.shape[0]), lengths)
+    step = np.arange(run.shape[0]) - (ends - lengths)[run] + ((prev & np.uint64(0xFFF)) != 0)[run]
+    values = (step & 1) ^ 1  # 1, 0, 1, 0, ... from each run's first step
+    values[ends - 1] = high & np.uint64(0xFFF)
+    return (values | TYPE_TIME_HIGH << 12).astype("<u2"), lengths
 
 
 def _forced_words(stream: EventStream) -> tuple[np.ndarray, np.ndarray, tuple, np.ndarray, np.ndarray]:
@@ -327,7 +325,7 @@ def _forced_words(stream: EventStream) -> tuple[np.ndarray, np.ndarray, tuple, n
     decoder's register after the previous item (all-zero registers, row
     unset, before the first); the payload word always is.  An epoch rollover
     is the one variable-length case: the TIME_HIGH mask is clear at the items
-    ``rows``, which force the :func:`_rollover_words` from ``prev`` (``high``
+    ``rows``, which force the :func:`_rollover_runs` from ``prev`` (``high``
     before each of them) instead.
     """
     high = stream.merged_times()
@@ -355,8 +353,7 @@ def _forced_words(stream: EventStream) -> tuple[np.ndarray, np.ndarray, tuple, n
 def encode_esf(stream: EventStream) -> bytes:
     """Encode a stream to ESF-1 bytes; state words are emitted minimally."""
     high, low, masks, rows, prev = _forced_words(stream)
-    runs = [_rollover_words(p & 0xFFF, (c >> 12) - (p >> 12), c & 0xFFF)
-            for p, c in zip(prev.tolist(), high[rows].tolist())]
+    run_words, run_lengths = _rollover_runs(prev, high[rows])
     # one row per item, in wire order: TIME_HIGH, TIME_LOW, CD_Y, payload
     emit = np.stack(masks + (np.ones(high.shape[0], dtype=bool),), axis=1)
     del masks
@@ -375,8 +372,8 @@ def encode_esf(stream: EventStream) -> bytes:
     starts = np.cumsum([np.count_nonzero(emit[a:b]) for a, b in zip(cuts[:-1], cuts[1:])], dtype=np.int64)
     words = slots[emit]  # row-major: each item's words in wire order
     del high, slots, emit  # 12 B per item, freed before the runs go in and the bytes are joined
-    if runs:
-        words = np.insert(words, np.repeat(starts, [len(r) for r in runs]), np.concatenate(runs))
+    if run_words.shape[0]:
+        words = np.insert(words, np.repeat(starts, run_lengths), run_words)
     return b"".join((make_header(stream.header.width, stream.header.height), words))  # no extra tobytes() copy
 
 

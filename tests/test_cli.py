@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -73,6 +74,54 @@ def test_every_subcommand_has_help(capsys):
         assert run([name, "--help"]) == 0, name
         out = capsys.readouterr().out
         assert "usage:" in out
+
+
+# one bad option value per subcommand, rejected by the parser before any input is read
+BAD_OPTION = {
+    "decode": ["decode", "a.esf", "--csv"],
+    "encode": ["encode", "--csv", "a.csv", "--width", "0", "--height", "5", "-o", "b.esf"],
+    "info": ["info", "a.esf", "-o"],
+    "validate": ["validate", "a.esf", "-o"],
+    "sync": ["sync", "a.esf", "--channel", "16"],
+    "accumulate": ["accumulate", "a.esf", "-d", "out", "--mode", "heat"],
+    "calibrate": ["calibrate", "--points", "p.csv", "--confidence", "1.5"],
+    "verify": ["verify", "a.pgm", "b.pgm", "--radius", "-1"],
+    "rate": ["rate", "a.esf", "--bin-us", "0"],
+    "erc": ["erc", "a.esf", "-o", "b.esf", "--cap-evps", "0"],
+    "optics": ["optics", "--fov", "--size", "0x5"],
+    "synth": ["synth", "-d", "out", "--pattern", "blob"],
+    "label-transfer": ["label-transfer", "--labels", "a.json", "--homography", "h.json", "-o", "b.json",
+                       "--clip", "0x5"],
+    "pipeline": ["pipeline", "--events", "a.esf", "-d", "out", "--jobs", "0"],
+}
+
+
+def _parsed(parser, argv):
+    """``(exit status, stdout, stderr)`` of a parse that exits, as for help or a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_lazy_parser_is_the_full_parser(name):
+    lazy = cli.build_parser(name)
+    assert _parsed(lazy, [name, "--help"]) == _parsed(cli.build_parser(), [name, "--help"])
+    usage = _parsed(lazy, BAD_OPTION[name])
+    assert usage == _parsed(cli.build_parser(), BAD_OPTION[name]) and usage[0] == cli.USAGE_ERROR
+    other = next(n for n in SUBCOMMANDS if n != name)  # the lazy parser builds no other subcommand
+    assert "invalid choice" in _parsed(lazy, [other, "--help"])[2]
+
+
+@pytest.mark.parametrize("first", [None, "frobnicate", "-h", "--version"])
+def test_parser_without_a_subcommand_first_lists_every_name(first):
+    parser = cli.build_parser(first)
+    status, listing, _ = _parsed(parser, ["-h", "pipeline"])
+    assert status == 0 and listing == cli.build_parser().format_help()
+    assert re.findall(r"^    (\S+)", listing, re.M) == SUBCOMMANDS
+    status, _, err = _parsed(parser, ["frobnicate"])
+    assert status == cli.USAGE_ERROR and all(repr(name) in err for name in SUBCOMMANDS)
 
 
 def test_version_flag(capsys):
@@ -462,6 +511,16 @@ def test_pipeline_labels_through_homography(scene, tmp_path):
     moved = read_labels_json(str(out_dir / "labels.json"))
     truth = {b.frame_id: b for b in read_labels_json(str(scene / "a" / "labels.json"))}
     assert moved and all(iou(b, truth[b.frame_id]) > 0.99 for b in moved)
+
+
+def test_pipeline_labels_with_no_boxes_writes_an_empty_labels_file(scene, tmp_path, capsys):
+    empty = tmp_path / "none.json"
+    empty.write_text("[]")
+    h = ["--labels", str(empty), "--homography", str(scene / "b" / "homography.json")]
+    events = str(scene / "a" / "events.esf")
+    assert run(["pipeline", "--events", events, "-d", str(tmp_path / "pl"), "--no-meta", *h]) == 0
+    assert run(["label-transfer", *h, "-o", str(tmp_path / "moved.json")]) == 0
+    assert (tmp_path / "pl" / "labels.json").read_text() == (tmp_path / "moved.json").read_text() == "[]\n"
 
 
 def test_pipeline_points_matches_calibrate_then_homography(scene, tmp_path, capsys):

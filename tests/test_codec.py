@@ -368,9 +368,11 @@ def test_rollover_count_matches_the_words_built():
                 for v_tgt in (0, 1, 0xFFF):
                     prev.append(epoch << 12 | cur_v)
                     high.append((epoch + d) << 12 | v_tgt)
-                    want.append(len(codec._rollover_words(cur_v, d, v_tgt)))
-    got = codec._rollover_count(np.array(prev, dtype=np.uint64), np.array(high, dtype=np.uint64))
-    assert got.tolist() == want
+                    want.append(_ref_rollover_words(cur_v, d, v_tgt))
+    prev, high = np.array(prev, dtype=np.uint64), np.array(high, dtype=np.uint64)
+    words, lengths = codec._rollover_runs(prev, high)
+    assert codec._rollover_count(prev, high).tolist() == lengths.tolist() == [len(ws) for ws in want]
+    assert words.dtype == np.dtype("<u2") and words.tolist() == [w for ws in want for w in ws]
 
 
 def _raise_timeout(signum, frame):
