@@ -43,7 +43,7 @@ import numpy as np
 from . import __version__
 from . import alignment, codec, frames, fuse, geometry, labels, optics, rate, sync, synth
 from .errors import EvfuseError, InvalidInput, read_json, read_text
-from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, LineRule, read_rows, validate_stream
+from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, LineRule, check_order, read_rows, validate_stream
 
 OK = 0
 USAGE_ERROR = 1
@@ -207,6 +207,7 @@ def cmd_encode(args) -> int:
 def cmd_info(args) -> int:
     stream = codec.read_esf(args.esf)
     times = stream.merged_times()
+    check_order(times)  # validate describes a broken stream; info needs the span
     doc = {
         "width": stream.header.width,
         "height": stream.header.height,

@@ -45,8 +45,8 @@ carry a separate run of words.  ``encode_esf`` stacks the masks in wire order
 (TIME_HIGH, TIME_LOW, CD_Y, payload), gathers the masked slots of a per-item
 word table row by row and inserts the runs; ``encode_stats`` adds the masks
 up as uint8 and counts each run by formula, so counting never builds a word,
-a slot or a run.  The stream rules, the merged item order and the CSV line
-reader come from :mod:`evfuse.streams`.
+a slot or a run.  The stream rules, the merged item order, the CSV line
+reader and the digit-table writer come from :mod:`evfuse.streams`.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from .streams import (
     StreamHeader,
     UnsortedInput,
     check_stream,
+    digit_table,
     make_events,
     make_triggers,
     read_rows,
@@ -393,22 +394,17 @@ def encode_stats(stream: EventStream) -> EncodeStats:
 
 
 def write_csv(stream: EventStream) -> str:
-    """Render a stream as debug CSV, one item per line in encounter order.
-
-    Events become ``cd,<t>,<x>,<y>,<p>`` with polarity written ``+1``/``-1``;
-    triggers become ``trig,<t>,<r|f>,<channel>``.
-    """
+    """Render a stream as debug CSV, one item per line in encounter order: an event as ``cd,<t>,<x>,<y>,<p>``
+    with polarity written ``+1``/``-1``, a trigger as ``trig,<t>,<r|f>,<channel>``."""
     ev, tr = stream.events, stream.triggers
-    ev_lines = [
-        f"cd,{t},{x},{y},{'+1' if p else '-1'}"
-        for t, x, y, p in zip(ev["t"].tolist(), ev["x"].tolist(), ev["y"].tolist(), (ev["p"] > 0).tolist())
-    ]
-    tr_lines = [
-        f"trig,{t},{'r' if e else 'f'},{c}"
-        for t, e, c in zip(tr["t"].tolist(), tr["edge"].tolist(), tr["channel"].tolist())
-    ]
-    lines = stream.merge_items(np.array(ev_lines, dtype=object), tr_lines).tolist()
-    return "\n".join(lines) + ("\n" if lines else "")
+    sign = np.where(ev["p"] > 0, np.uint8(ord("+")), np.uint8(ord("-")))[:, None]
+    ev_rows = digit_table((b"cd,", ev["t"], b",", ev["x"], b",", ev["y"], b",", sign, b"1\n"))
+    edge = np.where(tr["edge"] != 0, np.uint8(ord("r")), np.uint8(ord("f")))[:, None]
+    tr_rows = digit_table((b"trig,", tr["t"], b",", edge, b",", tr["channel"], b"\n"))
+    table = np.zeros((stream.n_items, max(ev_rows.shape[1], tr_rows.shape[1])), dtype=np.uint8)
+    table[np.delete(np.arange(stream.n_items), stream.trigger_pos), : ev_rows.shape[1]] = ev_rows
+    table[stream.trigger_pos, : tr_rows.shape[1]] = tr_rows
+    return table[table != 0].tobytes().decode("ascii")
 
 
 _POLARITY = {"+1": 1, "1": 1, "-1": -1}

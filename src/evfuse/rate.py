@@ -20,7 +20,7 @@ import numpy as np
 
 from .codec import encode_stats
 from .errors import EvfuseError
-from .streams import Columns, EventStream, check_order
+from .streams import Columns, EventStream, check_order, digit_table
 
 DEFAULT_ERC_CAP_EVPS = 100_000_000  # explicit rate-controller cap
 DEFAULT_ERC_PERIOD_US = 1000
@@ -62,24 +62,9 @@ class RateSeries:
             chunk = np.zeros(hi - lo, dtype=np.uint64)
             chunk[(self.index[a:b] - np.uint64(lo)).astype(np.int64)] = self.counts[a:b]
             starts = (np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)) * np.uint64(self.bin_us)
-            fh.write(_csv_rows(starts, chunk))
+            table = digit_table((starts, b",", chunk, b"\n"))
+            fh.write(table[table != 0].tobytes().decode("ascii"))
             a = b
-
-
-def _csv_rows(starts: np.ndarray, counts: np.ndarray) -> str:
-    """One ``start,count`` line per pair of uint64 values, runs of empty bins included, built as
-    one table: each line's row holds the right-aligned ASCII digits of both numbers, and the
-    zero bytes left of a shorter number are dropped."""
-    widths = [len(str(int(v.max()))) for v in (starts, counts)]
-    table = np.zeros((starts.shape[0], widths[0] + widths[1] + 2), dtype=np.uint8)
-    table[:, widths[0]] = ord(",")
-    table[:, -1] = ord("\n")
-    for v, width, last in zip((starts, counts), widths, (widths[0] - 1, table.shape[1] - 2)):
-        for k in range(width):
-            v, digit = np.divmod(v, np.uint64(10))
-            # a number has digit k where the digit or what is left above it is nonzero; every number has digit 0
-            table[:, last - k] = np.where((v != 0) | (digit != 0) | (k == 0), digit + ord("0"), 0)
-    return table[table != 0].tobytes().decode("ascii")
 
 
 def _occupied_bins(t: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:

@@ -68,18 +68,9 @@ class SyncMethod(Enum):
     MIDPOINT = "midpoint"
 
 
-# Compact aliases accepted on the command line and in config files.
-METHOD_ALIASES = {
-    "m1": SyncMethod.EXPOSURE,
-    "m2": SyncMethod.FRAME_LEADING,
-    "m3": SyncMethod.CENTERED,
-    "m4": SyncMethod.MIDPOINT,
-    "exposure": SyncMethod.EXPOSURE,
-    "frame_leading": SyncMethod.FRAME_LEADING,
-    "frame-leading": SyncMethod.FRAME_LEADING,
-    "centered": SyncMethod.CENTERED,
-    "midpoint": SyncMethod.MIDPOINT,
-}
+# Names accepted on the command line and in config files: m1-m4 in SyncMethod's order, each value, frame-leading.
+METHOD_ALIASES = {**{f"m{i}": m for i, m in enumerate(SyncMethod, 1)}, **{m.value: m for m in SyncMethod},
+                  "frame-leading": SyncMethod.FRAME_LEADING}
 
 
 def parse_method(text: str) -> SyncMethod | CustomWindow:
@@ -256,7 +247,8 @@ def window_counts(events: streams.Columns, window_list) -> np.ndarray:
 
 
 def _write_int_csv(header: str, rows) -> str:
-    """One header line, then one line of integer fields per dataclass row."""
+    """One header line, then one line of integer fields per dataclass row.  Not :func:`~evfuse.streams.digit_table`:
+    the fields are Python ints, and a custom window's end may pass 2**64 - 1."""
     lines = [header] + [",".join(str(v) for v in astuple(r)) for r in rows]
     return "\n".join(lines) + "\n"
 

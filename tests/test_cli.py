@@ -180,6 +180,17 @@ def test_info_reports_geometry_and_counts(scene, capsys):
     assert doc["n_events"] > 0 and doc["n_triggers"] == 14
 
 
+def test_info_on_an_out_of_order_stream_is_a_data_error_naming_the_item(tmp_path, capsys):
+    # the second event's TIME_LOW is below the first's, so last - first would wrap as uint64 (a RuntimeWarning)
+    esf = tmp_path / "backwards.esf"
+    esf.write_bytes(_esf(8, 8, [(codec.TYPE_TIME_LOW, 100), (codec.TYPE_CD_Y, 1), (codec.TYPE_CD_X, 1),
+                                (codec.TYPE_TIME_LOW, 50), (codec.TYPE_CD_X, 2)]))
+    assert run(["info", str(esf)]) == 2
+    captured = capsys.readouterr()
+    diags = [json.loads(line) for line in captured.err.splitlines()]  # stderr holds JSON records only
+    assert captured.out == "" and diags[-1]["kind"] == "UnsortedInput" and "item 1 " in diags[-1]["msg"], diags
+
+
 def test_validate_clean_stream_exits_zero(scene, capsys):
     assert run(["validate", str(scene / "a" / "events.esf")]) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True

@@ -965,6 +965,65 @@ def test_write_csv_matches_reference_loop():
     assert write_csv(ties).splitlines()[:3] == ["trig,100,r,0", "cd,100,1,3,+1", "trig,100,f,5"]
 
 
+def test_write_csv_matches_reference_loop_at_full_width():
+    # every column at its widest and narrowest: t at 0 and 2^64 - 1, x and y at 0 and 2047, channel 15
+    top = 2**64 - 1
+    edges = EventStream(
+        StreamHeader(2048, 2048),
+        make_events([0, 0, 9, 10, 10**19 - 1, 10**19, top, top], [0, 2047, 9, 10, 99, 100, 2047, 0],
+                    [2047, 0, 10, 9, 1000, 999, 0, 2047], [1, -1, -1, 1, 1, -1, -1, 1]),
+        make_triggers([0, 10**19, top, top], [0, 1, 1, 0], [15, 0, 9, 10]),
+        trigger_pos=[0, 7, 9, 11],
+    )
+    assert write_csv(edges) == _ref_write_csv(edges)
+    assert write_csv(edges).splitlines()[-3:] == [f"trig,{top},r,9", f"cd,{top},0,2047,+1", f"trig,{top},f,10"]
+    rng = np.random.default_rng(64)
+    for n_events, n_triggers in [(300, 20), (0, 7), (40, 0)]:
+        t = np.sort(rng.integers(0, top, size=n_events + n_triggers, dtype=np.uint64, endpoint=True))
+        is_trigger = np.zeros(t.shape[0], dtype=bool)
+        is_trigger[rng.choice(t.shape[0], n_triggers, replace=False)] = True
+        s = EventStream(
+            StreamHeader(2048, 2048),
+            make_events(t[~is_trigger], rng.integers(0, 2048, n_events), rng.integers(0, 2048, n_events),
+                        rng.choice([-1, 1], n_events)),
+            make_triggers(t[is_trigger], rng.integers(0, 2, n_triggers), rng.integers(0, 16, n_triggers)),
+            trigger_pos=np.flatnonzero(is_trigger),
+        )
+        assert write_csv(s) == _ref_write_csv(s)
+
+
+_CSV_TIMES = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 9, 10, 2**32, 10**19, 2**64 - 1]))
+
+
+@st.composite
+def _csv_streams(draw):
+    """Valid streams of up to 2048x2048 with full-range times; a repeated time gives an event-trigger tie."""
+    width, height = draw(st.integers(1, 2048)), draw(st.integers(1, 2048))
+    items = sorted(draw(st.lists(st.tuples(_CSV_TIMES, st.booleans()), max_size=30)), key=lambda item: item[0])
+    ev = [(t, draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1)), draw(st.sampled_from([-1, 1])))
+          for t, is_trigger in items if not is_trigger]
+    tr = [(t, draw(st.integers(0, 1)), draw(st.integers(0, 15))) for t, is_trigger in items if is_trigger]
+    return EventStream(
+        StreamHeader(width, height),
+        make_events(*zip(*ev)) if ev else make_events([], [], [], []),
+        make_triggers(*zip(*tr)) if tr else make_triggers([], [], []),
+        trigger_pos=[i for i, (_, is_trigger) in enumerate(items) if is_trigger],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_csv_streams())
+@example(s=EventStream(StreamHeader(4, 4)))  # empty
+@example(s=EventStream(StreamHeader(4, 4), triggers=make_triggers([0, 2**64 - 1], [1, 0], [15, 15])))
+@example(s=EventStream(StreamHeader(2048, 1), make_events([5, 2**64 - 1], [2047, 0], [0, 0], [-1, 1])))
+@example(s=EventStream(StreamHeader(4, 4), make_events([7, 7], [1, 2], [3, 3], [1, -1]),
+                       make_triggers([7, 7], [1, 0], [0, 15]), trigger_pos=[0, 2]))  # ties, a trigger first
+def test_csv_round_trip_property(s):
+    text = write_csv(s)
+    assert parse_csv(text, s.header.width, s.header.height) == s
+    assert write_csv(parse_csv(text, s.header.width, s.header.height)) == text
+
+
 def test_csv_tolerates_header_and_comments():
     text = "kind,t,x,y,p\n# comment\n\ncd,1,2,3,+1\n"
     s = parse_csv(text, 16, 16)

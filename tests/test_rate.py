@@ -111,6 +111,18 @@ def test_rate_series_csv_matches_dense_reference(bin_us):
         assert _csv(rate_series(events, bin_us)) == _ref_series_csv(events, bin_us)
 
 
+@pytest.mark.parametrize("bin_us", [1, 7, 1000])
+def test_rate_series_csv_with_20_digit_bin_starts_matches_dense_reference(bin_us):
+    top = 2**64 - 1
+    streams = [
+        [top - 40_000 * bin_us, top - 40_000 * bin_us + 3, top - 5, top],  # three chunks, mostly empty bins
+        [10**19 - 9_000 * bin_us, 10**19 - 1, 10**19, 10**19 + 9_000 * bin_us],  # 19 and 20 digits in one chunk
+    ]
+    for t in streams:
+        events = _events_at(t)
+        assert _csv(rate_series(events, bin_us)) == _ref_series_csv(events, bin_us)
+
+
 def test_series_memory_follows_items_not_span():
     # 2**18 one-µs bins, all but a handful empty: memory is the items plus one CSV chunk
     events = _events_at([3, 4, 4, 1 << 17, (1 << 18) + 2])
