@@ -45,14 +45,16 @@ carry a separate run of words.  ``encode_esf`` stacks the masks in wire order
 (TIME_HIGH, TIME_LOW, CD_Y, payload), gathers the masked slots of a per-item
 word table row by row and inserts the runs; ``encode_stats`` adds the masks
 up as uint8 and counts each run by formula, so counting never builds a word,
-a slot or a run.  The stream rules, the merged item order, the CSV line
-reader and the digit-table writer come from :mod:`evfuse.streams`.
+a slot or a run; it keeps the two apart, so a per-bin sum reads one byte per
+item and adds the few runs.  The stream rules, the merged item order, the CSV
+line reader and the digit-table writer come from :mod:`evfuse.streams`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -275,13 +277,28 @@ def _decode_slice(words, state, start, width, height, events, triggers):
 class EncodeStats:
     """Wire accounting for one encoded stream.
 
-    ``item_words[i]`` counts the 16-bit words attributable to merged item
-    ``i`` (its payload word plus whatever state words it forced).  Total
-    bytes are ``16 + 2 * sum(item_words)``.
+    ``words[i]`` is the uint8 count of the words that merged item ``i``
+    forces besides a rollover run: the TIME_HIGH, TIME_LOW and CD_Y words
+    it forces and its payload word.  The items ``rows`` also carry a run of
+    ``run_lengths`` TIME_HIGH words across an epoch rollover.
+    ``item_words[i]`` (int64, built on first access and kept) is the two
+    together, all the 16-bit words attributable to item ``i``.  Total bytes
+    are ``16 + 2 * n_words``.
     """
 
-    item_words: np.ndarray
-    n_words: int
+    words: np.ndarray  # uint8, one per merged item
+    rows: np.ndarray  # int64, increasing: the items that carry a rollover run
+    run_lengths: np.ndarray  # int64, the length of each of their runs
+
+    @cached_property
+    def item_words(self) -> np.ndarray:
+        item_words = self.words.astype(np.int64)
+        item_words[self.rows] += self.run_lengths
+        return item_words
+
+    @cached_property
+    def n_words(self) -> int:
+        return int(self.words.sum(dtype=np.int64)) + int(self.run_lengths.sum())
 
     @property
     def n_bytes(self) -> int:
@@ -385,9 +402,7 @@ def encode_stats(stream: EventStream) -> EncodeStats:
     words = np.add(time_high, time_low, dtype=np.uint8)
     words += cd_y
     words += 1  # the payload
-    item_words = words.astype(np.int64)
-    item_words[rows] += _rollover_count(prev, high[rows])
-    return EncodeStats(item_words=item_words, n_words=int(item_words.sum()))
+    return EncodeStats(words, rows, _rollover_count(prev, high[rows]))
 
 
 # -- CSV debug format ----------------------------------------------------------

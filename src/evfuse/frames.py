@@ -58,21 +58,25 @@ def render_gray(data: np.ndarray, mode: str = "polarity", clip: int = DEFAULT_CL
     if mode not in ACCUMULATION_MODES:
         raise ValueError(f"unknown accumulation mode: {mode!r}")
     if mode == "binary":
-        return np.where(data != 0, 255, 0).astype(np.uint8)
+        return np.multiply(data != 0, np.uint8(255))  # bool times uint8 is uint8: no wider temporary
     if clip <= 0:
         raise ValueError("clip must be positive")
+    top = int(data.max(initial=0))
     if mode == "count":
-        lo, hi, zero, full = 0, min(clip, max(int(data.max(initial=0)), 0)), 0.0, 255.0
+        lo, hi, zero, full = 0, min(clip, max(top, 0)), 0.0, 255.0
     else:  # polarity
-        hi = min(clip, max(int(data.max(initial=0)), -int(data.min(initial=0))))
+        hi = min(clip, max(top, -int(data.min(initial=0))))
         lo, zero, full = -hi, 128.0, 127.0
-    clamped = np.clip(data, lo, hi)
     # The formula runs once per value in [lo, hi] to give a uint8 lookup table.
     # The table is sized by the values present, so a huge ``clip`` never builds
     # a huge one; where it would outgrow the image the formula runs per pixel.
-    values = clamped if hi - lo >= clamped.size else np.arange(lo, hi + 1)
-    gray = np.rint(zero + full * values / clip).astype(np.uint8)
-    return gray if values is clamped else gray.take(np.subtract(clamped, lo, out=clamped))
+    if hi - lo >= data.size:
+        return np.rint(zero + full * np.clip(data, lo, hi) / clip).astype(np.uint8)
+    gray = np.rint(zero + full * np.arange(lo, hi + 1) / clip).astype(np.uint8)
+    if top - lo > np.iinfo(np.intp).max:  # only a 64-bit surface gets here: its index would wrap
+        data = np.minimum(data, hi)
+    # One gather clamps too: an index below 0 reads the entry for ``lo``, one past the end that for ``hi``.
+    return gray.take(data if lo == 0 else np.subtract(data, lo, dtype=np.intp), mode="clip")
 
 
 # -- image file I/O ---------------------------------------------------------------

@@ -7,9 +7,13 @@ module bins streams into rate series, simulates the cap with a deterministic
 decimation policy, flags saturated bins, and accounts bandwidth for both the
 compact wire format and a fixed 8-byte-per-event layout.
 
-One rule, :func:`_occupied_bins`, finds the bins (or ERC periods) that hold
-items, so memory follows the items, never the time span they cover. Only the
-series CSV lists the empty bins, and it writes them one chunk at a time.
+:func:`_event_bins` finds the bins that hold events, and :func:`_occupied_bins`
+the bins (or ERC periods) that hold items; memory follows the items, never the
+time span they cover. Sorted events with at least 16 per spanned bin are cut
+at each bin's start by a search; otherwise each timestamp is divided by the
+bin width, as the rate controller always does, since it thins shuffled input
+run by run. Only the series CSV lists the empty bins, and it writes
+them one chunk at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ DEFAULT_ERC_PERIOD_US = 1000
 DEFAULT_SATURATION_EVPS = 115_000_000  # sustained USB link limit
 DEFAULT_BIN_US = 1000
 _CSV_CHUNK_BINS = 1 << 14  # rate-series CSV rows built at a time
+# Fewest events per spanned bin at which a search for each bin's start beats dividing every timestamp:
+# measured on 10^5 to 5·10^6 sorted events, the search was 1.7x slower at 8 and won from 16 up.
+_SEARCH_EVENTS_PER_BIN = 16
 
 
 class RateError(EvfuseError):
@@ -78,13 +85,25 @@ def _occupied_bins(t: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _event_bins(events: Columns, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bins that hold events (checked to be time-sorted): each one's index and event count."""
+    """The bins that hold events (checked to be time-sorted): each one's index and event count.
+
+    When the span holds at least ``_SEARCH_EVENTS_PER_BIN`` events per bin, a
+    search for each bin's start (all of them at most ``t[-1]``, so none wraps)
+    cuts the sorted timestamps instead of dividing every one of them."""
     if bin_us <= 0:
         raise ValueError("bin width must be positive")
     t = events["t"]
     check_order(t)
-    index, first = _occupied_bins(t, bin_us)
-    return index, np.diff(first, append=t.shape[0])
+    n = t.shape[0]
+    span = int(t[-1]) // bin_us - int(t[0]) // bin_us + 1 if n else 1  # an empty stream divides
+    if span * _SEARCH_EVENTS_PER_BIN > n:
+        index, first = _occupied_bins(t, bin_us)
+        return index, np.diff(first, append=n)
+    index = np.uint64(int(t[0]) // bin_us) + np.arange(span, dtype=np.uint64)
+    first = np.searchsorted(t, index[1:] * np.uint64(bin_us))
+    counts = np.diff(first, prepend=0, append=n)
+    occupied = counts != 0
+    return index[occupied], counts[occupied]
 
 
 def rate_series(events: Columns, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
@@ -217,7 +236,10 @@ def rate_report(
         bins = np.union1d(index, trigger_bins)
         starts = np.concatenate(([0], np.cumsum(counts)))[np.searchsorted(index, bins)]
         starts += np.searchsorted(trigger_bins, bins)
-        bin_bytes = 2 * np.add.reduceat(stats.item_words, starts)
+        bin_words = np.add.reduceat(stats.words, starts, dtype=np.int64)
+        # each rollover run counts in the bin of the item that carries it
+        np.add.at(bin_words, np.searchsorted(starts, stats.rows, side="right") - 1, stats.run_lengths)
+        bin_bytes = 2 * bin_words
     mean_bps = total_bytes * 1_000_000 / duration
     peak_bps = max(float(bin_bytes.max()) * 1_000_000 / bin_us, mean_bps)
 

@@ -84,6 +84,7 @@ def test_render_binary():
 
 def _ref_render_gray(data, mode, clip):
     """The float formula per pixel, no lookup table (the reference)."""
+    data = data.astype(np.int64)  # unsigned surfaces too: polarity clips them at -clip
     if mode == "binary":
         return np.where(data != 0, 255, 0).astype(np.uint8)
     if mode == "count":
@@ -97,12 +98,18 @@ def _ref_render_gray(data, mode, clip):
 @pytest.mark.parametrize("clip", [1, 2, 3, 7, 255, 256, 10**6, 2**31 - 1])
 def test_render_gray_matches_float_formula(mode, clip):
     rng = np.random.default_rng(clip)
+    top, bottom = np.iinfo(np.int32).max, np.iinfo(np.int32).min
+    sensor = rng.integers(-4, 12, (720, 1280)).astype(np.int32)  # one EVK4-sized frame, a lookup table's size
+    sensor[0, :4] = top, bottom, -top, 0  # extremes that overflow an int32 index into that table
     for data in (
         rng.integers(-300, 300, (37, 53)).astype(np.int32),  # negative values and values above clip
         rng.integers(0, 4, (5, 6)).astype(np.int32),
         np.full((2, 3), -5, dtype=np.int32),
         np.zeros((0, 4), dtype=np.int32),
-        np.array([[np.iinfo(np.int32).max, 0, -np.iinfo(np.int32).max]], dtype=np.int32),
+        np.array([[top, 0, -top, bottom]], dtype=np.int32),
+        sensor,
+        np.array([[0, 5, 300, 65535]], dtype=np.uint16),  # unsigned, the per-pixel path unless clip is 1
+        rng.integers(0, 300, (37, 53)).astype(np.uint16),  # unsigned, the lookup table
     ):
         got = render_gray(data, mode, clip)
         assert got.dtype == np.uint8 and np.array_equal(got, _ref_render_gray(data, mode, clip))

@@ -10,11 +10,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evfuse.codec import encode_stats, write_csv
 from evfuse.rate import (
     ErcConfig,
     TooFewEvents,
+    _SEARCH_EVENTS_PER_BIN,
+    _event_bins,
     erc_filter,
     erc_thin,
     rate_report,
@@ -141,6 +145,40 @@ def test_series_memory_follows_items_not_span():
 def test_rate_series_rejects_bad_bin():
     with pytest.raises(ValueError):
         rate_series(_events_at([1]), bin_us=0)
+
+
+@st.composite
+def _sorted_times(draw):
+    """A bin width and sorted timestamps whose first and last lie in the first and last of ``span`` bins:
+    one event fewer than the edge search needs, as many, one more, or two, one or none; up to 2**64 - 1."""
+    bin_us = draw(st.sampled_from([1, 7, 1000, 2**40]))
+    span = draw(st.integers(1, 4))
+    at = _SEARCH_EVENTS_PER_BIN * span  # the fewest events that the edge search cuts
+    n = draw(st.sampled_from([at - 1, at, at + 1, 2, 1, 0]))
+    top_bin = (2**64 - 1) // bin_us - span + 1  # the last first bin whose span still fits in uint64
+    b0 = draw(st.one_of(st.just(top_bin), st.integers(0, top_bin)))
+    lo, hi = b0 * bin_us, min((b0 + span) * bin_us, 2**64) - 1
+    inner = draw(st.lists(st.integers(lo, hi), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    return bin_us, sorted(inner + [lo, hi][: min(n, 2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sorted_times())
+@example((1, []))  # empty
+@example((7, [2**64 - 1] * 3))  # one bin, the last one, divided
+@example((7, [2**64 - 1] * 16))  # the same bin, searched
+@example((2**40, [0, 2**40 - 1, 2**40, 2**64 - 1]))  # fewer events than the 2**24 bins they span
+@example((1, [2**64 - 3, 2**64 - 2, 2**64 - 1, 2**64 - 1]))  # three bins of four events, up to the top
+@example((1, [2**64 - 2] * 17 + [2**64 - 1] * 15))  # the last two bins, searched
+def test_event_bins_match_unique_of_the_division(case):
+    bin_us, times = case
+    t = np.array(times, dtype=np.uint64)
+    want_index, want_counts = np.unique(t // np.uint64(bin_us), return_counts=True)
+    events = _events_at(t)
+    series = rate_series(events, bin_us)
+    for index, counts in (_event_bins(events, bin_us), (series.index, series.counts)):
+        assert index.dtype == np.uint64 and counts.dtype == np.int64
+        assert np.array_equal(index, want_index) and np.array_equal(counts, want_counts)
 
 
 # -- ERC ---------------------------------------------------------------------------
@@ -343,16 +381,28 @@ def test_esf1_report_with_trigger_before_first_event_bin():
     assert rep.peak_bps >= rep.mean_bps
 
 
-def _brute_esf1_peak_bps(stream, bin_us):
-    """Peak esf1 bandwidth from the reference encoder's per-item word counts,
-    summed into bins one item at a time."""
-    _, counts = _ref_encode_words(stream)
+def _brute_esf1_peak_bps(stream, bin_us, item_words=None):
+    """Peak esf1 bandwidth from per-item word counts (by default the reference
+    encoder's), summed into bins one item at a time."""
+    counts = _ref_encode_words(stream)[1] if item_words is None else item_words
     bin_words = {}
     for t, c in zip(stream.merged_times().tolist(), counts.tolist()):
         bin_words[t // bin_us] = bin_words.get(t // bin_us, 0) + c
     t_ev = stream.events["t"].tolist()
     mean_bps = (16 + 2 * sum(counts.tolist())) * 1_000_000 / max(t_ev[-1] - t_ev[0], 1)
     return max(2 * max(bin_words.values()) * 1_000_000 / bin_us, mean_bps), mean_bps
+
+
+def _rollover_stream(seed):
+    """Events across the timestamp rollovers into epochs 1, 2 and (three at once) 5, with triggers at and just
+    after each: every rollover run is carried by an item in a bin that also holds triggers, at any bin width."""
+    epoch = 1 << 24
+    rng = np.random.default_rng(seed)
+    around = ((1, -3_000), (2, -3_000), (5, 0))  # epoch 5 only from its start, so no item lands in epoch 4
+    t_ev = np.sort(np.concatenate([k * epoch + rng.integers(lo, 3_000, 200) for k, lo in around]))
+    t_tr = np.sort(np.concatenate([k * epoch + np.array([0, 0, 1, 9]) for k in (1, 2, 5)]))
+    return EventStream(StreamHeader(64, 64), _events_at(t_ev, seed=seed),
+                       make_triggers(t_tr, np.arange(t_tr.shape[0]) % 2, np.arange(t_tr.shape[0]) % 16))
 
 
 @pytest.mark.parametrize("bin_us", [7, 100, 1000, 4096, 25_000, 1 << 24])
@@ -371,6 +421,15 @@ def test_esf1_peak_bps_matches_brute_force_bins(bin_us):
     assert rep.peak_bps == peak_bps
     assert rep.mean_bps == mean_bps
     assert bin_us >= 25_000 or peak_bps > mean_bps  # the bins, not the mean, set the peak
+
+    # rollover runs in bins with triggers, against encode_stats' own per-item counts and the reference encoder's
+    stream = _rollover_stream(bin_us)
+    stats = encode_stats(stream)
+    run_bins = stream.merged_times()[stats.rows] // np.uint64(bin_us)
+    assert stats.rows.shape[0] == 3 and np.isin(run_bins, stream.triggers["t"] // np.uint64(bin_us)).all()
+    rep = rate_report(stream, encoding="esf1", bin_us=bin_us)
+    assert (rep.peak_bps, rep.mean_bps) == _brute_esf1_peak_bps(stream, bin_us, stats.item_words)
+    assert (rep.peak_bps, rep.mean_bps) == _brute_esf1_peak_bps(stream, bin_us)
 
 
 def test_esf1_report_builds_merged_times_once(monkeypatch):
