@@ -119,12 +119,14 @@ def _number(convert, ok, expects: str):
 
 
 _positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_bin_width = _number(int, lambda v: 0 < v <= rate.MAX_BIN_US, f"an integer from 1 to {rate.MAX_BIN_US}")
 _nonnegative_int = _number(int, lambda v: v >= 0, "an integer >= 0")
 _sensor_dim = _number(int, lambda v: 0 < v <= MAX_SENSOR_DIM, f"an integer from 1 to {MAX_SENSOR_DIM}")
 _channel = _number(int, lambda v: 0 <= v < N_CHANNELS, f"a trigger channel 0-{N_CHANNELS - 1}")
 _positive_float = _number(float, lambda v: v > 0, "a positive number")  # inf: --saturation-evps flags no bin
 _positive_finite = _number(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-_blur_sigma = _number(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+# gaussian_blur's kernel radius, ceil(3 sigma), stays within a sensor side
+_blur_sigma = _number(float, lambda v: 0 <= 3 * v <= MAX_SENSOR_DIM, f"a number from 0 to {MAX_SENSOR_DIM}/3")
 _probability = _number(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1")
 _pair = _number(lambda t: tuple(map(float, t.split(","))), lambda v: len(v) == 2, "'X,Y' numbers")
 _wh = _number(lambda t: tuple(map(int, t.lower().split("x"))), lambda v: len(v) == 2 and min(v) > 0, "'WIDTHxHEIGHT'")
@@ -632,7 +634,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--threshold-px", type=_positive_finite, default=2.0)
         p.add_argument("--iterations", type=_positive_int, default=2000)
         p.add_argument("--confidence", type=_probability, default=0.999)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_nonnegative_int, default=0)
         p.add_argument("--min-inliers", type=int, default=5)
         p.add_argument("-o", "--out", default=None, metavar="H.json", help="write the fitted homography")
         p.add_argument("--report-out", default=None, help="report JSON (default: stdout)")
@@ -650,7 +652,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("rate", cmd_rate, "report event rate and bandwidth under an encoding"):
         p.add_argument("esf")
         p.add_argument("--encoding", default="esf1", choices=["esf1", "fixed8"])
-        p.add_argument("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US)
+        p.add_argument("--bin-us", type=_bin_width, default=rate.DEFAULT_BIN_US)
         p.add_argument("--saturation-evps", type=_positive_float, default=rate.DEFAULT_SATURATION_EVPS)
         p.add_argument("--series-out", default=None, metavar="CSV", help="per-bin counts (bin_start_us,count)")
         p.add_argument("-o", "--out", default=None)
@@ -658,7 +660,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add("erc", cmd_erc, "simulate the event-rate controller and write the thinned stream"):
         p.add_argument("esf")
         p.add_argument("--cap-evps", type=_positive_int, default=rate.DEFAULT_ERC_CAP_EVPS)
-        p.add_argument("--period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US)
+        p.add_argument("--period-us", type=_bin_width, default=rate.DEFAULT_ERC_PERIOD_US)
         p.add_argument("-o", "--out", required=True, help="output .esf path")
 
     if p := add("optics", cmd_optics, "lens/sensor resolvability math"):
@@ -721,14 +723,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         opt("--mode", default="polarity", choices=["count", "polarity", "binary"], help="(default: %(default)s)")
         opt("--clip", type=_positive_int, default=frames.DEFAULT_CLIP, help="full-scale event count (default: %(default)s)")
         opt("--erc-cap-evps", type=_positive_int, default=None, help="pre-filter through the rate controller")
-        opt("--erc-period-us", type=_positive_int, default=rate.DEFAULT_ERC_PERIOD_US, help="ERC period (default: %(default)s)")
+        opt("--erc-period-us", type=_bin_width, default=rate.DEFAULT_ERC_PERIOD_US, help="ERC period (default: %(default)s)")
         opt("--encoding", default="esf1", choices=["esf1", "fixed8"], help="bandwidth encoding (default: %(default)s)")
-        opt("--bin-us", type=_positive_int, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
+        opt("--bin-us", type=_bin_width, default=rate.DEFAULT_BIN_US, help="rate bin width (default: %(default)s)")
         opt("--radius", type=_nonnegative_int, default=16, help="integer search radius in px (default: %(default)s)")
         opt("--margin", type=_nonnegative_int, default=32, help="template inset from the border (default: %(default)s)")
         opt("--smooth-sigma", type=_blur_sigma, default=2.0, help="blur before matching (default: %(default)s)")
         opt("--threshold-px", type=_positive_finite, default=2.0, help="RANSAC inlier threshold (default: %(default)s)")
-        opt("--seed", type=int, default=0, help="RANSAC seed (default: %(default)s)")
+        opt("--seed", type=_nonnegative_int, default=0, help="RANSAC seed (default: %(default)s)")
         opt("--jobs", type=_positive_int, default=1, help="frame worker threads (default: %(default)s)")
         p.set_defaults(config_options=config_options)
 

@@ -7,13 +7,13 @@ module bins streams into rate series, simulates the cap with a deterministic
 decimation policy, flags saturated bins, and accounts bandwidth for both the
 compact wire format and a fixed 8-byte-per-event layout.
 
-:func:`_event_bins` finds the bins that hold events, and :func:`_occupied_bins`
-the bins (or ERC periods) that hold items; memory follows the items, never the
-time span they cover. Sorted events with at least 16 per spanned bin are cut
-at each bin's start by a search; otherwise each timestamp is divided by the
-bin width, as the rate controller always does, since it thins shuffled input
-run by run. Only the series CSV lists the empty bins, and it writes
-them one chunk at a time.
+:func:`rate_series` is the one builder of the bins that hold events, and
+:func:`_occupied_bins` finds runs of equal bin (or ERC period) in any order;
+memory follows the items, never the time span they cover. Sorted events with
+at least 16 per spanned bin are cut at each bin's start by a search; otherwise
+each timestamp is divided by the bin width, as the rate controller always does,
+since it thins shuffled input run by run. Bins and periods are 1 to
+``MAX_BIN_US`` µs wide. Only the series CSV lists the empty bins, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ DEFAULT_ERC_CAP_EVPS = 100_000_000  # explicit rate-controller cap
 DEFAULT_ERC_PERIOD_US = 1000
 DEFAULT_SATURATION_EVPS = 115_000_000  # sustained USB link limit
 DEFAULT_BIN_US = 1000
+MAX_BIN_US = 2**64 - 1  # widest bin or ERC period: a uint64, like the timestamps it divides
 _CSV_CHUNK_BINS = 1 << 14  # rate-series CSV rows built at a time
 # Fewest events per spanned bin at which a search for each bin's start beats dividing every timestamp:
 # measured on 10^5 to 5·10^6 sorted events, the search was 1.7x slower at 8 and won from 16 up.
@@ -84,33 +85,25 @@ def _occupied_bins(t: np.ndarray, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
     return bins[first], first
 
 
-def _event_bins(events: Columns, bin_us: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bins that hold events (checked to be time-sorted): each one's index and event count.
-
-    When the span holds at least ``_SEARCH_EVENTS_PER_BIN`` events per bin, a
-    search for each bin's start (all of them at most ``t[-1]``, so none wraps)
-    cuts the sorted timestamps instead of dividing every one of them."""
-    if bin_us <= 0:
-        raise ValueError("bin width must be positive")
+def rate_series(events: Columns, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
+    """Count event timestamps per fixed bin anchored at t = 0, over the occupied bins only;
+    unsorted events raise :class:`~evfuse.streams.UnsortedInput`. With at least
+    ``_SEARCH_EVENTS_PER_BIN`` events per spanned bin, a search for each bin's start (all
+    at most ``t[-1]``, so none wraps) cuts the sorted timestamps instead of dividing each."""
+    if not 1 <= bin_us <= MAX_BIN_US:
+        raise ValueError(f"bin width must be from 1 to {MAX_BIN_US} us")
     t = events["t"]
     check_order(t)
     n = t.shape[0]
     span = int(t[-1]) // bin_us - int(t[0]) // bin_us + 1 if n else 1  # an empty stream divides
     if span * _SEARCH_EVENTS_PER_BIN > n:
         index, first = _occupied_bins(t, bin_us)
-        return index, np.diff(first, append=n)
-    index = np.uint64(int(t[0]) // bin_us) + np.arange(span, dtype=np.uint64)
-    first = np.searchsorted(t, index[1:] * np.uint64(bin_us))
-    counts = np.diff(first, prepend=0, append=n)
+    else:
+        index = np.uint64(int(t[0]) // bin_us) + np.arange(span, dtype=np.uint64)
+        first = np.searchsorted(t, index * np.uint64(bin_us))  # the first cut is 0
+    counts = np.diff(first, append=n)
     occupied = counts != 0
-    return index[occupied], counts[occupied]
-
-
-def rate_series(events: Columns, bin_us: int = DEFAULT_BIN_US) -> RateSeries:
-    """Count event timestamps per fixed bin anchored at t = 0, over the
-    occupied bins only; unsorted events raise
-    :class:`~evfuse.streams.UnsortedInput`."""
-    return RateSeries(bin_us, *_event_bins(events, bin_us))
+    return RateSeries(bin_us, index[occupied], counts[occupied])
 
 
 @dataclass(frozen=True)
@@ -121,8 +114,8 @@ class ErcConfig:
     period_us: int = DEFAULT_ERC_PERIOD_US
 
     def __post_init__(self):
-        if self.cap_evps <= 0 or self.period_us <= 0:
-            raise ValueError("cap and period must be positive")
+        if self.cap_evps <= 0 or not 1 <= self.period_us <= MAX_BIN_US:
+            raise ValueError(f"cap must be positive and period from 1 to {MAX_BIN_US} us")
 
     @property
     def budget(self) -> int:
@@ -137,7 +130,7 @@ def _erc_keep(events: Columns, cfg: ErcConfig) -> np.ndarray:
     # runs of equal period id (no order check: shuffled input is thinned run by run)
     _, starts = _occupied_bins(events["t"], cfg.period_us)
     lengths = np.diff(starts, append=events.shape[0])
-    budget = cfg.budget
+    budget = min(cfg.budget, events.shape[0])  # no period holds more events than the input
     keep = np.repeat(lengths <= budget, lengths)
     # Each over-budget run's kept offsets, one (runs x budget) array no larger than the events; with
     # budget == 0 it is empty, and NumPy divides empty arrays by zero without complaint.
@@ -218,7 +211,8 @@ def rate_report(
     if n < 2:
         raise TooFewEvents(n)
     t = events["t"]
-    index, counts = _event_bins(events, bin_us)  # occupied bins only: an empty bin is neither peak nor saturated
+    series = rate_series(events, bin_us)  # occupied bins only: an empty bin is neither peak nor saturated
+    index, counts = series.index, series.counts
     duration = max(int(t[-1]) - int(t[0]), 1)
     rates = counts * (1_000_000.0 / bin_us)
     mean_evps = n * 1_000_000 / duration
@@ -228,14 +222,13 @@ def rate_report(
         total_bytes = 8 * n
         bin_bytes = counts * 8
     else:
-        stats = encode_stats(stream)  # also checks that the merged items are time-sorted
+        stats = encode_stats(stream)  # also checks the merged items' time order: the trigger times are searchable
         total_bytes = stats.n_bytes  # includes the 16-byte header
         # Words per bin over the bins that hold items, triggers included. A bin's
-        # first item comes after every event and trigger of the earlier bins.
-        trigger_bins = stream.triggers["t"] // np.uint64(bin_us)
-        bins = np.union1d(index, trigger_bins)
-        starts = np.concatenate(([0], np.cumsum(counts)))[np.searchsorted(index, bins)]
-        starts += np.searchsorted(trigger_bins, bins)
+        # first item comes after every event and trigger before the bin's start.
+        trigger_t = stream.triggers["t"]
+        edges = np.union1d(index, trigger_t // np.uint64(bin_us)) * np.uint64(bin_us)
+        starts = np.searchsorted(t, edges) + np.searchsorted(trigger_t, edges)
         bin_words = np.add.reduceat(stats.words, starts, dtype=np.int64)
         # each rollover run counts in the bin of the item that carries it
         np.add.at(bin_words, np.searchsorted(starts, stats.rows, side="right") - 1, stats.run_lengths)

@@ -330,9 +330,11 @@ def _encode_csv(tmp_path, name, lines):
 def test_erc_that_drops_nothing_gives_the_input_bytes(tmp_path, capsys):
     # triggers tied with the events after them: their place must survive the rate controller
     esf = _encode_csv(tmp_path, "in", ["trig,10,r,0", "cd,10,1,1,+1", "cd,10,2,1,+1", "trig,20,f,0", "cd,20,3,1,-1"])
-    assert run(["erc", str(esf), "-o", str(tmp_path / "out.esf")]) == 0
-    assert json.loads(capsys.readouterr().out)["n_dropped"] == 0
-    assert (tmp_path / "out.esf").read_bytes() == esf.read_bytes()
+    # so must a cap whose budget per period is far more than the input: it is never built at that size
+    for cap in ([], ["--cap-evps", "1000000000000000"], ["--cap-evps", str(10**30), "--period-us", "1000000"]):
+        assert run(["erc", str(esf), "-o", str(tmp_path / "out.esf")] + cap) == 0
+        assert json.loads(capsys.readouterr().out)["n_dropped"] == 0
+        assert (tmp_path / "out.esf").read_bytes() == esf.read_bytes()
 
 
 def test_erc_drops_only_the_thinned_events_and_keeps_every_trigger_in_place(tmp_path, capsys):
@@ -614,6 +616,10 @@ def test_pipeline_erc_cap_thins_events_before_the_rate_report(scene, tmp_path, c
             "cap_evps": 50000} in records
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["rate"]["n_events"] == erc["n_out"] < erc["n_in"]
+    # a budget per period far beyond the input, never built at that size, keeps every event
+    assert run(["pipeline", "--events", esf, "--erc-cap-evps", "1000000000000000", "-d", str(out_dir), "--no-meta"]) == 0
+    assert "rate controller dropped events" not in capsys.readouterr().err
+    assert json.loads((out_dir / "summary.json").read_text())["rate"]["n_events"] == erc["n_in"]
 
 
 def test_pipeline_unknown_config_key_is_usage_error(scene, tmp_path):
@@ -823,6 +829,10 @@ BAD_OPTION_ARGV = [
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--bin-us", "0"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--erc-cap-evps", "0"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--erc-period-us", "-1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--erc-period-us", "18446744073709551616"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--bin-us", "18446744073709551616"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--seed", "-1"],
+    ["pipeline", "--events", "{missing}", "-d", "{out}", "--smooth-sigma", "1e12"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--clip", "0"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--channel", "16"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--channel", "-1"],
@@ -833,17 +843,20 @@ BAD_OPTION_ARGV = [
     ["accumulate", "{missing}", "-d", "{out}", "--method", "m9"],
     ["accumulate", "{missing}", "-d", "{out}", "--clip", "0"],
     ["rate", "{missing}", "-o", "{out}", "--bin-us", "0"],
+    ["rate", "{missing}", "-o", "{out}", "--bin-us", "18446744073709551616"],
     ["rate", "{missing}", "-o", "{out}", "--saturation-evps", "0"],
     ["rate", "{missing}", "-o", "{out}", "--saturation-evps", "-5"],
     ["rate", "{missing}", "-o", "{out}", "--saturation-evps", "nan"],
     ["erc", "{missing}", "-o", "{out}", "--cap-evps", "0"],
     ["erc", "{missing}", "-o", "{out}", "--period-us", "0"],
+    ["erc", "{missing}", "-o", "{out}", "--period-us", "18446744073709551616"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--smooth-sigma", "nan"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--smooth-sigma", "inf"],
     ["pipeline", "--events", "{missing}", "-d", "{out}", "--smooth-sigma", "-1"],
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "nan"],
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "inf"],
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "-1"],
+    ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "1e12"],
     ["encode", "--csv", "{missing}", "--height", "4", "-o", "{out}", "--width", "0"],
     ["encode", "--csv", "{missing}", "--height", "4", "-o", "{out}", "--width", "5000"],
     ["encode", "--csv", "{missing}", "--width", "4", "-o", "{out}", "--height", "0"],
@@ -861,6 +874,7 @@ BAD_OPTION_ARGV = [
     ["calibrate", "--points", "{missing}", "-o", "{out}", "--confidence", "1"],
     ["calibrate", "--points", "{missing}", "-o", "{out}", "--confidence", "0"],
     ["calibrate", "--points", "{missing}", "-o", "{out}", "--confidence", "nan"],
+    ["calibrate", "--points", "{missing}", "-o", "{out}", "--seed", "-1"],
     # optics reads no input: a bad value must still be a usage error, not a printed result
     ["optics", "--distance-m", "100", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--object-m", "nan"],
     ["optics", "--distance-m", "100", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--object-m", "inf"],
@@ -895,7 +909,7 @@ def test_bad_option_value_is_usage_error_before_input_is_read(tmp_path, capsys, 
     [{"method": "m9"}, {"method": "start:1"}, {"jobs": 0}, {"bin_us": 0}, {"erc_cap_evps": 0},
      {"erc_period_us": 0}, {"clip": -3}, {"channel": 16},
      {"smooth_sigma": -1.0}, {"smooth_sigma": "inf"}, {"smooth_sigma": float("nan")},
-     {"radius": -1}, {"threshold_px": "nan"}],
+     {"radius": -1}, {"threshold_px": "nan"}, {"seed": -1}, {"bin_us": 2**64}, {"smooth_sigma": 1e12}],
 )
 def test_bad_config_value_is_usage_error_before_input_is_read(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -18,7 +18,6 @@ from evfuse.rate import (
     ErcConfig,
     TooFewEvents,
     _SEARCH_EVENTS_PER_BIN,
-    _event_bins,
     erc_filter,
     erc_thin,
     rate_report,
@@ -143,8 +142,9 @@ def test_series_memory_follows_items_not_span():
 
 
 def test_rate_series_rejects_bad_bin():
-    with pytest.raises(ValueError):
-        rate_series(_events_at([1]), bin_us=0)
+    for bin_us in (0, 2**64):  # a width is 1 to 2**64 - 1 us
+        with pytest.raises(ValueError):
+            rate_series(_events_at([1]), bin_us=bin_us)
 
 
 @st.composite
@@ -170,26 +170,30 @@ def _sorted_times(draw):
 @example((2**40, [0, 2**40 - 1, 2**40, 2**64 - 1]))  # fewer events than the 2**24 bins they span
 @example((1, [2**64 - 3, 2**64 - 2, 2**64 - 1, 2**64 - 1]))  # three bins of four events, up to the top
 @example((1, [2**64 - 2] * 17 + [2**64 - 1] * 15))  # the last two bins, searched
+@example((2**64 - 1, [0, 5, 2**64 - 2, 2**64 - 1]))  # the widest bins, divided
+@example((2**64 - 1, [0] * 20 + [2**64 - 1] * 12))  # the widest bins, searched
 def test_event_bins_match_unique_of_the_division(case):
     bin_us, times = case
     t = np.array(times, dtype=np.uint64)
     want_index, want_counts = np.unique(t // np.uint64(bin_us), return_counts=True)
     events = _events_at(t)
     series = rate_series(events, bin_us)
-    for index, counts in (_event_bins(events, bin_us), (series.index, series.counts)):
-        assert index.dtype == np.uint64 and counts.dtype == np.int64
-        assert np.array_equal(index, want_index) and np.array_equal(counts, want_counts)
+    assert series.index.dtype == np.uint64 and series.counts.dtype == np.int64
+    assert np.array_equal(series.index, want_index) and np.array_equal(series.counts, want_counts)
 
 
 # -- ERC ---------------------------------------------------------------------------
 
 
 def test_erc_under_cap_is_identity():
-    # 50 MEv/s against a 100 MEv/s cap: untouched.
+    # 50 MEv/s against a 100 MEv/s cap: untouched. So under caps whose budget, up to 10**30
+    # events per period, is far more than the input: it is never built at that size.
     t = np.arange(0, 100_000, 2, dtype=np.uint64)  # one event every 2 µs
     events = _events_at(t)
-    out = erc_filter(events, ErcConfig(100_000_000, 1000))
-    assert np.array_equal(out, events)
+    for cfg in (ErcConfig(100_000_000, 1000), ErcConfig(10**15, 1000), ErcConfig(10**30, 10**6),
+                ErcConfig(10**15, 2**64 - 1)):
+        assert np.array_equal(erc_filter(events, cfg), events)
+        assert np.array_equal(erc_thin(_stream(events), cfg).events, events)
 
 
 def test_erc_exact_halving():
@@ -343,6 +347,8 @@ def test_erc_rejects_bad_config():
         ErcConfig(0, 1000)
     with pytest.raises(ValueError):
         ErcConfig(1000, 0)
+    with pytest.raises(ValueError):
+        ErcConfig(1000, 2**64)  # a period is 1 to 2**64 - 1 us, like a rate bin
 
 
 # -- rate report -------------------------------------------------------------------
