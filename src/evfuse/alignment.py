@@ -6,6 +6,8 @@ blurred so nearby-but-not-identical contours still overlap, and the central
 patch of one is swept over the other under zero-normalized cross-correlation.
 The offset of the correlation peak (refined to subpixel) is the measured
 misalignment; its magnitude is the deviation reported to calibration checks.
+The blur before the sweep covers only the window the sweep reads, plus the
+kernel radius.
 
 All images are 2D float or uint8 arrays.
 """
@@ -59,16 +61,39 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return ndimage.convolve1d(out, kernel, axis=1, mode="reflect")
 
 
+def _blur_inside(image: np.ndarray, sigma: float, inset: int) -> np.ndarray:
+    """``gaussian_blur(image, sigma)`` bit for bit inside the window ``inset``
+    pixels in from every side, 0 outside it. Only the window and the kernel
+    radius around it are blurred, whatever the pixels hold; the full shape is
+    kept, as slices of a cropped copy would sum in another order."""
+    h, w = image.shape
+    lo = max(inset - int(math.ceil(3.0 * sigma)), 0)  # pixels from lo to h - lo reach the window
+    crop = gaussian_blur(image[lo : h - lo, lo : w - lo], sigma)
+    out = np.zeros((h, w))
+    out[inset : h - inset, inset : w - inset] = crop[inset - lo : h - inset - lo, inset - lo : w - inset - lo]
+    return out
+
+
 def sobel_gradients(image: np.ndarray) -> tuple:
     """``ndimage.correlate`` with ``SOBEL_X`` and ``SOBEL_Y``, mode "reflect", bit
     for bit: one shifted slice of the symmetrically padded image per non-zero
-    weight, added in correlate's order (row-major, from the first product)."""
+    weight, added in place in correlate's order (row-major, from the first
+    product)."""
     img = np.asarray(image, dtype=np.float64)
     rows, cols = img.shape
     padded = np.pad(img, 1, mode="symmetric")
     nw, n, ne, w, _, e, sw, s, se = (padded[dy : dy + rows, dx : dx + cols] for dy in range(3) for dx in range(3))
-    gx = ne - nw - 2.0 * w + 2.0 * e - sw + se
-    gy = sw - (nw + 2.0 * n + ne) + 2.0 * s + se
+    gx = ne - nw
+    two = np.multiply(w, 2.0)
+    gx -= two
+    gx += np.multiply(e, 2.0, out=two)
+    gx -= sw
+    gx += se
+    gy = nw + np.multiply(n, 2.0, out=two)
+    gy += ne
+    np.subtract(sw, gy, out=gy)
+    gy += np.multiply(s, 2.0, out=two)
+    gy += se
     return gx, gy
 
 
@@ -147,19 +172,25 @@ class ZnccResult:
 def zncc_score(template: np.ndarray, image: np.ndarray, dx: int = 0, dy: int = 0) -> float:
     """ZNCC between ``template`` and the same-size patch of ``image`` whose
     center sits ``(dx, dy)`` away from the image center."""
-    tpl = np.asarray(template, dtype=np.float64)
-    img = np.asarray(image, dtype=np.float64)
-    th, tw = tpl.shape
-    ih, iw = img.shape
+    return _zncc(*_centre(np.asarray(template, dtype=np.float64)), np.asarray(image, dtype=np.float64), dx, dy)
+
+
+def _centre(template: np.ndarray) -> tuple:
+    """The zero-mean template and its sum of squares."""
+    t0 = template - template.mean()
+    return t0, float((t0 * t0).sum())
+
+
+def _zncc(t0: np.ndarray, tv: float, image: np.ndarray, dx: int, dy: int) -> float:
+    """``zncc_score`` of the template that ``_centre`` gave as ``(t0, tv)``."""
+    th, tw = t0.shape
+    ih, iw = image.shape
     x0 = (iw - tw) // 2 + dx
     y0 = (ih - th) // 2 + dy
     if x0 < 0 or y0 < 0 or x0 + tw > iw or y0 + th > ih:
         raise ValueError(f"offset ({dx}, {dy}) pushes the patch outside the image")
-    patch = img[y0 : y0 + th, x0 : x0 + tw]
-
-    t0 = tpl - tpl.mean()
+    patch = image[y0 : y0 + th, x0 : x0 + tw]
     p0 = patch - patch.mean()
-    tv = float((t0 * t0).sum())
     pv = float((p0 * p0).sum())
     if tv <= VAR_EPS or pv <= VAR_EPS:
         raise ZeroVariance("constant patch under correlation")
@@ -183,11 +214,11 @@ def _subpixel(s_minus: float, s0: float, s_plus: float) -> float:
     return max(-0.5, min(0.5, delta))
 
 
-def _zncc_map(template: np.ndarray, image: np.ndarray, r: int) -> np.ndarray:
-    """ZNCC of ``template`` at every offset within ``r``: cell ``[dy + r, dx + r]``
-    holds ``zncc_score(template, image, dx, dy)``, NaN where it raises
-    ``ZeroVariance``. Every value is within 2.5e-10 of the exact score; the
-    NaN cells are exactly ``zncc_score``'s.
+def _zncc_map(t0: np.ndarray, tv: float, image: np.ndarray, r: int) -> np.ndarray:
+    """ZNCC at every offset within ``r`` of the template ``_centre`` gave as
+    ``(t0, tv)``: cell ``[dy + r, dx + r]`` holds ``zncc_score(template, image,
+    dx, dy)``, NaN where it raises ``ZeroVariance``. Every value is within
+    2.5e-10 of the exact score; the NaN cells are exactly ``zncc_score``'s.
 
     Lewis, "Fast Normalized Cross-Correlation" (1995): the numerators of all
     offsets come from one FFT correlation of the zero-mean template with the
@@ -198,13 +229,11 @@ def _zncc_map(template: np.ndarray, image: np.ndarray, r: int) -> np.ndarray:
     ``zncc_score`` itself. That happens when the patch holds a small share of
     the region's energy, e.g. when most of it sits in the 2r border strip.
     """
-    th, tw = template.shape
+    th, tw = t0.shape
     ih, iw = image.shape
     y0, x0 = (ih - th) // 2 - r, (iw - tw) // 2 - r
     region = image[y0 : y0 + th + 2 * r, x0 : x0 + tw + 2 * r]
     size = 2 * r + 1
-    t0 = template - template.mean()
-    tv = float((t0 * t0).sum())  # the same sum zncc_score checks
     if tv <= VAR_EPS:
         return np.full((size, size), np.nan)
 
@@ -233,9 +262,11 @@ def _zncc_map(template: np.ndarray, image: np.ndarray, r: int) -> np.ndarray:
     num = sp_fft.irfft2(spectrum, shape)[:size, :size]
 
     def box_sums(a):
-        sat = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
-        sat[1:, 1:] = a.cumsum(axis=0).cumsum(axis=1)
-        return sat[th:, tw:] - sat[:-th, tw:] - sat[th:, :-tw] + sat[:-th, :-tw]
+        rows = a.cumsum(axis=0)  # of the summed-area table only rows 0..2r and th..th+2r are read
+        top, bottom = np.zeros((2, size, a.shape[1] + 1))
+        top[1:, 1:] = rows[: size - 1].cumsum(axis=1)
+        bottom[:, 1:] = rows[-size:].cumsum(axis=1)
+        return bottom[:, tw:] - top[:, tw:] - bottom[:, :-tw] + top[:, :-tw]
 
     pv = box_sums(sq) - box_sums(g) ** 2 / n
     # Rounding bound on pv, doubled: a summed-area entry errs by at most
@@ -254,17 +285,17 @@ def _zncc_map(template: np.ndarray, image: np.ndarray, r: int) -> np.ndarray:
     # A pv error of tol / 2 moves a score by at most |score| * tol / (2 pv),
     # and a numerator error by num_tol / sqrt(tv * pv); both doubled.
     err = np.abs(scores) * tol / pv_safe + 2.0 * num_tol / np.sqrt(tv * pv_safe)
-    _rescore(scores, template, image, np.argwhere((pv <= VAR_EPS + tol) | (err > 2.5e-10)))
+    _rescore(scores, t0, tv, image, np.argwhere((pv <= VAR_EPS + tol) | (err > 2.5e-10)))
     return scores
 
 
-def _rescore(scores: np.ndarray, template: np.ndarray, image: np.ndarray, cells) -> None:
+def _rescore(scores: np.ndarray, t0: np.ndarray, tv: float, image: np.ndarray, cells) -> None:
     """Overwrite ``scores`` at ``cells`` ((iy, ix) rows) with exact ``zncc_score``
     values, NaN where the patch is constant."""
     r = scores.shape[0] // 2
     for iy, ix in cells:
         try:
-            scores[iy, ix] = zncc_score(template, image, int(ix) - r, int(iy) - r)
+            scores[iy, ix] = _zncc(t0, tv, image, int(ix) - r, int(iy) - r)
         except ZeroVariance:
             scores[iy, ix] = np.nan
 
@@ -294,9 +325,9 @@ def match_deviation(
     Euclidean deviation in pixels.
 
     The score map comes from ``_zncc_map``; the peak, every offset tied with
-    it, and the peak's four neighbours are re-scored by ``zncc_score``, so the
-    reported score, the tie-break and the subpixel refinement use the exact
-    values of a ``zncc_score`` sweep.
+    it, and the peak's four neighbours are re-scored exactly, so the reported
+    score, the tie-break and the subpixel refinement use the values of a
+    ``zncc_score`` sweep.
     """
     ref = np.asarray(reference, dtype=np.float64)
     tgt = np.asarray(target, dtype=np.float64)
@@ -310,20 +341,19 @@ def match_deviation(
         raise InvalidInput(f"image {w}x{h} too small for margin {margin}")
     _require_finite(ref, tgt)
 
-    if smooth_sigma > 0:
-        ref = gaussian_blur(ref, smooth_sigma)
-        tgt = gaussian_blur(tgt, smooth_sigma)
-    template = ref[margin : h - margin, margin : w - margin]
-
     r = search_radius
+    if smooth_sigma > 0:  # the template reads ref inside margin, the sweep tgt inside margin - r
+        ref = _blur_inside(ref, smooth_sigma, margin)
+        tgt = _blur_inside(tgt, smooth_sigma, margin - r)
+    t0, tv = _centre(ref[margin : h - margin, margin : w - margin])
     size = 2 * r + 1
-    scores = _zncc_map(template, tgt, r)
+    scores = _zncc_map(t0, tv, tgt, r)
     if np.isnan(scores).all():
         raise AllOffsetsUnusable("every candidate patch was constant")
     # The map is within 2.5e-10 of the exact scores and zncc_score rounds far
     # less than that, so every offset whose zncc_score can reach the peak's
     # lies within 1e-9 of the map's peak.
-    _rescore(scores, template, tgt, np.argwhere(scores >= np.nanmax(scores) - 1e-9))
+    _rescore(scores, t0, tv, tgt, np.argwhere(scores >= np.nanmax(scores) - 1e-9))
 
     best = np.nanmax(scores)
     ties = np.argwhere(scores == best)
@@ -335,7 +365,7 @@ def match_deviation(
 
     neighbours = [(y, x) for y, x in ((iy - 1, ix), (iy + 1, ix), (iy, ix - 1), (iy, ix + 1))
                   if 0 <= y < size and 0 <= x < size]
-    _rescore(scores, template, tgt, neighbours)
+    _rescore(scores, t0, tv, tgt, neighbours)
     sub_x, sub_y = 0.0, 0.0
     if 0 < ix < size - 1 and np.isfinite(scores[iy, ix - 1]) and np.isfinite(scores[iy, ix + 1]):
         sub_x = _subpixel(scores[iy, ix - 1], scores[iy, ix], scores[iy, ix + 1])

@@ -21,6 +21,7 @@ from evfuse.alignment import (
     NonFiniteInput,
     ZeroVariance,
     ZnccResult,
+    _centre,
     _sectors,
     _subpixel,
     _zncc_map,
@@ -379,8 +380,8 @@ def test_match_constant_target_makes_no_zncc_calls(monkeypatch, value):
     tgt = np.full((180, 240), value)
     with pytest.raises(AllOffsetsUnusable) as want:
         _brute_match(ref, tgt)
-    calls = []
-    monkeypatch.setattr(alignment, "zncc_score", lambda *args: calls.append(args) or zncc_score(*args))
+    calls, score = [], alignment._zncc  # the scorer every exact re-score goes through
+    monkeypatch.setattr(alignment, "_zncc", lambda *args: calls.append(args) or score(*args))
     with pytest.raises(AllOffsetsUnusable) as got:
         match_deviation(ref, tgt)
     assert calls == []
@@ -493,7 +494,7 @@ def _map_case(kind, h, w, r, margin, seed):
 )
 def test_zncc_map_matches_brute_force(kind, h, w, r, margin):
     template, target = _map_case(kind, h, w, r, margin, seed=h * w + r)
-    fast = _zncc_map(template, target, r)
+    fast = _zncc_map(*_centre(template), target, r)
     slow = _brute_map(template, target, r)
     assert np.array_equal(np.isnan(fast), np.isnan(slow))
     if kind == "constant" and r > 1:
@@ -515,6 +516,57 @@ def test_match_equals_brute_force(seed):
         ref, tgt = canny(ref).astype(float), canny(tgt).astype(float)
     expected = _brute_match(ref, tgt, r, margin, sigma)
     assert repr(match_deviation(ref, tgt, r, margin, sigma)) == repr(expected)
+
+
+def _sparse_pair(where, h=48, w=56, r=4, margin=8):
+    """(reference, target) of isolated pixels: a dot pattern inside the template
+    and its copy moved by (2, -1) in the target, plus support where ``where``
+    says; "outside" keeps all of it outside both read windows."""
+    rng = np.random.default_rng(sum(map(ord, where)))
+    ref = np.zeros((h, w))
+    if where == "empty":
+        return ref, ref.copy()
+    if where == "single":
+        tgt = ref.copy()
+        ref[h // 2, w // 2], tgt[h // 2 + 1, w // 2 - 2] = 1.0, 2.0
+        return ref, tgt
+    if where == "outside":
+        ref, tgt = (rng.random((2, h, w)) < 0.1).astype(float)
+        ref[margin : h - margin, margin : w - margin] = 0.0
+        tgt[margin - r : h - margin + r, margin - r : w - margin + r] = 0.0
+        return ref, tgt
+    ref[margin : h - margin, margin : w - margin] = rng.random((h - 2 * margin, w - 2 * margin)) < 0.04
+    tgt = _shift(ref, 2, -1)
+    edge = {"top": np.s_[0, :], "bottom": np.s_[-1, :], "left": np.s_[:, 0], "right": np.s_[:, -1],
+            "corners": np.s_[:: h - 1, :: w - 1]}[where]
+    ref[edge] += rng.random(ref[edge].shape) < 0.5
+    tgt[edge] += 3.0 * (rng.random(tgt[edge].shape) < 0.5)
+    return ref, tgt
+
+
+@pytest.mark.parametrize("where", ["top", "bottom", "left", "right", "corners", "outside", "single", "empty"])
+@pytest.mark.parametrize("sigma", [0.0, 1.0, 2.0, 25.0])  # radius 75 exceeds the 48x56 image
+def test_match_on_sparse_support_like_brute_force(where, sigma):
+    args = (*_sparse_pair(where), 4, 8, sigma)
+    got = _outcome(match_deviation, *args)
+    assert got == _outcome(_brute_match, *args)
+    if where == "empty":
+        assert got.startswith("AllOffsetsUnusable")
+
+
+@pytest.mark.parametrize("sigma, inset", [(2.0, 16), (2.0, 32), (1.0, 0)])
+def test_blur_inside_equals_full_blur_on_sensor_sized_events(sigma, inset):
+    # Event-like activity at 1280x720: a swept disk outline, counts 0-3, and
+    # background events over the whole frame, the border strips included.
+    ys, xs = np.mgrid[0:720, 0:1280]
+    img = np.round(np.clip(3.0 - np.abs(np.hypot(xs - 400, ys - 360) - 200.0), 0.0, 3.0))
+    rng = np.random.default_rng(22)
+    img[rng.integers(0, 720, 2000), rng.integers(0, 1280, 2000)] += 1.0
+    window = np.s_[inset : 720 - inset, inset : 1280 - inset]
+    got = alignment._blur_inside(img, sigma, inset)
+    assert got[window].tobytes() == gaussian_blur(img, sigma)[window].tobytes()
+    got[window] = 0.0
+    assert not got.any()
 
 
 def test_match_exact_tie_breaks_like_brute_force():
