@@ -228,14 +228,16 @@ def assign_events(events: streams.Columns, window_list) -> list:
 
     Returns one (possibly empty) view per window; an event is included when
     ``t0 <= t < t1``.  Windows may overlap, in which case events appear in
-    every window that covers them, and bounds clamp into the u64 range of
-    event times.  Unsorted events raise :class:`~evfuse.streams.UnsortedInput`
-    at the first one out of order.
+    every window that covers them.  A bound below 0 cuts before the first
+    event and one past 2**64 - 1 after the last.  Unsorted events raise
+    :class:`~evfuse.streams.UnsortedInput` at the first one out of order.
     """
     t = events["t"]
     streams.check_order(t)
-    bounds = np.array([[min(max(b, 0), 2**64 - 1) for b in (w.t0, w.t1)] for w in window_list], dtype=np.uint64)
-    return [events[i0:i1] for i0, i1 in np.searchsorted(t, bounds.reshape(-1, 2), side="left").tolist()]
+    bounds = [max(b, 0) for w in window_list for b in (w.t0, w.t1)]
+    cuts = np.searchsorted(t, np.array([min(b, 2**64 - 1) for b in bounds], dtype=np.uint64), side="left").tolist()
+    cuts = [t.shape[0] if b >= 2**64 else c for b, c in zip(bounds, cuts)]
+    return [events[i0:i1] for i0, i1 in zip(cuts[::2], cuts[1::2])]
 
 
 def window_counts(events: streams.Columns, window_list) -> np.ndarray:

@@ -388,6 +388,22 @@ def test_match_constant_target_makes_no_zncc_calls(monkeypatch, value):
     assert str(got.value) == str(want.value)
 
 
+def test_match_bright_blank_target_of_many_pixels_makes_no_zncc_calls(monkeypatch):
+    # 336 x 336 = 112,896 template pixels of 255: too many for a worst-case
+    # rounding bound on the region's energy to prove the target constant, but
+    # every patch of a constant region is the same, so one patch settles it
+    ref = _texture(np.random.default_rng(13), 400, 400)
+    tgt = np.full((400, 400), 255.0)
+    with pytest.raises(AllOffsetsUnusable) as want:
+        _brute_match(ref, tgt)
+    calls, score = [], alignment._zncc
+    monkeypatch.setattr(alignment, "_zncc", lambda *args: calls.append(args) or score(*args))
+    with pytest.raises(AllOffsetsUnusable) as got:
+        match_deviation(ref, tgt)
+    assert calls == []
+    assert str(got.value) == str(want.value)
+
+
 def _outcome(fn, *args):
     """``repr`` of the result, or the ``AllOffsetsUnusable`` message."""
     try:
@@ -411,9 +427,9 @@ def test_match_near_constant_target_like_brute_force(bump2, where):
 
 @pytest.mark.parametrize("value", [123456789.123, 1e12 / 3])
 def test_match_large_constant_target_like_brute_force(value):
-    # The float means of a large constant differ from patch to patch, so some
-    # patches' pv is rounding noise above VAR_EPS even where the region's
-    # energy is below it: the bound's mean-error term keeps these scored.
+    # A large constant's float mean rounds, so every patch's pv is the same
+    # rounding noise: 1.7e-12, above VAR_EPS, for the first value (every offset
+    # is scored) and 0.0 for the second (none is).
     ref = _texture(np.random.default_rng(12), 60, 60)
     tgt = np.full((60, 60), value)
     args = (ref, tgt, 4, 8, 0.0)

@@ -272,6 +272,15 @@ def test_assign_events_clamps_bounds_past_u64():
     assert [len(w) for w in assign_events(events, ws)] == [50, 0]
 
 
+def test_assign_events_bound_past_u64_keeps_an_event_at_the_last_timestamp():
+    # t = 2**64 - 1 lies before every bound past it, so such a bound cuts after it
+    events = make_events([5, 2**64 - 2, 2**64 - 1], np.zeros(3), np.zeros(3), np.ones(3))
+    ws = [SyncWindow(0, 0, 2**65), SyncWindow(1, 2**64 - 1, 2**70), SyncWindow(2, 2**64, 2**70),
+          SyncWindow(3, -5, 2**64 - 1)]
+    assert [w["t"].tolist() for w in assign_events(events, ws)] == [[5, 2**64 - 2, 2**64 - 1], [2**64 - 1], [], [5, 2**64 - 2]]
+    assert window_counts(events, ws).tolist() == [3, 1, 0, 2]
+
+
 def test_assign_events_rejects_shuffled_events():
     rng = np.random.default_rng(11)
     t = rng.permutation(np.arange(0, 100_000, 100, dtype=np.uint64))
