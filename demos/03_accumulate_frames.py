@@ -16,7 +16,7 @@ from evfuse import SceneSpec, accumulate, gen_scene, render_gray, write_pgm
 scene = gen_scene(SceneSpec(pattern="disk", velocity=(180.0, 60.0)))
 events = scene.stream.events
 width, height = scene.spec.width, scene.spec.height
-print(f"synthetic disk scene: {events.shape[0]} events on a {width}x{height} canvas")
+print(f"synthetic disk scene: {len(events)} events on a {width}x{height} canvas")
 
 out_dir = pathlib.Path(tempfile.mkdtemp(prefix="evfuse_accum_"))
 for mode in ("count", "polarity", "binary"):

@@ -40,7 +40,7 @@ cfg = ErcConfig(cap_evps=20_000_000, period_us=1000)
 kept = erc_filter(events, cfg)
 print(f"\nrate controller at {cfg.cap_evps / 1e6:.0f} MEv/s "
       f"(budget {cfg.budget} events per {cfg.period_us} us period):")
-print(f"  kept {kept.shape[0]} of {n} events ({kept.shape[0] / n:.1%})")
+print(f"  kept {len(kept)} of {n} events ({len(kept) / n:.1%})")
 
 thinned = rate_report(EventStream(StreamHeader(640, 480), kept))
 print(f"  peak after thinning: {thinned.peak_evps / 1e6:.1f} MEv/s")

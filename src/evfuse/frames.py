@@ -33,7 +33,7 @@ def accumulate(events, width: int, height: int, mode: str = "polarity") -> np.nd
     if mode not in ACCUMULATION_MODES:
         raise ValueError(f"unknown accumulation mode: {mode!r}")
     n_cells = width * height
-    if events.shape[0] == 0:
+    if len(events) == 0:
         return np.zeros((height, width), dtype=np.int32)
     flat = np.multiply(events["y"], width, dtype=np.int64)
     flat += events["x"]

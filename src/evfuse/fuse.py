@@ -61,7 +61,7 @@ def fuse(stream: streams.EventStream, windows, rgb=None, h=None, boxes=(), mode=
                 skipped = str(exc)
         moved = (labels.clip_box(b if h is None else labels.transfer_box(h, b), width, height)
                  for b in by_frame.get(w.frame_id, ()))
-        return FusedFrame(w, int(sub.shape[0]), frames.render_gray(acc, mode, clip),
+        return FusedFrame(w, len(sub), frames.render_gray(acc, mode, clip),
                           tuple(b for b in moved if b is not None), check, skipped)
 
     per_window = sync.assign_events(stream.events, windows)

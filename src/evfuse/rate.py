@@ -129,8 +129,8 @@ def _erc_keep(events: Columns, cfg: ErcConfig) -> np.ndarray:
     indices ``round(i*n/B)`` for ``i = 0..B-1``."""
     # runs of equal period id (no order check: shuffled input is thinned run by run)
     _, starts = _occupied_bins(events["t"], cfg.period_us)
-    lengths = np.diff(starts, append=events.shape[0])
-    budget = min(cfg.budget, events.shape[0])  # no period holds more events than the input
+    lengths = np.diff(starts, append=len(events))
+    budget = min(cfg.budget, len(events))  # no period holds more events than the input
     keep = np.repeat(lengths <= budget, lengths)
     # Each over-budget run's kept offsets, one (runs x budget) array no larger than the events; with
     # budget == 0 it is empty, and NumPy divides empty arrays by zero without complaint.
@@ -207,7 +207,7 @@ def rate_report(
     if not saturation_evps > 0:
         raise ValueError("saturation rate must be positive")
     events = stream.events
-    n = events.shape[0]
+    n = len(events)
     if n < 2:
         raise TooFewEvents(n)
     t = events["t"]

@@ -5,7 +5,8 @@ microsecond timestamps, alongside external trigger edges that mark the
 exposure window of a companion frame camera.  Both kinds of items share a
 single time-ordered stream.  This module holds the in-memory representation
 used throughout the package: one contiguous NumPy column per field, held by
-:class:`Columns`, plus a tiny header.
+:class:`Columns`, plus a tiny header.  ``np.asarray(columns)`` is the one
+conversion to packed records.
 
 Events and triggers are stored in separate arrays; the original interleaving
 is preserved via ``trigger_pos`` (the index of each trigger within the merged
@@ -151,10 +152,10 @@ class Columns:
 
     ``c["t"]`` is the ``t`` column itself, writable in place.  A slice (steps
     included) gives views of every column, and a mask or an index array,
-    like :meth:`take` and :meth:`copy`, new ones.  Anything that asks for
-    records (``np.asarray(c)``, :meth:`tobytes`, iteration, one int index)
-    gets ``dtype`` records, byte for byte as a record array holds them.
-    Equality compares the values of every column.
+    like :meth:`take` and :meth:`copy`, new ones; one int is no key.
+    ``np.asarray(c)`` is the one conversion to packed ``dtype`` records, byte
+    for byte as a record array holds them, and :meth:`of` the one way back.
+    Equality compares the dtype and the values of every column.
     """
 
     dtype: np.dtype  # EVENT_DTYPE or TRIGGER_DTYPE
@@ -187,20 +188,12 @@ class Columns:
     def __len__(self) -> int:
         return self.columns["t"].shape[0]
 
-    @property
-    def shape(self) -> tuple:
-        return (len(self),)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(col.nbytes for col in self.columns.values())
-
     def __getitem__(self, key):
         if isinstance(key, str):
             return self.columns[key]
         if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]  # IndexError out of range, as for a record array
-            return np.asarray(self[i : i + 1])[0]
+            raise TypeError("columns take a field name, a slice, a mask or an index array, "
+                            f"not the int {key}; np.asarray(c)[i] is record i")
         return self._each(lambda col: col[key])
 
     def take(self, indices) -> Columns:
@@ -216,12 +209,6 @@ class Columns:
         for name, col in self.columns.items():
             out[name] = col
         return out if dtype is None else out.astype(dtype, copy=False)
-
-    def tobytes(self) -> bytes:
-        return np.asarray(self).tobytes()
-
-    def __iter__(self):
-        return iter(np.asarray(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Columns):
@@ -276,7 +263,7 @@ class EventStream:
             self.trigger_pos = (pos + np.arange(len(self.triggers), dtype=np.int64)).astype(np.int64)
         else:
             self.trigger_pos = np.asarray(self.trigger_pos, dtype=np.int64)
-            if self.trigger_pos.shape[0] != self.triggers.shape[0]:
+            if len(self.trigger_pos) != len(self.triggers):
                 raise ValueError("trigger_pos length must match triggers")
             pos = self.trigger_pos
             if pos.shape[0] and not (pos[0] >= 0 and pos[-1] < self.n_items and (pos[1:] > pos[:-1]).all()):
@@ -286,11 +273,11 @@ class EventStream:
 
     @property
     def n_events(self) -> int:
-        return int(self.events.shape[0])
+        return len(self.events)
 
     @property
     def n_triggers(self) -> int:
-        return int(self.triggers.shape[0])
+        return len(self.triggers)
 
     @property
     def n_items(self) -> int:

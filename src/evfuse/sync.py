@@ -192,8 +192,6 @@ def windows(exposures, method) -> list:
     """
     exposures = list(exposures)
     _check_exposures(exposures)
-    if not exposures:
-        return []
     out = []
     for e, (q0, q1) in zip(exposures, _bounds4(exposures, method)):
         t0 = max(0, q0 // 4)
@@ -242,7 +240,7 @@ def assign_events(events: streams.Columns, window_list) -> list:
 
 def window_counts(events: streams.Columns, window_list) -> np.ndarray:
     """Number of events falling in each window."""
-    return np.array([s.shape[0] for s in assign_events(events, window_list)], dtype=np.int64)
+    return np.array([len(s) for s in assign_events(events, window_list)], dtype=np.int64)
 
 
 # -- integer-table CSV -----------------------------------------------------

@@ -261,7 +261,7 @@ def test_criterion_7_bandwidth(capfd):
             stream = _random_stream(rng, int(rng.integers(2, 30_000)), int(rng.integers(0, 40)))
             t = stream.events["t"]
             duration = max(int(t[-1]) - int(t[0]), 1)
-            n = stream.events.shape[0]
+            n = len(stream.events)
 
             fixed = rate_report(stream, encoding="fixed8")
             assert fixed.mean_bps == 8 * n * 1_000_000 / duration  # bit-exact, same expression

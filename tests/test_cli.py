@@ -310,14 +310,23 @@ def test_rate_report_and_series(scene, tmp_path, capsys):
     assert len(lines) == int(t[-1]) // 1000 - int(t[0]) // 1000 + 2
 
 
+def test_rate_warns_once_counting_the_saturated_bins(scene, capsys):
+    assert run(["rate", str(scene / "a" / "events.esf"), "--saturation-evps", "1000"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert len(doc["saturated_bins"]) > 1
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"level": "warning", "msg": "stream exceeds the saturation rate in some bins", "n_bins": len(doc["saturated_bins"])}]
+
+
 def test_erc_thins_and_output_decodes(scene, tmp_path, capsys):
     out = tmp_path / "thin.esf"
     assert run(["erc", str(scene / "a" / "events.esf"), "--cap-evps", "50000", "-o", str(out)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["n_out"] < doc["n_in"]
     thinned = read_esf(str(out))
-    assert thinned.events.shape[0] == doc["n_out"]
-    assert thinned.triggers.shape[0] == 14  # triggers pass through untouched
+    assert len(thinned.events) == doc["n_out"]
+    assert len(thinned.triggers) == 14  # triggers pass through untouched
 
 
 def _encode_csv(tmp_path, name, lines):
@@ -362,6 +371,21 @@ def test_optics_detectability_warning(capsys):
 
 def test_optics_unknown_sensor_is_usage_error(capsys):
     assert run(["optics", "--object-m", "1", "--distance-m", "10", "--focal-mm", "8", "--sensor", "gopro"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [(["--object-m", "1", "--sensor", "evk4"], ("--distance-m", "--focal-mm")),
+     (["--crop", "--sensor", "evk4", "--reference", "nope"], ("unknown sensor preset 'nope'",))],
+    ids=["extent without distance and focal length", "crop against an unknown reference"],
+)
+def test_optics_usage_error_names_what_is_missing_or_unknown(capsys, tmp_path, argv, names):
+    out = tmp_path / "out.json"
+    assert run(["optics", "-o", str(out)] + argv) == 1
+    captured = capsys.readouterr()
+    diag = json.loads(captured.err.splitlines()[-1])
+    assert diag["kind"] == "usage" and all(name in diag["msg"] for name in names), diag
+    assert captured.out == "" and not out.exists()
 
 
 def test_optics_no_mode_is_usage_error():
@@ -1138,8 +1162,9 @@ def bad_inputs(tmp_path_factory):
         "labels_inf.json": '[{"frame_id": 1e400, "class": "disk", "x": 1, "y": 1, "w": 1, "h": 1}]',
         "points_nan.csv": "src_x,src_y,dst_x,dst_y\n1,1,nan,1\n2,4,2,2\n3,9,3,3\n4,16,4,4\n",
         "points_huge.csv": "".join(f"1e308,-1e308,{i},{i * i}\n" for i in range(1, 7)),
-        # the falling trigger edge's TIME_LOW is below the rising edge's
         "t_past_u64.csv": "cd,1,1,1,+1\ncd,18446744073709551616,1,1,+1\n",
+        "no_triggers.esf": _esf(32, 24, [(codec.TYPE_CD_Y, 1), (codec.TYPE_CD_X, 1)]),
+        # the falling trigger edge's TIME_LOW is below the rising edge's
         "backwards.esf": _esf(32, 24, [(codec.TYPE_TIME_LOW, 100), (codec.TYPE_EXT_TRIGGER, 1),
                                        (codec.TYPE_TIME_LOW, 50), (codec.TYPE_EXT_TRIGGER, 0)]),
     }
@@ -1168,6 +1193,8 @@ BAD_INPUTS = [
     pytest.param(["pipeline", "--events", "{d}/tiny/events.esf", "--frames-dir", "{d}/tiny_rgb/frames", "-d", "{o}"],
                  "InvalidInput", "margin 32", id="pipeline sensor too small for the margin"),
     pytest.param(["sync", "{d}/backwards.esf", "-o", "{o}"], "InvalidInput", "exposure 0", id="sync backwards triggers"),
+    pytest.param(["sync", "{d}/no_triggers.esf", "-o", "{o}"], "TooFewExposures", "at least 2 exposures",
+                 id="sync stream without triggers"),
     pytest.param(["pipeline", "--events", "{d}/backwards.esf", "-d", "{o}"], "InvalidInput", "exposure 0",
                  id="pipeline backwards triggers"),
     pytest.param(_label_transfer(labels="{d}/text.txt"), "InvalidInput", "{d}/text.txt",

@@ -126,19 +126,9 @@ class ReferenceDecoder:
 
 def _stream_items(stream):
     """Flatten a stream into the golden model's item tuples."""
-    out = []
-    mask = _merged_mask(stream)
-    ei = ti = 0
-    for is_trig in mask:
-        if is_trig:
-            r = stream.triggers[ti]
-            ti += 1
-            out.append(("trig", int(r["t"]), int(r["edge"]), int(r["channel"])))
-        else:
-            r = stream.events[ei]
-            ei += 1
-            out.append(("cd", int(r["t"]), int(r["x"]), int(r["y"]), int(r["p"])))
-    return out
+    cds = zip(*(stream.events[f].tolist() for f in ("t", "x", "y", "p")))
+    trigs = zip(*(stream.triggers[f].tolist() for f in ("t", "edge", "channel")))
+    return [("trig", *next(trigs)) if is_trig else ("cd", *next(cds)) for is_trig in _merged_mask(stream)]
 
 
 def _random_stream(rng, n_events=200, n_triggers=8, width=640, height=480, t_span=5_000_000):
@@ -277,16 +267,14 @@ def test_decode_single_event_words():
     )
     s = decode_esf(data)
     assert s.n_events == 1 and s.n_triggers == 0
-    e = s.events[0]
-    assert (int(e["t"]), int(e["x"]), int(e["y"]), int(e["p"])) == (2**12 + 2, 3, 5, -1)
+    assert _stream_items(s) == [("cd", 2**12 + 2, 3, 5, -1)]
 
 
 def test_decode_trigger_words():
     data = make_header(1280, 720) + pack_words([build_time_high(1), build_time_low(0), 0xA101])
     s = decode_esf(data)
     assert s.n_events == 0 and s.n_triggers == 1
-    r = s.triggers[0]
-    assert (int(r["t"]), int(r["edge"]), int(r["channel"])) == (4096, 1, 1)
+    assert _stream_items(s) == [("trig", 4096, 1, 1)]
 
 
 def test_encode_trigger_words():
@@ -703,7 +691,8 @@ def test_decode_memory_follows_the_output():
     finally:
         tracemalloc.stop()
     assert out == s
-    out_bytes = out.events.nbytes + out.triggers.nbytes + out.trigger_pos.nbytes
+    columns = [*out.events.columns.values(), *out.triggers.columns.values(), out.trigger_pos]
+    out_bytes = sum(col.nbytes for col in columns)
     assert peak <= out_bytes + 16 * 2**20, (peak, out_bytes)
 
 

@@ -16,8 +16,7 @@ from evfuse.streams import make_events
 
 def _brute_accumulate(events, width, height, mode):
     out = np.zeros((height, width), dtype=np.int32)
-    for ev in events:
-        x, y, p = int(ev["x"]), int(ev["y"]), int(ev["p"])
+    for x, y, p in zip(events["x"].tolist(), events["y"].tolist(), events["p"].tolist()):
         if mode == "count":
             out[y, x] += 1
         elif mode == "polarity":

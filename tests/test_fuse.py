@@ -85,3 +85,34 @@ def test_fuse_checks_each_frame_against_its_warped_rgb_frame(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(calls) == 2  # one pull-back per run, not one per frame
+
+
+def test_a_constant_rgb_frame_is_reported_and_left_out_of_the_median(tmp_path, capsys):
+    # the README scene, planted 5 px shift, with one RGB frame blanked: its alignment check is unusable
+    spec = synth.SceneSpec()
+    scene = synth.gen_scene(spec)
+    view = synth.warp_view(spec, np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    blank = 3
+    rgb_frames = [np.full_like(f, 255) if i == blank else f for i, f in enumerate(view.frames)]
+
+    fused = list(fuse.fuse(scene.stream, _scene_windows(scene), lambda i: rgb_frames[i].astype(np.float64)))
+    assert [f.skipped for f in fused] == ["every candidate patch was constant" if i == blank else None
+                                          for i in range(len(fused))]
+    assert [f.check is None for f in fused] == [i == blank for i in range(len(fused))]
+
+    codec.write_esf(str(tmp_path / "events.esf"), scene.stream)
+    (tmp_path / "rgb").mkdir()
+    for i, image in enumerate(rgb_frames):
+        frames.write_pgm(str(tmp_path / "rgb" / f"frame_{i}.pgm"), image)
+    capsys.readouterr()
+    assert cli.main(["pipeline", "--events", str(tmp_path / "events.esf"), "--frames-dir", str(tmp_path / "rgb"),
+                     "-d", str(tmp_path / "out"), "--no-meta"]) == 0
+    warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert warnings == [{"level": "warning", "msg": "alignment check unusable for frame", "frame_id": blank,
+                         "reason": "every candidate patch was constant"}]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["frames"] == [f.to_json() for f in fused]
+    assert "deviation_px" not in summary["frames"][blank]
+    others = [e["deviation_px"] for e in summary["frames"] if e["frame_id"] != blank]
+    assert len(others) == len(fused) - 1
+    assert summary["deviation_median_px"] == round(float(np.median(others)), 3)

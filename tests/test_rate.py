@@ -203,7 +203,7 @@ def test_erc_exact_halving():
     t = np.zeros(2 * b, dtype=np.uint64)
     events = _events_at(t)
     out = erc_filter(events, cfg)
-    assert out.shape[0] == b
+    assert len(out) == b
     assert np.array_equal(out, events[0 : 2 * b : 2])
 
 
@@ -338,7 +338,7 @@ def test_erc_monotone_in_cap():
     events = _events_at(t)
     sizes = []
     for cap in (10, 30, 60, 90, 150):
-        sizes.append(erc_filter(events, ErcConfig(cap * 1_000_000, 1000)).shape[0])
+        sizes.append(len(erc_filter(events, ErcConfig(cap * 1_000_000, 1000))))
     assert sizes == sorted(sizes)
 
 

@@ -1,5 +1,5 @@
 """The column container behind every event and trigger array: views,
-copies, and the records it gives to code that asks for them."""
+copies, and the one conversion to and from packed records."""
 
 from __future__ import annotations
 
@@ -50,21 +50,23 @@ def test_slices_are_views_and_take_and_copy_are_not():
 def test_records_are_the_packed_layout_byte_for_byte():
     events, records = _sample()
     assert np.asarray(events).dtype == EVENT_DTYPE
-    assert np.asarray(events).tobytes() == records.tobytes() == events.tobytes()
+    assert np.asarray(events).tobytes() == records.tobytes()
     assert np.asarray(events[::4]).tobytes() == records[::4].tobytes()
-    assert events.nbytes == 13 * len(events) == records.nbytes
+    assert np.asarray(events).nbytes == 13 * len(events) == records.nbytes
     triggers = make_triggers([1, 5, 9], [1, 0, 1], [0, 15, 3])
-    assert triggers.tobytes() == _records(TRIGGER_DTYPE, t=[1, 5, 9], edge=[1, 0, 1], channel=[0, 15, 3]).tobytes()
+    want = _records(TRIGGER_DTYPE, t=[1, 5, 9], edge=[1, 0, 1], channel=[0, 15, 3])
+    assert np.asarray(triggers).tobytes() == want.tobytes()
+    assert Columns.of(want, TRIGGER_DTYPE) == triggers and Columns.of(records, EVENT_DTYPE) == events
 
 
-def test_iteration_and_one_int_index_give_records():
+@pytest.mark.parametrize("key", [0, -1, 7, np.int64(2)])
+def test_one_int_is_no_key(key):
     events, records = _sample(n=7)
-    got = list(events)
-    assert len(got) == 7 and all(r.dtype == EVENT_DTYPE for r in got)
-    assert [r.tolist() for r in got] == [r.tolist() for r in records]
-    assert events[-1].tolist() == records[-1].tolist() and events[np.int64(2)].tolist() == records[2].tolist()
-    with pytest.raises(IndexError):
-        events[7]
+    with pytest.raises(TypeError, match=r"field name, a slice, a mask or an index array.*np\.asarray\(c\)\[i\]"):
+        events[key]
+    with pytest.raises(TypeError, match="field name"):
+        list(events)  # no record-by-record iteration either
+    assert np.asarray(events)[2].tolist() == records[2].tolist()  # the record way in the message works
 
 
 def test_stream_from_concatenated_slices_holds_the_same_events():
@@ -96,8 +98,8 @@ def test_columns_must_match_the_record_fields():
 
 def test_every_record_array_use_the_benchmark_makes():
     events, records = _sample(n=200)
-    # len, shape, dtype names, and name indexing that returns the column, writable in place
-    assert len(events) == events.shape[0] == 200 and events.dtype.names == ("t", "x", "y", "p")
+    # len, dtype names, and name indexing that returns the column, writable in place
+    assert len(events) == 200 and events.dtype.names == ("t", "x", "y", "p")
     edited = events.copy()
     edited["x"][len(edited) // 2] ^= 1
     edited["t"][-1] += 1

@@ -179,9 +179,11 @@ def test_median_period_even_and_odd():
 def test_presets_need_two_exposures():
     one = [ExposureInterval(0, 100, 200)]
     assert windows(one, SyncMethod.EXPOSURE)[0].t1 == 200
-    for m in (SyncMethod.FRAME_LEADING, SyncMethod.CENTERED, SyncMethod.MIDPOINT):
-        with pytest.raises(TooFewExposures):
-            windows(one, m)
+    assert windows([], SyncMethod.EXPOSURE) == windows([], CustomWindow("start", 0, 10)) == []
+    for exposures in ([], one):  # none is as few as one
+        for m in (SyncMethod.FRAME_LEADING, SyncMethod.CENTERED, SyncMethod.MIDPOINT):
+            with pytest.raises(TooFewExposures):
+                windows(exposures, m)
 
 
 def test_windows_reject_overlapping_exposures():
