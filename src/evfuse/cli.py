@@ -4,7 +4,8 @@ Conventions shared by every subcommand:
 
 * exit status is 0 on success, 1 for usage errors, 2 for data errors: an
   ``EvfuseError`` or ``OSError`` (``InvalidInput`` names the input file and
-  why); anything else is an evfuse bug, with a traceback and no JSON record;
+  why), 3 for a ``MemoryError``; anything else is an evfuse bug, with a
+  traceback and no JSON record;
 * option values are checked by the parser, before any input is read, so a
   bad value is always a usage error: every numeric option declares its range
   through one rule (``_number``), and ``--method`` takes the window rule, a
@@ -48,6 +49,7 @@ from .streams import MAX_SENSOR_DIM, N_CHANNELS, EventStream, LineRule, check_or
 OK = 0
 USAGE_ERROR = 1
 DATA_ERROR = 2
+MEMORY_ERROR = 3
 
 # Exceptions that mean "the inputs were bad", not "the invocation was bad".
 _DATA_ERRORS = (EvfuseError, OSError)
@@ -749,6 +751,9 @@ def main(argv=None) -> int:
         msg = str(exc) or exc.__class__.__name__
         _diag("error", msg, kind=exc.__class__.__name__)
         return DATA_ERROR
+    except MemoryError as exc:  # NumPy's allocation failures included
+        _diag("error", str(exc) or "out of memory", kind="MemoryError")
+        return MEMORY_ERROR
 
 
 if __name__ == "__main__":

@@ -152,7 +152,8 @@ class Columns:
 
     ``c["t"]`` is the ``t`` column itself, writable in place.  A slice (steps
     included) gives views of every column, and a mask or an index array,
-    like :meth:`take` and :meth:`copy`, new ones; one int is no key.
+    like :meth:`take` and :meth:`copy`, new ones; an int, a bool, ``None``
+    or a tuple is no key.
     ``np.asarray(c)`` is the one conversion to packed ``dtype`` records, byte
     for byte as a record array holds them, and :meth:`of` the one way back.
     Equality compares the dtype and the values of every column.
@@ -191,9 +192,9 @@ class Columns:
     def __getitem__(self, key):
         if isinstance(key, str):
             return self.columns[key]
-        if isinstance(key, (int, np.integer)):
+        if key is None or isinstance(key, (int, np.integer, np.bool_, tuple)):  # each drops or adds an axis
             raise TypeError("columns take a field name, a slice, a mask or an index array, "
-                            f"not the int {key}; np.asarray(c)[i] is record i")
+                            f"not {key!r}; np.asarray(c)[i] is record i")
         return self._each(lambda col: col[key])
 
     def take(self, indices) -> Columns:

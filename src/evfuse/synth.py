@@ -26,11 +26,15 @@ stays inside, and one whose end distances sum to more than ``pattern_size + 1``
 plus the travel stays outside; only the other pixels are evaluated. A firing counts every
 crossing its pixel's residual still passes the firing test for, so no residual
 can fire by itself, and a pixel whose change is 0 never fires: the generator
-works on the nonzero changes alone, per pixel, not step by step.
+works on the nonzero changes alone, per pixel, not step by step. A pixel that
+no batch of an exposure evaluates holds one intensity through it, so its frame
+value comes from one scalar running sum per saturated intensity; only the
+bands, and any pixel at neither saturated intensity, are summed step by step.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field, replace
 
@@ -249,53 +253,84 @@ def _changes(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, boxes: np.ndarray)
     """Phase 1: the nonzero log(I+1) changes as ``(step, pixel, delta)``
     arrays, step-major and pixel-ascending, and the 8-bit frames. A batch
     evaluates its pixels alone: ``i_now`` and ``log_prev`` already hold the
-    others' values, which its steps leave as they are."""
+    others' values, which its steps leave as they are. So an exposure sums
+    step by step only the bands of its batches and any pixel at neither
+    saturated intensity; every other pixel holds one saturated intensity
+    throughout, whose running sum is one scalar sequence of float64 adds."""
     height, width = xs.shape
     # exposures never overlap (exposure <= period), and step 0 exposes frame 0
     frame, phase = np.divmod(np.arange(boxes.shape[0]) * spec.dt_us, spec.period_us)
     exposing = (frame < spec.n_frames) & (phase < spec.exposure_us)
     closing = exposing & np.append(~exposing[1:] | (frame[1:] != frame[:-1]), True)  # a frame's last step
     n_exposing = np.bincount(frame[exposing], minlength=spec.n_frames)
-    frames = np.zeros((spec.n_frames, height, width), dtype=np.uint8)
+    frames = np.empty((spec.n_frames, height, width), dtype=np.uint8)
     i_now = _intensity(spec, xs, ys, 0.0)
     log_prev = np.log1p(i_now)
-    intensity_sum = np.zeros((height, width))  # one frame's integral at a time
+    now, prev, flat_xs, flat_ys = (a.reshape(-1) for a in (i_now, log_prev, xs, ys))
+    saturated = spec.background + (spec.foreground - spec.background) * np.array([0.0, 1.0])  # as _intensity has them
+    source = ((k0, k1, rows * width + cols) for k0, k1, (rows, cols) in _batches(spec, xs, ys, boxes))
+    ahead = collections.deque()  # batches drawn early, to learn an exposure's bands
+    summed = total = None  # the open exposure's summed pixels and their running sums
 
-    def expose(k: int) -> None:
-        np.add(intensity_sum, i_now, out=intensity_sum)
+    def expose(k: int, k1: int, band: np.ndarray) -> None:
+        """Add step ``k`` to its exposure; the batch running ``k`` ends before ``k1`` and evaluates ``band``."""
+        nonlocal summed, total
+        n = n_exposing[frame[k]]
+        if summed is None:  # k opens the exposure, whose steps are k to k + n - 1
+            while (ahead[-1][1] if ahead else k1) < k + n and (drawn := next(source, None)):
+                ahead.append(drawn)
+            mask = (now != saturated[0]) & (now != saturated[1])
+            mask[np.concatenate([band] + [b for k0, _, b in ahead if k0 < k + n])] = True
+            summed = np.flatnonzero(mask)
+            total = np.zeros(summed.size)
+        total += now[summed]
         if closing[k]:
-            frames[frame[k]] = np.clip(np.rint(intensity_sum / n_exposing[frame[k]]), 0, 255).astype(np.uint8)
-            intensity_sum.fill(0.0)
+            sums = np.zeros(2)
+            for _ in range(n):
+                sums += saturated
+            level = np.clip(np.rint(sums / n), 0, 255).astype(np.uint8)
+            out = frames[frame[k]]
+            out.fill(level[0])
+            np.copyto(out, level[1], where=i_now == saturated[1])
+            out.reshape(-1)[summed] = np.clip(np.rint(total / n), 0, 255).astype(np.uint8)
+            summed = None
 
-    expose(0)
+    expose(0, 1, np.empty(0, dtype=np.int64))
     parts = []
-    for k0, k1, at in _batches(spec, xs, ys, boxes):
-        i_band = _intensity(spec, xs[at], ys[at], np.arange(k0, k1)[:, None] * float(spec.dt_us))
+    while batch := (ahead.popleft() if ahead else next(source, None)):
+        k0, k1, band = batch
+        i_band = _intensity(spec, flat_xs[band], flat_ys[band], np.arange(k0, k1)[:, None] * float(spec.dt_us))
         log_now = np.log1p(i_band)
-        delta = np.diff(log_now, axis=0, prepend=log_prev[at][None])
+        delta = np.diff(log_now, axis=0, prepend=prev[band][None])
         k, j = np.nonzero(delta)
-        parts.append((k + k0, at[0][j] * width + at[1][j], delta[k, j]))
-        log_prev[at] = log_now[-1]
+        parts.append((k + k0, band[j], delta[k, j]))
+        prev[band] = log_now[-1]
         for k in np.flatnonzero(exposing[k0:k1]):
-            i_now[at] = i_band[k]
-            expose(k0 + k)
-        i_now[at] = i_band[-1]
-    return *map(np.concatenate, zip(*parts)), frames
+            now[band] = i_band[k]
+            expose(k0 + k, k1, band)
+        now[band] = i_band[-1]
+    parts = list(zip(*parts))  # each column's parts are freed once it is joined, before the next is
+    return *(np.concatenate(parts.pop(0)) for _ in range(3)), frames
 
 
 def _fire(pix: np.ndarray, delta: np.ndarray, c: float) -> tuple:
     """Phase 2: the firings, in change order, as the changes' indices, counts
-    ``m``, signs, residuals before the step and deltas."""
+    ``m``, signs, residuals before the step and deltas. The changed pixels
+    are ordered once by change count, most first, so the pixels with an
+    ``r``-th change are a prefix: rank ``r`` updates the prefix of the
+    residuals in place."""
     by_pixel = np.argsort(pix, kind="stable")
-    first = np.flatnonzero(np.diff(pix[by_pixel], prepend=-1))
-    count = np.diff(first, append=by_pixel.size)
+    count = np.bincount(pix)
+    count = count[count > 0]  # the changed pixels', ascending as in by_pixel
+    first = (np.cumsum(count) - count)[np.argsort(-count, kind="stable")]
+    n_live = first.size - np.cumsum(np.bincount(count))[:-1]  # rank r: the pixels with an r-th change
     acc = np.zeros(first.size)
     parts = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0), np.empty(0))]
-    for r in range(count.max(initial=0)):
-        live = np.flatnonzero(count > r)  # the pixels with an r-th change
-        ids = by_pixel[first[live] + r]
+    for r, n in enumerate(n_live.tolist()):
+        ids = by_pixel[first[:n] + r]
         d = delta[ids]
-        acc_r = acc[live] + d
+        acc_r = acc[:n]
+        acc_r += d
         m = np.floor(np.abs(acc_r) / c).astype(np.int64)
         fired = np.flatnonzero(m)
         m_f, acc_f = m[fired], acc_r[fired]
@@ -305,8 +340,8 @@ def _fire(pix: np.ndarray, delta: np.ndarray, c: float) -> tuple:
             m_f = m_f + more
         parts.append((ids[fired], m_f, s, acc_f - d[fired], d[fired]))
         acc_r[fired] = acc_f - s * m_f * c
-        acc[live] = acc_r
     ids, *rest = map(np.concatenate, zip(*parts))
+    del by_pixel, parts  # the ordering below needs neither: freed, they keep the peak down
     order = np.argsort(ids)
     return ids[order], *(x[order] for x in rest)
 

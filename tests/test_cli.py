@@ -1028,6 +1028,20 @@ def test_value_error_inside_a_subcommand_escapes_main(monkeypatch):
         cli.main(["info", "events.esf"])
 
 
+def test_memory_error_inside_a_subcommand_is_one_record_with_status_3(monkeypatch, capsys):
+    # an allocation the machine cannot hold is neither bad usage (1) nor bad data (2); NumPy's
+    # failed allocations are MemoryError subclasses
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_info", exhausted)
+    assert cli.main(["info", "events.esf"]) == cli.MEMORY_ERROR == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    rec = json.loads(err[0])
+    assert rec == {"level": "error", "kind": "MemoryError", "msg": "Unable to allocate 16.0 TiB for an array"}
+
+
 def test_pipeline_rejects_windows_csv_with_repeated_frame_id(scene, tmp_path, capsys):
     windows_csv = tmp_path / "windows.csv"
     windows_csv.write_text("frame_id,t0_us,t1_us\n0,0,50000\n1,50000,100000\n# again\n0,100000,150000\n")

@@ -69,6 +69,13 @@ def test_one_int_is_no_key(key):
     assert np.asarray(events)[2].tolist() == records[2].tolist()  # the record way in the message works
 
 
+@pytest.mark.parametrize("key", [np.True_, (0,), None], ids=["bool", "tuple", "none"])
+def test_a_key_that_changes_the_dimension_is_no_key(key):
+    events, _ = _sample(n=7)
+    with pytest.raises(TypeError, match=r"field name, a slice, a mask or an index array.*np\.asarray\(c\)\[i\]"):
+        events[key]
+
+
 def test_stream_from_concatenated_slices_holds_the_same_events():
     events, records = _sample()
     joined = np.concatenate([events[:20], events[20:21], events[21:]])

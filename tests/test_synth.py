@@ -234,6 +234,13 @@ ORACLE_CHANGES = {
     "larger-than-canvas": {"pattern_size": 100.0, "start": (-20.0, 30.0), "velocity": (300.0, -60.0)},
     # union boxes of about 84 x 87 px: runs of 16 steps, longer than union pixels x (steps + 1) <= 2^16 allows
     "long-runs": {"width": 120, "height": 90, "pattern_size": 80.0, "velocity": (300.0, 100.0)},
+    # 40 steps per exposure: each spans three runs of 16 steps
+    "exposure-spans-runs": {"exposure_us": 20_000},
+    # no step between exposures: one closes and the next opens inside a batch
+    "back-to-back-exposures": {"exposure_us": 50_000, "velocity": (300.0, 60.0)},
+    "static": {"velocity": (0.0, 0.0)},
+    # the reference view's pattern is last on the canvas at t = 52.5 ms, inside frame 1's exposure
+    "leaves-during-exposure": {"start": (50.5, 24.0), "velocity": (400.0, 0.0)},
 }
 
 
