@@ -131,6 +131,7 @@ _positive_finite = _number(float, lambda v: 0 < v < math.inf, "a finite number >
 _blur_sigma = _number(float, lambda v: 0 <= 3 * v <= MAX_SENSOR_DIM, f"a number from 0 to {MAX_SENSOR_DIM}/3")
 _probability = _number(float, lambda v: 0 < v < 1, "a number strictly between 0 and 1")
 _pair = _number(lambda t: tuple(map(float, t.split(","))), lambda v: len(v) == 2, "'X,Y' numbers")
+_finite_pair = _number(_pair, lambda v: all(map(math.isfinite, v)), "'X,Y' finite numbers")
 _wh = _number(lambda t: tuple(map(int, t.lower().split("x"))), lambda v: len(v) == 2 and min(v) > 0, "'WIDTHxHEIGHT'")
 
 
@@ -689,7 +690,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                            help=f"SceneSpec.{f.name} (default: %(default)s)")
         view = p.add_mutually_exclusive_group()
         view.add_argument("--homography", default=None, metavar="H.json", help="render a second view through this homography")
-        view.add_argument("--translate", type=_pair, default=None, metavar="DX,DY", help="shortcut: second view offset in px")
+        view.add_argument("--translate", type=_finite_pair, default=None, metavar="DX,DY", help="shortcut: second view offset in px")
         p.add_argument("--warped-dir", default=None, help="output directory for the second view")
         p.add_argument("-o", "--out", default=None)
 

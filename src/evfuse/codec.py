@@ -67,6 +67,7 @@ from .streams import (
     Columns,
     CoordinateOutOfBounds,
     EventStream,
+    LineRule,
     MalformedLine,  # parse_csv's error, still importable from this module
     StreamError,
     StreamHeader,
@@ -434,6 +435,8 @@ def _parse_item(fields: list) -> tuple:
         t, x, y = int(t), int(x), int(y)
         if not 0 <= t < 2**64 or x < 0 or y < 0:
             raise ValueError(t, x, y)
+        if max(x, y) >= 2**16:
+            raise LineRule(f"coordinate {max(x, y)} does not fit 16 bits")
         return t, x, y, _POLARITY[p]
     if kind == "trig":
         _, t, edge, channel = fields

@@ -224,11 +224,11 @@ def rate_report(
     else:
         stats = encode_stats(stream)  # also checks the merged items' time order: the trigger times are searchable
         total_bytes = stats.n_bytes  # includes the 16-byte header
-        # Words per bin over the bins that hold items, triggers included. A bin's
-        # first item comes after every event and trigger before the bin's start.
-        trigger_t = stream.triggers["t"]
-        edges = np.union1d(index, trigger_t // np.uint64(bin_us)) * np.uint64(bin_us)
-        starts = np.searchsorted(t, edges) + np.searchsorted(trigger_t, edges)
+        # Words per bin over the bins that hold items, triggers included. A bin's first
+        # item comes after the events of the series' bins before it and every earlier trigger.
+        trigger_bins = stream.triggers["t"] // bin_us
+        edges = np.union1d(index, trigger_bins)
+        starts = np.append(0, np.cumsum(counts))[np.searchsorted(index, edges)] + np.searchsorted(trigger_bins, edges)
         wide = np.uint32 if 4 * stats.words.size < 2**32 else np.int64  # exact (<= 4 words an item), 3x faster
         bin_words = np.add.reduceat(stats.words, starts, dtype=wide).astype(np.int64)
         # each rollover run counts in the bin of the item that carries it

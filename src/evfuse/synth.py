@@ -13,21 +13,22 @@ A second camera view is produced by mapping the *scene* through a homography
 before rasterization (``warp_view``), not by resampling pixels or events, so
 the ground-truth homography is exact by construction.
 
-Every view, the reference included, is rendered through its homography. A
-time step's box is the pattern's box at both ends of the step, mapped through
-that homography (the full frame where it crosses the vanishing line). That is
-exact: the pattern's coverage is exactly 0 from ``pattern_size/2 + 0.5`` off
-its centre on, so outside the box the intensity is exactly ``background`` at
-both ends and the log-intensity change is exactly 0. Inside the box only the
-outline band changes: coverage is exactly 1 up to ``pattern_size/2 - 0.5`` off
-the centre (per axis for the rectangle), and a distance to the straight-moving
-centre is convex in time, so over a run of steps a pixel inside at both ends
-stays inside, and one whose end distances sum to more than ``pattern_size + 1``
-plus the travel stays outside; only the other pixels are evaluated. A firing counts every
+Every view, the reference included, is rendered through its homography. The
+steps are taken in runs; a run's box is the pattern's box along the centre's
+straight path through the run, mapped through that homography (the full frame
+where it crosses the vanishing line). That is exact: the pattern's coverage is
+exactly 0 from ``pattern_size/2 + 0.5`` off its centre on, so outside the box
+the intensity is exactly ``background`` throughout the run and the
+log-intensity change is exactly 0. Inside the box only the outline band
+changes: coverage is exactly 1 up to ``pattern_size/2 - 0.5`` off the centre
+(per axis for the rectangle), and a distance to the straight-moving centre is
+convex in time, so over a run a pixel inside at both ends stays inside, and one
+whose end distances sum to more than ``pattern_size + 1`` plus the travel stays
+outside; only the others, the run's band, are evaluated. A firing counts every
 crossing its pixel's residual still passes the firing test for, so no residual
 can fire by itself, and a pixel whose change is 0 never fires: the generator
 works on the nonzero changes alone, per pixel, not step by step. A pixel that
-no batch of an exposure evaluates holds one intensity through it, so its frame
+no run of an exposure evaluates holds one intensity through it, so its frame
 value comes from one scalar running sum per saturated intensity; only the
 bands, and any pixel at neither saturated intensity, are summed step by step.
 """
@@ -160,21 +161,13 @@ def _boundary_points(spec: SceneSpec, t_us: float, n: int = 64) -> np.ndarray:
     if spec.pattern == "disk":
         ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         return np.stack([cx + half * np.cos(ang), cy + half * np.sin(ang)], axis=1)
-    # square outline: walk the perimeter, corners included
+    # square outline: walk the perimeter, corners included; side s starts (sx, sy) * half off
+    # the centre and walks along (dx, dy), where an axis that stays still adds an exact 0
     per = np.linspace(0.0, 4.0, n, endpoint=False)
     side = np.floor(per).astype(int)
-    f = per - side
-    pts = np.empty((n, 2))
-    for i, (s, fi) in enumerate(zip(side, f)):
-        if s == 0:
-            pts[i] = (cx - half + spec.pattern_size * fi, cy - half)
-        elif s == 1:
-            pts[i] = (cx + half, cy - half + spec.pattern_size * fi)
-        elif s == 2:
-            pts[i] = (cx + half - spec.pattern_size * fi, cy + half)
-        else:
-            pts[i] = (cx - half, cy + half - spec.pattern_size * fi)
-    return pts
+    walk = spec.pattern_size * (per - side)
+    sx, sy, dx, dy = np.array([[-1, -1, 1, 0], [1, -1, 0, 1], [1, 1, -1, 0], [-1, 1, 0, -1]], dtype=float)[side].T
+    return np.stack([cx + sx * half + dx * walk, cy + sy * half + dy * walk], axis=1)
 
 
 def _exposure_table(spec: SceneSpec) -> list:
@@ -183,25 +176,6 @@ def _exposure_table(spec: SceneSpec) -> list:
         start = k * spec.period_us
         out.append(ExposureInterval(k, start, start + spec.exposure_us))
     return out
-
-
-def _step_boxes(spec: SceneSpec, hm: np.ndarray, width: int, height: int, n_steps: int) -> np.ndarray:
-    """Row ``k`` is the ``(y0, y1, x0, x1)`` slice of the view of ``hm``
-    outside which the intensity is exactly ``background`` at both ends of
-    step ``k``. Row 0 (the t=0 sample) is empty, as is every row whose
-    pattern is off the canvas; a row whose box cannot be mapped through
-    ``hm`` is the full frame."""
-    cx, cy = spec.center_at(np.arange(n_steps + 1) * float(spec.dt_us))
-    # coverage is exactly 0 from pattern_size/2 + 0.5 off the centre; 1 px more for rounding
-    r = spec.pattern_size / 2.0 + 1.5
-    x0, x1 = np.minimum(cx[:-1], cx[1:]) - r, np.maximum(cx[:-1], cx[1:]) + r
-    y0, y1 = np.minimum(cy[:-1], cy[1:]) - r, np.maximum(cy[:-1], cy[1:]) + r
-    bounds, unbounded = box_images(hm, np.stack([x0, y0, x1, y1], axis=1))
-    bounds = bounds[:, [1, 3, 0, 2]] + [-1.0, 1.0, -1.0, 1.0]
-    mappable = ~unbounded & np.isfinite(bounds).all(axis=1)
-    bounds = np.where(mappable[:, None], np.floor(bounds) + [0, 1, 0, 1], [0, height, 0, width])
-    bounds = np.clip(bounds, 0, [height, height, width, width]).astype(np.int64)
-    return np.concatenate([np.zeros((1, 4), dtype=np.int64), bounds])
 
 
 def _saturated(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, ca: tuple, cb: tuple) -> np.ndarray:
@@ -222,44 +196,52 @@ def _saturated(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, ca: tuple, cb: t
     return inside | outside
 
 
-_RUN_STEPS = 16  # steps per run at most: a run pays for one band test over its union box
+_RUN_STEPS = 16  # steps per run at most: a run pays for one band test over its box
 _RUN_TRAVEL = 0.1  # of the pattern size, the centre's travel per run at most: the band widens with it
 _BATCH_ELEMENTS = 1 << 16  # band pixels x (steps + 1) per batch of two or more steps: temporaries stay cache-sized
 
 
-def _batches(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, boxes: np.ndarray):
-    """Batches ``(k0, k1, at)`` of the steps ``k0 <= k < k1`` from step 1 on,
-    each with the ascending ``(rows, cols)`` index ``at`` of the pixels of its
-    run's union box that are not :func:`_saturated` over the run, or whose
-    source coordinates are not finite: every pixel that can change in it."""
+def _runs(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, hm: np.ndarray, n_steps: int):
+    """Runs ``(k0, k1, band)`` of the steps ``k0 <= k < k1`` from step 1 on,
+    each with the ascending flat index ``band`` of the pixels of its box that
+    are not :func:`_saturated` over the run, or whose source coordinates are
+    not finite: every pixel that can change in it. A run's box is the
+    pattern's box along the centre's path from step ``k0 - 1`` to ``k1 - 1``,
+    mapped through ``hm`` (the full frame where it crosses the vanishing line)."""
     height, width = xs.shape
     travel, step_travel = _RUN_TRAVEL * spec.pattern_size, math.hypot(*spec.velocity) * spec.dt_us / 1e6
     n = _RUN_STEPS if step_travel * _RUN_STEPS <= travel else max(int(travel / step_travel), 1)
-    empty = (boxes[:, 0] >= boxes[:, 1]) | (boxes[:, 2] >= boxes[:, 3])
-    rows = np.where(empty[:, None], [height, 0, width, 0], boxes)  # an empty box adds nothing to a union
-    starts = np.arange(1, len(rows), n)
-    lo, hi = np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts)
+    ends = np.append(np.arange(0, n_steps, n), n_steps)  # k0 - 1 of each run, then the last step
+    cx, cy = spec.center_at(ends * float(spec.dt_us))
+    # coverage is exactly 0 from pattern_size/2 + 0.5 off the centre; 1 px more for rounding
+    r = spec.pattern_size / 2.0 + 1.5
+    x0, x1 = np.minimum(cx[:-1], cx[1:]) - r, np.maximum(cx[:-1], cx[1:]) + r
+    y0, y1 = np.minimum(cy[:-1], cy[1:]) - r, np.maximum(cy[:-1], cy[1:]) + r
+    bounds, unbounded = box_images(hm, np.stack([x0, y0, x1, y1], axis=1))
+    bounds = bounds[:, [1, 3, 0, 2]] + [-1.0, 1.0, -1.0, 1.0]
+    mappable = ~unbounded & np.isfinite(bounds).all(axis=1)
+    bounds = np.where(mappable[:, None], np.floor(bounds) + [0, 1, 0, 1], [0, height, 0, width])
+    bounds = np.clip(bounds, 0, [height, height, width, width]).astype(np.int64)
     nonfinite = ~(np.isfinite(xs) & np.isfinite(ys))
-    for k0, y0, y1, x0, x1 in zip(starts.tolist(), lo[:, 0], hi[:, 1], lo[:, 2], hi[:, 3]):
-        k1, box = min(k0 + n, len(rows)), np.s_[y0:y1, x0:x1]
-        ca, cb = (spec.center_at((k - 1) * float(spec.dt_us)) for k in (k0, k1))
+    ks, centres = (ends + 1).tolist(), list(zip(cx.tolist(), cy.tolist()))
+    for k0, k1, ca, cb, (ya, yb, xa, xb) in zip(ks, ks[1:], centres, centres[1:], bounds.tolist()):
+        box = np.s_[ya:yb, xa:xb]
         row, col = np.nonzero(~_saturated(spec, xs[box], ys[box], ca, cb) | nonfinite[box])
-        steps = max(_BATCH_ELEMENTS // max(row.size, 1) - 1, 1)
-        for s0 in range(k0, k1, steps):
-            yield s0, min(s0 + steps, k1), (row + y0, col + x0)
+        yield k0, k1, (row + ya) * width + (col + xa)
 
 
-def _changes(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, boxes: np.ndarray) -> tuple:
+def _changes(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, hm: np.ndarray, n_steps: int) -> tuple:
     """Phase 1: the nonzero log(I+1) changes as ``(step, pixel, delta)``
-    arrays, step-major and pixel-ascending, and the 8-bit frames. A batch
-    evaluates its pixels alone: ``i_now`` and ``log_prev`` already hold the
-    others' values, which its steps leave as they are. So an exposure sums
-    step by step only the bands of its batches and any pixel at neither
-    saturated intensity; every other pixel holds one saturated intensity
-    throughout, whose running sum is one scalar sequence of float64 adds."""
+    arrays, step-major and pixel-ascending, and the 8-bit frames. Each run of
+    :func:`_runs` is evaluated in batches of its steps, on its band alone:
+    ``i_now`` and ``log_prev`` already hold the other pixels' values, which
+    its steps leave as they are. So an exposure sums step by step only the
+    bands of its runs and any pixel at neither saturated intensity; every
+    other pixel holds one saturated intensity throughout, whose running sum is
+    one scalar sequence of float64 adds."""
     height, width = xs.shape
     # exposures never overlap (exposure <= period), and step 0 exposes frame 0
-    frame, phase = np.divmod(np.arange(boxes.shape[0]) * spec.dt_us, spec.period_us)
+    frame, phase = np.divmod(np.arange(n_steps + 1) * spec.dt_us, spec.period_us)
     exposing = (frame < spec.n_frames) & (phase < spec.exposure_us)
     closing = exposing & np.append(~exposing[1:] | (frame[1:] != frame[:-1]), True)  # a frame's last step
     n_exposing = np.bincount(frame[exposing], minlength=spec.n_frames)
@@ -268,16 +250,16 @@ def _changes(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, boxes: np.ndarray)
     log_prev = np.log1p(i_now)
     now, prev, flat_xs, flat_ys = (a.reshape(-1) for a in (i_now, log_prev, xs, ys))
     saturated = spec.background + (spec.foreground - spec.background) * np.array([0.0, 1.0])  # as _intensity has them
-    source = ((k0, k1, rows * width + cols) for k0, k1, (rows, cols) in _batches(spec, xs, ys, boxes))
-    ahead = collections.deque()  # batches drawn early, to learn an exposure's bands
+    runs = _runs(spec, xs, ys, hm, n_steps)
+    ahead = collections.deque()  # runs drawn early, to learn an exposure's bands
     summed = total = None  # the open exposure's summed pixels and their running sums
 
     def expose(k: int, k1: int, band: np.ndarray) -> None:
-        """Add step ``k`` to its exposure; the batch running ``k`` ends before ``k1`` and evaluates ``band``."""
+        """Add step ``k`` to its exposure; the run of ``k`` ends before ``k1`` and evaluates ``band``."""
         nonlocal summed, total
         n = n_exposing[frame[k]]
         if summed is None:  # k opens the exposure, whose steps are k to k + n - 1
-            while (ahead[-1][1] if ahead else k1) < k + n and (drawn := next(source, None)):
+            while (ahead[-1][1] if ahead else k1) < k + n and (drawn := next(runs, None)):
                 ahead.append(drawn)
             mask = (now != saturated[0]) & (now != saturated[1])
             mask[np.concatenate([band] + [b for k0, _, b in ahead if k0 < k + n])] = True
@@ -297,18 +279,22 @@ def _changes(spec: SceneSpec, xs: np.ndarray, ys: np.ndarray, boxes: np.ndarray)
 
     expose(0, 1, np.empty(0, dtype=np.int64))
     parts = []
-    while batch := (ahead.popleft() if ahead else next(source, None)):
-        k0, k1, band = batch
-        i_band = _intensity(spec, flat_xs[band], flat_ys[band], np.arange(k0, k1)[:, None] * float(spec.dt_us))
-        log_now = np.log1p(i_band)
-        delta = np.diff(log_now, axis=0, prepend=prev[band][None])
-        k, j = np.nonzero(delta)
-        parts.append((k + k0, band[j], delta[k, j]))
-        prev[band] = log_now[-1]
-        for k in np.flatnonzero(exposing[k0:k1]):
-            now[band] = i_band[k]
-            expose(k0 + k, k1, band)
-        now[band] = i_band[-1]
+    while run := (ahead.popleft() if ahead else next(runs, None)):
+        k0, k1, band = run
+        band_xs, band_ys = flat_xs[band], flat_ys[band]
+        steps = max(_BATCH_ELEMENTS // max(band.size, 1) - 1, 1)
+        for s0 in range(k0, k1, steps):  # one batch: steps s0 to s1 - 1
+            s1 = min(s0 + steps, k1)
+            i_band = _intensity(spec, band_xs, band_ys, np.arange(s0, s1)[:, None] * float(spec.dt_us))
+            log_now = np.log1p(i_band)
+            delta = np.diff(log_now, axis=0, prepend=prev[band][None])
+            k, j = np.nonzero(delta)
+            parts.append((k + s0, band[j], delta[k, j]))
+            prev[band] = log_now[-1]
+            for k in np.flatnonzero(exposing[s0:s1]):
+                now[band] = i_band[k]
+                expose(s0 + k, k1, band)
+            now[band] = i_band[-1]
     parts = list(zip(*parts))  # each column's parts are freed once it is joined, before the next is
     return *(np.concatenate(parts.pop(0)) for _ in range(3)), frames
 
@@ -350,8 +336,8 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
     """Core generator. ``h`` maps source-view coordinates to this view
     (``None`` is the identity); the intensity field of this view is
     I(H^-1(x,y), t), evaluated analytically. Three phases: :func:`_changes`
-    evaluates log(I+1) once per batch of steps, on the pixels whose coverage
-    is not saturated over the batch's run; each delta is the same difference
+    evaluates log(I+1) once per batch of a run's steps, on the pixels whose
+    coverage is not saturated over the run; each delta is the same difference
     of the same floats as a per-step, full-frame evaluation takes, and each
     delta it skips is exactly 0, so the changes are bit-identical. :func:`_fire` runs the
     rule on every pixel's ``r``-th change at once: a pixel fires
@@ -364,7 +350,7 @@ def _simulate(spec: SceneSpec, h: np.ndarray | None, width: int, height: int) ->
 
     exposures = _exposure_table(spec)
     n_steps = -(-spec.duration_us // spec.dt_us)  # ceil division
-    step, pix, delta, frames = _changes(spec, xs, ys, _step_boxes(spec, hm, width, height, n_steps))
+    step, pix, delta, frames = _changes(spec, xs, ys, hm, n_steps)
     ids, m_f, s, a, d = _fire(pix, delta, spec.contrast)
     j = np.arange(int(m_f.sum())) - np.repeat(np.cumsum(m_f) - m_f, m_f) + 1
     frac = (np.repeat(s, m_f) * j * spec.contrast - np.repeat(a, m_f)) / np.repeat(d, m_f)

@@ -881,6 +881,9 @@ BAD_OPTION_ARGV = [
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "inf"],
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "-1"],
     ["verify", "{missing}", "{missing}", "-o", "{out}", "--smooth-sigma", "1e12"],
+    # a non-finite offset is no translation: refused before the first view is written
+    ["synth", "-d", "{out}", "--warped-dir", "{out}_b", "--translate", "nan,0"],
+    ["synth", "-d", "{out}", "--warped-dir", "{out}_b", "--translate", "inf,0"],
     ["encode", "--csv", "{missing}", "--height", "4", "-o", "{out}", "--width", "0"],
     ["encode", "--csv", "{missing}", "--height", "4", "-o", "{out}", "--width", "5000"],
     ["encode", "--csv", "{missing}", "--width", "4", "-o", "{out}", "--height", "0"],
@@ -1177,6 +1180,8 @@ def bad_inputs(tmp_path_factory):
         "points_nan.csv": "src_x,src_y,dst_x,dst_y\n1,1,nan,1\n2,4,2,2\n3,9,3,3\n4,16,4,4\n",
         "points_huge.csv": "".join(f"1e308,-1e308,{i},{i * i}\n" for i in range(1, 7)),
         "t_past_u64.csv": "cd,1,1,1,+1\ncd,18446744073709551616,1,1,+1\n",
+        "x_past_u16.csv": "cd,1,1,1,+1\ncd,1,70000,1,+1\n",
+        "y_past_u16.csv": "cd,1,1,1,+1\ncd,1,1,70000,+1\n",
         "no_triggers.esf": _esf(32, 24, [(codec.TYPE_CD_Y, 1), (codec.TYPE_CD_X, 1)]),
         # the falling trigger edge's TIME_LOW is below the rising edge's
         "backwards.esf": _esf(32, 24, [(codec.TYPE_TIME_LOW, 100), (codec.TYPE_EXT_TRIGGER, 1),
@@ -1255,6 +1260,10 @@ BAD_INPUTS = [
                  "{d}/labels_inf.json", id="labels frame_id overflows"),
     pytest.param(["encode", "--csv", "{d}/t_past_u64.csv", "--width", "4", "--height", "4", "-o", "{o}"],
                  "MalformedLine", "events CSV line 2", id="events CSV time past u64"),
+    pytest.param(["encode", "--csv", "{d}/x_past_u16.csv", "--width", "4", "--height", "4", "-o", "{o}"],
+                 "MalformedLine", "events CSV line 2: coordinate 70000", id="events CSV x past u16"),
+    pytest.param(["encode", "--csv", "{d}/y_past_u16.csv", "--width", "4", "--height", "4", "-o", "{o}"],
+                 "MalformedLine", "events CSV line 2: coordinate 70000", id="events CSV y past u16"),
 ]
 
 

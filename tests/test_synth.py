@@ -24,12 +24,12 @@ from evfuse.synth import (
     InvalidSpec,
     SceneResult,
     SceneSpec,
-    _batches,
     _boundary_points,
     _exposure_table,
     _intensity,
+    _runs,
+    _saturated,
     _simulate,
-    _step_boxes,
     gen_scene,
     warp_view,
 )
@@ -255,14 +255,28 @@ def test_simulate_matches_full_frame_reference(pattern, contrast, velocity, h_na
     _assert_same_scene(got, _ref_simulate(spec, h, spec.width, spec.height))
 
 
-def test_projective_oracle_case_runs_the_full_frame_fallback():
+def _record_boxes(monkeypatch) -> list:
+    """The shape of each run's box, appended as :func:`synth._runs` hands it to :func:`synth._saturated`."""
+    shapes = []
+
+    def saturated(spec, xs, ys, ca, cb):
+        shapes.append(xs.shape)
+        return _saturated(spec, xs, ys, ca, cb)
+
+    monkeypatch.setattr(synth, "_saturated", saturated)
+    return shapes
+
+
+def test_projective_oracle_case_runs_the_full_frame_fallback(monkeypatch):
     spec = replace(ORACLE, velocity=(300.0, 0.0))
     n_steps = -(-spec.duration_us // spec.dt_us)
-    full = [0, spec.height, 0, spec.width]
-    projective = _step_boxes(spec, PROJECTIVE_H, spec.width, spec.height, n_steps)
-    translated = _step_boxes(spec, ORACLE_H["translation"], spec.width, spec.height, n_steps)
-    assert (projective[1:] == full).all(axis=1).any()
-    assert not (translated[1:] == full).all(axis=1).any()
+    shapes = {}
+    for name in ("projective", "translation"):
+        shapes[name] = _record_boxes(monkeypatch)
+        ys, xs = pull_back(ORACLE_H[name], (spec.height, spec.width))
+        list(_runs(spec, xs, ys, ORACLE_H[name], n_steps))
+    assert (spec.height, spec.width) in shapes["projective"]
+    assert (spec.height, spec.width) not in shapes["translation"]
 
 
 @pytest.mark.parametrize("changes", list(ORACLE_CHANGES.values()), ids=list(ORACLE_CHANGES))
@@ -299,36 +313,55 @@ def test_simulate_matches_reference_at_any_batch_budget(monkeypatch, spec, h_nam
 
 
 @pytest.mark.parametrize("budget", BATCH_BUDGETS)
-def test_batches_cover_every_step_within_the_budget(monkeypatch, budget):
+def test_runs_cover_every_step_and_batches_stay_within_the_budget(monkeypatch, budget):
     monkeypatch.setattr(synth, "_BATCH_ELEMENTS", budget)
     spec = replace(ORACLE, velocity=(300.0, 0.0))
     n_steps = -(-spec.duration_us // spec.dt_us)
     ys, xs = pull_back(PROJECTIVE_H, (spec.height, spec.width))
-    boxes = _step_boxes(spec, PROJECTIVE_H, spec.width, spec.height, n_steps)
-    full = (boxes == [0, spec.height, 0, spec.width]).all(axis=1)
-    assert full.any()
-    batches = list(_batches(spec, xs, ys, boxes))
-    assert [k0 for k0, _, _ in batches] == [1] + [k1 for _, k1, _ in batches[:-1]] and batches[-1][1] == n_steps + 1
+    shapes, runs, batches = _record_boxes(monkeypatch), [], []
+
+    def recorded(*args):
+        for run in _runs(*args):
+            runs.append(run)
+            yield run
+
+    def intensity(spec, xs, ys, t_us):
+        if np.ndim(t_us):  # a batch's steps, on its run's band
+            batches.append((xs.size, np.size(t_us)))
+        return _intensity(spec, xs, ys, t_us)
+
+    monkeypatch.setattr(synth, "_runs", recorded)
+    monkeypatch.setattr(synth, "_intensity", intensity)
+    synth._changes(spec, xs, ys, PROJECTIVE_H, n_steps)
+    assert [k0 for k0, _, _ in runs] == [1] + [k1 for _, k1, _ in runs[:-1]] and runs[-1][1] == n_steps + 1
+    full = [shape == (spec.height, spec.width) for shape in shapes]
+    assert any(full)
     before = _intensity(spec, xs, ys, 0.0)
-    for k0, k1, (rows, cols) in batches:
-        assert k1 - k0 == 1 or rows.size * (k1 - k0 + 1) <= budget
-        pixels = rows * spec.width + cols
-        assert (np.diff(pixels) > 0).all()
-        if full[k0:k1].any():  # past the vanishing line a box is the full frame, but the band is not
-            assert rows.size < spec.width * spec.height / 4
-        for k in range(k0, k1):  # every pixel whose intensity changes in a step is in the step's batch
+    for (k0, k1, band), full_box in zip(runs, full, strict=True):
+        assert (np.diff(band) > 0).all()
+        if full_box:  # past the vanishing line a box is the full frame, but the band is not
+            assert band.size < spec.width * spec.height / 4
+        for k in range(k0, k1):  # every pixel whose intensity changes in a step is in the step's band
             now = _intensity(spec, xs, ys, k * float(spec.dt_us))
-            assert np.isin(np.flatnonzero(now != before), pixels).all()
+            assert np.isin(np.flatnonzero(now != before), band).all()
             before = now
-    assert any(k1 - k0 > 1 for k0, k1, _ in batches) == (budget > 1)
+    assert sum(steps for _, steps in batches) == n_steps
+    assert all(steps == 1 or size * (steps + 1) <= budget for size, steps in batches)
+    assert any(steps > 1 for _, steps in batches) == (budget > 1)
 
 
 def test_bench_scene_evaluates_the_outline_band(monkeypatch):
     spec = SceneSpec(duration_s=1.0)  # the bench scene's reference view
     n_steps = -(-spec.duration_us // spec.dt_us)
-    boxes = _step_boxes(spec, np.eye(3), spec.width, spec.height, n_steps)
-    box_elements = spec.width * spec.height + int((np.clip(boxes[:, 1] - boxes[:, 0], 0, None)
-                                                   * np.clip(boxes[:, 3] - boxes[:, 2], 0, None)).sum())
+    # each step's box: the pattern's at both ends of the step, 1.5 px more and a pixel's rounding, clipped
+    cx, cy = spec.center_at(np.arange(n_steps + 1) * float(spec.dt_us))
+    r = spec.pattern_size / 2.0 + 1.5
+    area = 1
+    for c, size in ((cx, spec.width), (cy, spec.height)):
+        lo = np.clip(np.floor(np.minimum(c[:-1], c[1:]) - r - 1.0), 0, size)
+        hi = np.clip(np.floor(np.maximum(c[:-1], c[1:]) + r + 1.0) + 1, 0, size)
+        area = area * np.clip(hi - lo, 0, None)
+    box_elements = spec.width * spec.height + int(area.sum())
     evaluated = []
 
     def counted(*args):
@@ -338,7 +371,7 @@ def test_bench_scene_evaluates_the_outline_band(monkeypatch):
 
     monkeypatch.setattr(synth, "_intensity", counted)
     gen_scene(spec)
-    # evaluating every pixel of each run's union box reads 1.0 or more
+    # evaluating every pixel of each step's box reads 1.0 or more
     assert sum(evaluated) <= 0.35 * box_elements
 
 
