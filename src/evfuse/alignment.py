@@ -16,7 +16,7 @@ All images are 2D float or uint8 arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -162,12 +162,9 @@ class ZnccResult:
     deviation: float
 
     def to_json(self) -> dict:
-        return {
-            "dx": self.dx,
-            "dy": self.dy,
-            "score": self.score,
-            "deviation_px": self.deviation,
-        }
+        out = asdict(self)
+        out["deviation_px"] = out.pop("deviation")
+        return out
 
 
 def zncc_score(template: np.ndarray, image: np.ndarray, dx: int = 0, dy: int = 0) -> float:

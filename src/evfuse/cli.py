@@ -638,7 +638,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--iterations", type=_positive_int, default=2000)
         p.add_argument("--confidence", type=_probability, default=0.999)
         p.add_argument("--seed", type=_nonnegative_int, default=0)
-        p.add_argument("--min-inliers", type=int, default=5)
+        p.add_argument("--min-inliers", type=_positive_int, default=5)
         p.add_argument("-o", "--out", default=None, metavar="H.json", help="write the fitted homography")
         p.add_argument("--report-out", default=None, help="report JSON (default: stdout)")
 

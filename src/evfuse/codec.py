@@ -463,8 +463,8 @@ def parse_csv(text: str, width: int, height: int) -> EventStream:
     triggers = make_triggers(*zip(*tr_rows)) if tr_rows else make_triggers([], [], [])
     stream = EventStream(StreamHeader(width, height), events, triggers, np.flatnonzero(is_trigger))
     item_lines = np.array([line_no for line_no, _ in numbered], dtype=np.int64)
-    for rule, values, bad in rule_breaks(stream, stream.merged_times())[:1]:  # _parse_item rejects a bad channel
-        i = int(bad[0])  # order indexes the items, x and y the events
+    for rule, values, bad in rule_breaks(stream, stream.merged_times())[:1]:  # _parse_item rejects bad p, channel, edge
+        i = int(bad[0])  # order indexes the items, x, y and p the events
         lead = f"events CSV line {(item_lines if rule == 'order' else item_lines[~is_trigger])[i]}: "
         raise UnsortedInput(i, lead) if rule == "order" else CoordinateOutOfBounds(rule, int(values[i]), lead=lead)
     return stream

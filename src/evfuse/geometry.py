@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -195,14 +195,7 @@ class CalibrationReport:
     total: int
 
     def to_json(self) -> dict:
-        return {
-            "mean_px": self.mean_px,
-            "std_px": self.std_px,
-            "max_px": self.max_px,
-            "std_axis_px": self.std_axis_px,
-            "inliers": self.inliers,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def reprojection_stats(h: np.ndarray, src, dst, mask=None) -> CalibrationReport:

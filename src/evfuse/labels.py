@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,29 +25,15 @@ class BoundingBox:
     score: float | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "frame_id": self.frame_id,
-            "class": self.class_name,
-            "x": self.x,
-            "y": self.y,
-            "w": self.w,
-            "h": self.h,
-        }
-        if self.score is not None:
-            out["score"] = self.score
+        out = {"class" if k == "class_name" else k: v for k, v in asdict(self).items()}
+        if self.score is None:
+            del out["score"]
         return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "BoundingBox":
-        return cls(
-            frame_id=int(obj["frame_id"]),
-            class_name=str(obj["class"]),
-            x=float(obj["x"]),
-            y=float(obj["y"]),
-            w=float(obj["w"]),
-            h=float(obj["h"]),
-            score=float(obj["score"]) if "score" in obj else None,
-        )
+        return cls(int(obj["frame_id"]), str(obj["class"]), *(float(obj[k]) for k in "xywh"),
+                   float(obj["score"]) if "score" in obj else None)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -99,8 +85,7 @@ def read_labels_json(path: str) -> list:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"labels {path!r} must hold a JSON list of box objects ({exc!r})") from None
     for i, box in enumerate(boxes):
-        for name in ("x", "y", "w", "h", "score"):
-            value = getattr(box, name)
-            if value is not None and not math.isfinite(value):
+        for name, value in asdict(box).items():
+            if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidInput(f"labels {path!r} box {i}: {name} must be finite, got {value!r}")
     return boxes

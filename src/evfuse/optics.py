@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 # Below roughly this on-sensor extent, small fast objects stop producing
@@ -102,11 +102,7 @@ class FieldOfView:
     diagonal_deg: float
 
     def to_json(self) -> dict:
-        return {
-            "horizontal_deg": self.horizontal_deg,
-            "vertical_deg": self.vertical_deg,
-            "diagonal_deg": self.diagonal_deg,
-        }
+        return asdict(self)
 
 
 def field_of_view(sensor: SensorSpec, focal_mm: float) -> FieldOfView:
@@ -143,17 +139,5 @@ def get_sensor(name: str) -> SensorSpec:
 
 
 def get_lenses(camera: str | None = None) -> list:
-    presets = load_presets()
-    out = []
-    for raw in presets["lenses"]:
-        if camera is not None and raw.get("camera") != camera.lower():
-            continue
-        out.append(
-            LensSpec(
-                model=raw["model"],
-                focal_mm=raw["focal_mm"],
-                distortion_pct=raw.get("distortion_pct", 0.0),
-                effective_focal_mm=raw.get("effective_focal_mm"),
-            )
-        )
-    return out
+    return [LensSpec(raw["model"], raw["focal_mm"], raw.get("distortion_pct", 0.0), raw.get("effective_focal_mm"))
+            for raw in load_presets()["lenses"] if camera is None or raw.get("camera") == camera.lower()]

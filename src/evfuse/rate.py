@@ -18,7 +18,7 @@ since it thins shuffled input run by run. Bins and periods are 1 to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -174,17 +174,8 @@ class RateReport:
         return len(self.saturated_bins) > 0
 
     def to_json(self) -> dict:
-        return {
-            "encoding": self.encoding,
-            "n_events": self.n_events,
-            "duration_us": self.duration_us,
-            "bin_us": self.bin_us,
-            "mean_evps": self.mean_evps,
-            "peak_evps": self.peak_evps,
-            "mean_Bps": self.mean_bps,
-            "peak_Bps": self.peak_bps,
-            "saturated_bins": self.saturated_bins,
-        }
+        names = {"mean_bps": "mean_Bps", "peak_bps": "peak_Bps"}
+        return {names.get(k, k): v for k, v in asdict(self).items()}
 
 
 def rate_report(

@@ -13,12 +13,14 @@ is preserved via ``trigger_pos`` (the index of each trigger within the merged
 item sequence), so serialization round-trips are item-exact even when a
 trigger and an event share a timestamp.  :meth:`EventStream.merge_items` lays
 values out in that order.  The stream rules (``x < width``, ``y < height``,
-``channel < 16``, non-decreasing merged time) are defined once, in
-:func:`rule_breaks`, for validation, encoding and CSV parsing alike.
+``p`` of -1 or +1, ``channel < 16``, ``edge`` of 0 or 1, non-decreasing merged
+time) are defined once, in :func:`rule_breaks`, for validation, encoding and
+CSV parsing alike.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -50,7 +52,7 @@ class UnsortedInput(StreamError):
 
 
 class CoordinateOutOfBounds(StreamError):
-    """An event coordinate does not fit the sensor geometry."""
+    """An item field breaks its stream rule: a coordinate, polarity, trigger channel or edge out of range."""
 
     def __init__(self, axis: str, value: int, offset: int | None = None, lead: str = ""):
         self.axis = axis
@@ -327,11 +329,8 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def counts(self) -> dict:
-        out: dict = {}
-        for f in self.findings:
-            out[f.kind] = out.get(f.kind, 0) + 1
-        return out
+    def counts(self) -> Counter:
+        return Counter(f.kind for f in self.findings)
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "findings": [f.to_json() for f in self.findings]}
@@ -351,14 +350,19 @@ def check_order(t: np.ndarray) -> None:
 def rule_breaks(stream: EventStream, t: np.ndarray) -> list:
     """``(rule, values, indices)`` for each rule ``stream`` breaks, in precedence order; one pass per rule.
 
-    ``t`` is ``stream.merged_times()``.  ``x`` and ``y`` index the events,
-    ``channel`` the triggers and ``order`` the merged items; ``values[indices]``
-    are the offending values.
+    ``t`` is ``stream.merged_times()``.  ``x``, ``y`` and ``p`` index the
+    events, ``channel`` and ``edge`` the triggers and ``order`` the merged
+    items; ``values[indices]`` are the offending values.
     """
-    ev, h = stream.events, stream.header
-    rules = (("x", ev["x"], h.width), ("y", ev["y"], h.height), ("channel", stream.triggers["channel"], N_CHANNELS))
-    found = [(rule, values, np.flatnonzero(values >= limit)) for rule, values, limit in rules]
-    found.append(("order", t, order_breaks(t)))
+    ev, tr, h = stream.events, stream.triggers, stream.header
+    found = [  # each mask is freed before the next is made
+        ("x", ev["x"], np.flatnonzero(ev["x"] >= h.width)),
+        ("y", ev["y"], np.flatnonzero(ev["y"] >= h.height)),
+        ("p", ev["p"], np.flatnonzero(np.abs(ev["p"]) != 1)),
+        ("channel", tr["channel"], np.flatnonzero(tr["channel"] >= N_CHANNELS)),
+        ("edge", tr["edge"], np.flatnonzero(tr["edge"] > 1)),
+        ("order", t, order_breaks(t)),
+    ]
     return [f for f in found if f[2].shape[0]]
 
 
@@ -374,7 +378,7 @@ def validate_stream(stream: EventStream) -> ValidationReport:
     Returns a report of findings; an empty findings list means the stream is
     structurally sound.  The stream itself is left untouched.  Rule breaks
     are summarised, not listed: one ``monotonicity`` finding and at most one
-    ``bounds`` finding per rule (x, y, channel), each holding the first
+    ``bounds`` finding per rule (x, y, p, channel, edge), each holding the first
     offending indices and stating the total count in its message.  Each edge
     that :func:`~evfuse.sync.triggers_to_exposures` could not pair gives one
     ``unpaired_trigger`` finding.
@@ -382,15 +386,16 @@ def validate_stream(stream: EventStream) -> ValidationReport:
     findings: list[Finding] = []
     t = stream.merged_times()
     h = stream.header
-    limits = {"x": f"width {h.width}", "y": f"height {h.height}", "channel": str(N_CHANNELS)}
+    broken = {"x": f">= width {h.width}", "y": f">= height {h.height}", "p": "not in {-1, +1}",
+              "channel": f">= {N_CHANNELS}", "edge": "> 1"}
     for rule, values, bad in rule_breaks(stream, t):
         n, i = bad.shape[0], int(bad[0])
         if rule == "order":  # the report lists time order first
             findings.insert(0, Finding("monotonicity", f"{n} item(s) precede their predecessor; first: "
                                        f"item {i} (t={int(t[i])}) precedes item {i - 1} (t={int(t[i - 1])})", (i - 1, i)))
         else:
-            kind = "trigger" if rule == "channel" else "event"
-            findings.append(Finding("bounds", f"{n} {kind}(s) with {rule} >= {limits[rule]}; first: "
+            kind = "trigger" if rule in ("channel", "edge") else "event"
+            findings.append(Finding("bounds", f"{n} {kind}(s) with {rule} {broken[rule]}; first: "
                                     f"{kind} {i}: {rule}={int(values[i])}", (i,)))
 
     # Trigger pairing per channel: edges should alternate rising -> falling.

@@ -902,6 +902,7 @@ BAD_OPTION_ARGV = [
     ["calibrate", "--points", "{missing}", "-o", "{out}", "--confidence", "0"],
     ["calibrate", "--points", "{missing}", "-o", "{out}", "--confidence", "nan"],
     ["calibrate", "--points", "{missing}", "-o", "{out}", "--seed", "-1"],
+    ["calibrate", "--points", "{missing}", "--min-inliers", "0"],
     # optics reads no input: a bad value must still be a usage error, not a printed result
     ["optics", "--distance-m", "100", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--object-m", "nan"],
     ["optics", "--distance-m", "100", "--focal-mm", "8", "--sensor", "evk4", "-o", "{out}", "--object-m", "inf"],

@@ -807,6 +807,26 @@ def test_encode_rejects_out_of_bounds():
         assert (exc.value.axis, exc.value.value) == (axis, value)
 
 
+def test_encode_rejects_polarity_and_edge_out_of_range():
+    # p must be -1 or +1 and edge 0 or 1: otherwise the encoder would write a different stream
+    header = StreamHeader(32, 24)
+    cases = [
+        ("p", 0, EventStream(header, make_events([1, 2], [3, 4], [1, 1], [1, 0]))),
+        ("p", 5, EventStream(header, make_events([1, 2], [3, 4], [1, 1], [5, -1]))),
+        ("p", -128, EventStream(header, make_events([1], [3], [1], [-128]))),
+        ("edge", 3, EventStream(header, triggers=make_triggers([2, 5], [3, 2], [0, 0]))),
+        ("y", 30, EventStream(header, make_events([1, 2], [3, 4], [1, 30], [0, 1]))),  # y before p
+        ("p", 0, EventStream(header, make_events([1], [3], [1], [0]), make_triggers([2], [1], [16]))),  # p before channel
+        ("channel", 16, EventStream(header, triggers=make_triggers([1, 2], [2, 1], [0, 16]))),  # channel before edge
+        ("edge", 2, EventStream(header, triggers=make_triggers([2, 1], [1, 2], [0, 0]))),  # edge before order
+    ]
+    for axis, value, stream in cases:
+        for encode in (encode_esf, encode_stats):
+            with pytest.raises(CoordinateOutOfBounds) as exc:
+                encode(stream)
+            assert (exc.value.axis, exc.value.value) == (axis, value)
+
+
 def test_parse_csv_rejects_unsorted_lines():
     # The CSV parser applies the encoder's rules, time order included; the index is the merged item's.
     with pytest.raises(UnsortedInput) as exc:
@@ -1106,3 +1126,12 @@ def test_validate_reports_trigger_channel_bounds():
     findings = validate_stream(EventStream(StreamHeader(32, 32), triggers=triggers)).findings
     bounds = [(f.message, f.indices) for f in findings if f.kind == "bounds"]
     assert bounds == [("2 trigger(s) with channel >= 16; first: trigger 1: channel=16", (1,))]
+
+
+def test_validate_reports_polarity_and_edge_bounds():
+    events = make_events([1, 2, 3, 4], [1, 2, 3, 4], [1, 1, 1, 1], [1, 0, -1, 5])
+    triggers = make_triggers([2, 5], [3, 2], [0, 0])
+    findings = validate_stream(EventStream(StreamHeader(32, 32), events, triggers)).findings
+    bounds = [(f.message, f.indices) for f in findings if f.kind == "bounds"]
+    assert bounds == [("2 event(s) with p not in {-1, +1}; first: event 1: p=0", (1,)),
+                      ("2 trigger(s) with edge > 1; first: trigger 0: edge=3", (0,))]

@@ -31,7 +31,7 @@ from evfuse.geometry import (
     warp_image,
     warp_points,
 )
-from evfuse.labels import BoundingBox, clip_box, iou, transfer_box
+from evfuse.labels import BoundingBox, clip_box, iou, transfer_box, write_labels_json
 
 
 def _random_h(rng):
@@ -309,3 +309,41 @@ def test_box_json_roundtrip():
     no_score = BoundingBox(2, "bullet", 1.5, 2.5, 3.0, 4.0)
     assert "score" not in no_score.to_json()
     assert BoundingBox.from_json(no_score.to_json()) == no_score
+
+
+def test_box_from_json_reads_fields_in_order():
+    # the first field that fails names the fault: frame_id before class, x before y
+    with pytest.raises(ValueError):
+        BoundingBox.from_json({"frame_id": "one"})
+    with pytest.raises(KeyError, match="class"):
+        BoundingBox.from_json({"frame_id": 1, "x": 0})
+    with pytest.raises(ValueError):
+        BoundingBox.from_json({"frame_id": 1, "class": "c", "x": "left"})
+    with pytest.raises(TypeError):
+        BoundingBox.from_json({"frame_id": 1, "class": "c", "x": 0, "y": 0, "w": 1, "h": 1, "score": None})
+
+
+def test_labels_json_layout(tmp_path):
+    path = tmp_path / "labels.json"
+    write_labels_json(str(path), [BoundingBox(2, "bullet", 1.5, 2.5, 3.0, 4.0, score=0.25),
+                                  BoundingBox(3, "disk", 0.0, -1.0, 2.0, 3.0)])
+    assert path.read_bytes() == b"""[
+  {
+    "frame_id": 2,
+    "class": "bullet",
+    "x": 1.5,
+    "y": 2.5,
+    "w": 3.0,
+    "h": 4.0,
+    "score": 0.25
+  },
+  {
+    "frame_id": 3,
+    "class": "disk",
+    "x": 0.0,
+    "y": -1.0,
+    "w": 2.0,
+    "h": 3.0
+  }
+]
+"""
